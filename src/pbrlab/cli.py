@@ -4,7 +4,8 @@ Subcommands: states, spectrum, solve, run, feasibility, bound, verify-all.
 Results go to standard out (JSON or CSV), diagnostics to standard error.
 
 Exit codes: 0 success; 1 verification failure; 2 usage or configuration
-error; 3 numeric failure (degeneracy, non-convergence, violated coupling
+error, including a standard output closed before the result was written;
+3 numeric failure (degeneracy, non-convergence, violated coupling
 constraint).
 
 Angles are radians unless ``--deg`` is given.  A flat ``key = value`` config
@@ -18,6 +19,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -529,7 +531,15 @@ def main(argv=None) -> int:
         parser.print_help(file=sys.stderr)
         return EXIT_CONFIG
     try:
-        return _HANDLERS[ns.command](ns)
+        code = _HANDLERS[ns.command](ns)
+        sys.stdout.flush()  # a closed stdout surfaces here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # The reader went away.  Point the descriptor at devnull so the
+        # interpreter's final flush of the unwritten buffer succeeds silently.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: standard output was closed before the result was written", file=sys.stderr)
+        return EXIT_CONFIG
     except (DomainError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -40,15 +40,17 @@ from .qstate import JointState
 #: Default minimum pairwise eigenvalue gap.
 GAP_TOL = 1e-9
 
+#: Sweep budget of the Jacobi eigensolver; exhausting it raises ConvergenceError.
+JACOBI_SWEEPS = 60
+
+#: Jacobi stops once the off-diagonal norm is at most this times max(1, |H|).
+_JACOBI_OFF_TOL = 1e-14
+
 _RT2 = math.sqrt(0.5)
 
-PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-
-#: Bell states in label order (Φ⁺, Φ⁻, Ψ⁺, Ψ⁻).
-BELL_NAMES = ("Phi+", "Phi-", "Psi+", "Psi-")
 
 
 def bell_states() -> tuple[JointState, JointState, JointState, JointState]:
@@ -95,9 +97,6 @@ class HamiltonianMatrix:
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
 
-    def to_json(self) -> list[list[list[float]]]:
-        return [[[z.real, z.imag] for z in row] for row in self.entries.tolist()]
-
 
 @dataclass(frozen=True)
 class Spectrum:
@@ -107,22 +106,6 @@ class Spectrum:
     eigenvectors: tuple[JointState, JointState, JointState, JointState]
     labels: tuple[str, str, str, str]
     alpha: float | None = None
-
-    def min_gap(self) -> float:
-        vals = self.eigenvalues
-        return min(
-            abs(vals[i] - vals[j]) for i in range(4) for j in range(i + 1, 4)
-        )
-
-    def to_json(self) -> dict:
-        out = {
-            "labels": list(self.labels),
-            "eigenvalues": list(self.eigenvalues),
-            "eigenvectors": [v.to_json() for v in self.eigenvectors],
-        }
-        if self.alpha is not None:
-            out["alpha"] = self.alpha
-        return out
 
 
 def build_xyz(c: CouplingSet) -> HamiltonianMatrix:
@@ -137,13 +120,8 @@ def build_xyz(c: CouplingSet) -> HamiltonianMatrix:
 
 def build_soc(c: CouplingSet) -> HamiltonianMatrix:
     """The exchange matrix plus the antisymmetric term d (XZ − ZX)."""
-    m = (
-        c.a * np.kron(PAULI_X, PAULI_X)
-        + c.b * np.kron(PAULI_Y, PAULI_Y)
-        + c.c * np.kron(PAULI_Z, PAULI_Z)
-        + c.d_or_zero * (np.kron(PAULI_X, PAULI_Z) - np.kron(PAULI_Z, PAULI_X))
-    )
-    return HamiltonianMatrix(m)
+    spin_orbit = np.kron(PAULI_X, PAULI_Z) - np.kron(PAULI_Z, PAULI_X)
+    return HamiltonianMatrix(build_xyz(c).entries + c.d_or_zero * spin_orbit)
 
 
 def xyz_eigenvalues(c: CouplingSet) -> tuple[float, float, float, float]:
@@ -230,13 +208,7 @@ def _jacobi_rotation(a: np.ndarray, p: int, q: int) -> np.ndarray:
     return u
 
 
-def numeric_spectrum(
-    m,
-    gap_tol: float = GAP_TOL,
-    *,
-    sweep_budget: int = 60,
-    off_tol: float = 1e-14,
-) -> Spectrum:
+def numeric_spectrum(m, gap_tol: float = GAP_TOL) -> Spectrum:
     """Diagonalize by cyclic Jacobi rotations; independent of the analytic route.
 
     Accepts a :class:`HamiltonianMatrix` or a raw 4x4 Hermitian array.
@@ -252,9 +224,9 @@ def numeric_spectrum(
     v = np.eye(4, dtype=complex)
     mask = ~np.eye(4, dtype=bool)
     converged = False
-    for _ in range(sweep_budget):
+    for _ in range(JACOBI_SWEEPS):
         off = math.sqrt(float(np.sum(np.abs(a[mask]) ** 2)))
-        if off <= off_tol * scale:
+        if off <= _JACOBI_OFF_TOL * scale:
             converged = True
             break
         for p in range(3):
@@ -266,7 +238,7 @@ def numeric_spectrum(
                 v = v @ u
     if not converged:
         raise ConvergenceError(
-            f"Jacobi sweep budget ({sweep_budget}) exhausted; off-diagonal norm {off!r}"
+            f"Jacobi sweep budget ({JACOBI_SWEEPS}) exhausted; off-diagonal norm {off!r}"
         )
     values = np.diag(a).real
     order = np.argsort(values, kind="stable")

@@ -9,7 +9,10 @@ preparation forbids its own outcome exactly (Born weight zero), so the
 constraint system is
 
     p(k) = 0   for every forbidden outcome k of a support preparation,
-    p(1) + p(2) + p(3) + p(4) = 1,       0 <= p(k) <= 1.
+    p(1) + p(2) + p(3) + p(4) = 1,       p(k) >= 0.
+
+(p(k) <= 1 needs no row of its own: nonnegativity and normalization imply
+it.)
 
 With overlaps on both sides the four forbidden outcomes cover all four
 outcomes (the forbidden map is a bijection) and the system is infeasible:
@@ -30,16 +33,12 @@ import enum
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import LogicError, ValidationError
 from .protocol import ProtocolInstance, Variant, forbidden_map_for
 from .simplex import phase1_feasible
 
 #: theta window in which the spin-orbit states v and w are treated as equal.
 SPECIAL_CASE_ATOL = 1e-10
-
-LP_TOL = 1e-9
 
 
 class Relation(str, enum.Enum):
@@ -154,37 +153,22 @@ def build_problem(
     )
 
 
-def lp_feasible(
-    prob: FeasibilityProblem, *, tol: float = LP_TOL, exact: bool = False
-) -> FeasibilityDecision:
+def lp_feasible(prob: FeasibilityProblem, *, exact: bool = False) -> FeasibilityDecision:
     """Decide the problem with the phase-1 simplex (no special-casing).
 
-    Variables are the four response probabilities plus four slacks for the
-    p(k) <= 1 bounds; rows are the zero equalities, normalization, and the
-    bound rows.  A feasible problem is reported with the uniform witness over
-    the outcomes not forced to zero; an infeasible one with the textual
-    contradiction certificate.  ``exact=True`` pivots over rationals instead
-    of floats.
+    Variables are the four response probabilities; rows are the zero
+    equalities and the normalization.  The bounds p(k) <= 1 follow from
+    p >= 0 and the normalization, so they get no rows.  A feasible problem is
+    reported with the uniform witness over the outcomes not forced to zero;
+    an infeasible one with the textual contradiction certificate.
+    ``exact=True`` pivots over rationals instead of floats.
     """
     labels = prob.outcome_labels
     if len(labels) != 4 or len(set(labels)) != 4:
         raise ValidationError(f"expected 4 distinct outcome labels, got {labels}")
-    zeroed_idx = prob.zeroed_indices()
-    rows, rhs = [], []
-    for k in zeroed_idx:
-        row = [0.0] * 8
-        row[k] = 1.0
-        rows.append(row)
-        rhs.append(0.0)
-    rows.append([1.0] * 4 + [0.0] * 4)
-    rhs.append(1.0)
-    for k in range(4):
-        row = [0.0] * 8
-        row[k] = 1.0
-        row[4 + k] = 1.0
-        rows.append(row)
-        rhs.append(1.0)
-    result = phase1_feasible(np.array(rows), np.array(rhs), tol=tol, exact=exact)
+    rows = [[float(j == k) for j in range(4)] for k in prob.zeroed_indices()]
+    rows.append([1.0] * 4)
+    result = phase1_feasible(rows, [0.0] * (len(rows) - 1) + [1.0], exact=exact)
     method = "phase1-simplex-exact" if exact else "phase1-simplex"
 
     if result.feasible:
@@ -264,12 +248,7 @@ class Verdict:
         }
 
 
-def deduce(
-    inst: ProtocolInstance,
-    both_overlap: FeasibilityDecision,
-    *,
-    special_case_atol: float = SPECIAL_CASE_ATOL,
-) -> list[Verdict]:
+def deduce(inst: ProtocolInstance, both_overlap: FeasibilityDecision) -> list[Verdict]:
     """Turn the both-overlap infeasibility into a state-pair verdict.
 
     Exchange variant: u conjoint with v would force u disjoint from vbar, so
@@ -289,7 +268,7 @@ def deduce(
         pairs = (("u", "v"), ("u", "vbar"))
     else:
         pairs = (("u", "v"), ("u", "w"))
-        if abs(theta - math.pi / 4.0) <= special_case_atol:
+        if abs(theta - math.pi / 4.0) <= SPECIAL_CASE_ATOL:
             return [
                 Verdict(
                     pairs=(("u", "v"),),

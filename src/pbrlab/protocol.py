@@ -128,12 +128,25 @@ def born_probabilities(prep: JointState, spectrum: Spectrum) -> tuple[float, flo
     )
 
 
+def _analytic_spectrum(variant: Variant, couplings: CouplingSet, gap_tol: float) -> Spectrum:
+    if variant is Variant.XYZ:
+        return analytic_spectrum_xyz(couplings, gap_tol=gap_tol)
+    return analytic_spectrum_soc(couplings, gap_tol=gap_tol)
+
+
+def _forbidden_residuals(
+    variant: Variant, preparations: tuple[tuple[str, JointState], ...], spectrum: Spectrum
+) -> dict[tuple[str, str], float]:
+    preps = dict(preparations)
+    vecs = dict(zip(spectrum.labels, spectrum.eigenvectors))
+    return {
+        (prep_label, outcome_label): abs(joint_overlap(vecs[outcome_label], preps[prep_label]))
+        for prep_label, outcome_label in _FORBIDDEN[variant]
+    }
+
+
 def orthogonality_residuals(
-    variant: Variant,
-    params: OverlapParams,
-    couplings: CouplingSet,
-    *,
-    gap_tol: float = GAP_TOL,
+    variant: Variant, params: OverlapParams, couplings: CouplingSet
 ) -> dict[tuple[str, str], float]:
     """|⟨e_k|prep⟩| for each (preparation, nominally forbidden outcome) pair.
 
@@ -142,16 +155,8 @@ def orthogonality_residuals(
     four residuals at |cos(alpha + theta)| / sqrt(2).
     """
     variant = Variant(variant)
-    if variant is Variant.XYZ:
-        spectrum = analytic_spectrum_xyz(couplings, gap_tol=gap_tol)
-    else:
-        spectrum = analytic_spectrum_soc(couplings, gap_tol=gap_tol)
-    preps = dict(_build_preparations(variant, params))
-    vecs = dict(zip(spectrum.labels, spectrum.eigenvectors))
-    return {
-        (prep_label, outcome_label): abs(joint_overlap(vecs[outcome_label], preps[prep_label]))
-        for prep_label, outcome_label in _FORBIDDEN[variant]
-    }
+    spectrum = _analytic_spectrum(variant, couplings, GAP_TOL)
+    return _forbidden_residuals(variant, _build_preparations(variant, params), spectrum)
 
 
 def make_protocol(
@@ -161,32 +166,27 @@ def make_protocol(
     *,
     gap_tol: float = GAP_TOL,
     ortho_atol: float = ORTHO_ATOL,
-    constraint_atol: float = CONSTRAINT_ATOL,
 ) -> ProtocolInstance:
     """Assemble and verify a protocol instance.
 
     Raises :class:`ConstraintError` when the spin-orbit couplings miss
-    cos(alpha + theta) = 0, or when any forbidden-outcome overlap exceeds
-    ``ortho_atol``; degeneracy errors from the spectrum propagate.
+    cos(alpha + theta) = 0 by more than ``CONSTRAINT_ATOL``, or when any
+    forbidden-outcome overlap exceeds ``ortho_atol``; degeneracy errors from
+    the spectrum propagate.
     """
     variant = Variant(variant)
-    if variant is Variant.XYZ:
-        spectrum = analytic_spectrum_xyz(couplings, gap_tol=gap_tol)
-    else:
-        spectrum = analytic_spectrum_soc(couplings, gap_tol=gap_tol)
+    spectrum = _analytic_spectrum(variant, couplings, gap_tol)
+    if variant is Variant.SOC:
         residual = abs(np.cos(spectrum.alpha + params.theta))
-        if residual > constraint_atol:
+        if residual > CONSTRAINT_ATOL:
             raise ConstraintError(
                 f"couplings violate cos(alpha + theta) = 0: |cos| = {residual!r} "
-                f"(tolerance {constraint_atol})",
+                f"(tolerance {CONSTRAINT_ATOL})",
                 residual=float(residual),
             )
     preparations = _build_preparations(variant, params)
-    forbidden = _FORBIDDEN[variant]
-    vecs = dict(zip(spectrum.labels, spectrum.eigenvectors))
-    preps = dict(preparations)
-    for prep_label, outcome_label in forbidden:
-        residual = abs(joint_overlap(vecs[outcome_label], preps[prep_label]))
+    residuals = _forbidden_residuals(variant, preparations, spectrum)
+    for (prep_label, outcome_label), residual in residuals.items():
         if residual > ortho_atol:
             raise ConstraintError(
                 f"⟨{outcome_label}|{prep_label}⟩ = {residual!r} exceeds {ortho_atol}",
@@ -198,7 +198,7 @@ def make_protocol(
         couplings=couplings,
         spectrum=spectrum,
         preparations=preparations,
-        forbidden=forbidden,
+        forbidden=_FORBIDDEN[variant],
     )
 
 
@@ -224,9 +224,6 @@ class TallyTable:
         if any(c < 0 for row in self.counts for c in row):
             raise ValidationError("tally counts must be nonnegative")
 
-    def runs_for(self, prep_label: str) -> int:
-        return sum(self.counts[self.prep_labels.index(prep_label)])
-
     def frequency(self, prep_label: str, outcome_label: str) -> float:
         p = self.prep_labels.index(prep_label)
         k = self.outcome_labels.index(outcome_label)
@@ -246,18 +243,6 @@ class TallyTable:
                     [prep, outcome, self.counts[p][k], freq, self.is_forbidden(prep, outcome)]
                 )
         return rows
-
-    def to_json(self) -> dict:
-        return {
-            "prep_labels": list(self.prep_labels),
-            "outcome_labels": list(self.outcome_labels),
-            "counts": [list(row) for row in self.counts],
-            "n_runs": self.n_runs,
-            "seed": self.seed,
-            "noise_eps": self.noise_eps,
-            "policy": self.policy,
-            "forbidden": [list(pair) for pair in self.forbidden],
-        }
 
 
 def _tally_chunk(
@@ -350,12 +335,6 @@ class ForbiddenRates:
 
     per_preparation: tuple[tuple[str, float], ...]
     eps_hat: float
-
-    def to_json(self) -> dict:
-        return {
-            "per_preparation": {label: rate for label, rate in self.per_preparation},
-            "eps_hat": self.eps_hat,
-        }
 
 
 def forbidden_rate(table: TallyTable) -> ForbiddenRates:

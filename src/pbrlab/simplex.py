@@ -3,12 +3,14 @@
 Decides whether {x >= 0 : A x = b} is nonempty by minimizing the sum of
 artificial variables with Bland's rule (smallest-index entering and leaving
 choices), which cannot cycle.  Problems here are a handful of variables, so
-the reduced costs are recomputed from the tableau every iteration rather than
-maintained incrementally.
+the tableau is a list of Python rows and the reduced costs are recomputed
+from it every iteration rather than maintained incrementally.
 
-``exact=True`` runs the same pivoting over ``fractions.Fraction`` (floats are
-taken as the binary rationals they are), making the feasibility decision
-exact rather than tolerance-based.
+One pivot loop serves both number types.  By default it runs over floats,
+with tolerances on the reduced costs, the pivot entries and the final
+artificial sum.  ``exact=True`` runs it over ``fractions.Fraction`` (floats
+are taken as the binary rationals they are) with every tolerance zero, making
+the feasibility decision exact.
 """
 
 from __future__ import annotations
@@ -22,6 +24,10 @@ from .errors import ConvergenceError, ValidationError
 
 _PIVOT_TOL = 1e-10
 
+#: Float-mode bound on a reduced cost worth entering and on a feasible
+#: artificial sum.
+_FEASIBILITY_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class Phase1Result:
@@ -31,9 +37,7 @@ class Phase1Result:
     iterations: int
 
 
-def phase1_feasible(
-    a, b, *, tol: float = 1e-9, max_iter: int = 10_000, exact: bool = False
-) -> Phase1Result:
+def phase1_feasible(a, b, *, max_iter: int = 10_000, exact: bool = False) -> Phase1Result:
     """Decide feasibility of A x = b, x >= 0 via a phase-1 simplex."""
     a = np.array(a, dtype=float)
     b = np.array(b, dtype=float)
@@ -41,83 +45,34 @@ def phase1_feasible(
         raise ValidationError(f"incompatible LP shapes A{a.shape}, b{b.shape}")
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise ValidationError("LP data must be finite")
-    if exact:
-        return _phase1_exact(a, b, max_iter)
     m, n = a.shape
+    num = Fraction if exact else float
+    zero = num(0)
+    tol, pivot_tol = (zero, zero) if exact else (_FEASIBILITY_TOL, _PIVOT_TOL)
 
-    neg = b < 0.0
-    a[neg] *= -1.0
-    b[neg] *= -1.0
-
-    # Tableau [A | I_m | rhs] with the artificial columns n..n+m-1 as basis.
-    tab = np.hstack([a, np.eye(m), b[:, None]])
+    # Tableau rows [A | I_m | rhs], each negated where rhs < 0, with the
+    # artificial columns n..n+m-1 as the starting basis.
+    rows = []
+    for i, (a_row, rhs) in enumerate(zip(a.tolist(), b.tolist())):
+        sign = -1.0 if rhs < 0.0 else 1.0
+        row = [num(sign * v) for v in a_row] + [num(float(i == j)) for j in range(m)]
+        rows.append(row + [num(sign * rhs)])
     basis = list(range(n, n + m))
 
     for iteration in range(max_iter):
-        art_rows = [i for i in range(m) if basis[i] >= n]
-        value = float(tab[art_rows, -1].sum()) if art_rows else 0.0
-        # Reduced cost of original column j under "minimize sum of
-        # artificials" is the aggregate of the artificial basis rows.
-        costs = tab[art_rows, :n].sum(axis=0) if art_rows else np.zeros(n)
+        art_rows = [rows[i] for i in range(m) if basis[i] >= n]
+        value = sum((row[-1] for row in art_rows), zero)
         entering = -1
         for j in range(n):  # Bland: first improving column; artificials never re-enter
-            if j in basis or costs[j] <= tol:
+            # The reduced cost of original column j under "minimize sum of
+            # artificials" is the aggregate of the artificial basis rows.
+            if j in basis or sum((row[j] for row in art_rows), zero) <= tol:
                 continue
-            if np.any(tab[:, j] > _PIVOT_TOL):
+            if any(row[j] > pivot_tol for row in rows):
                 entering = j
                 break
         if entering < 0:
             feasible = value <= tol
-            x = None
-            if feasible:
-                x = np.zeros(n)
-                for i, var in enumerate(basis):
-                    if var < n:
-                        x[var] = tab[i, -1]
-                x = tuple(float(v) for v in x)
-            return Phase1Result(
-                feasible=feasible, x=x, artificial_sum=value, iterations=iteration
-            )
-        ratios = [
-            (tab[i, -1] / tab[i, entering], basis[i], i)
-            for i in range(m)
-            if tab[i, entering] > _PIVOT_TOL
-        ]
-        _, _, leave_row = min(ratios, key=lambda r: (r[0], r[1]))
-        pivot = tab[leave_row, entering]
-        tab[leave_row] /= pivot
-        for i in range(m):
-            if i != leave_row and tab[i, entering] != 0.0:
-                tab[i] -= tab[i, entering] * tab[leave_row]
-        basis[leave_row] = entering
-    raise ConvergenceError(f"phase-1 simplex exceeded {max_iter} iterations")
-
-
-def _phase1_exact(a: np.ndarray, b: np.ndarray, max_iter: int) -> Phase1Result:
-    m, n = a.shape
-    rows = []
-    for i in range(m):
-        sign = -1 if b[i] < 0 else 1
-        row = [Fraction(sign * x) for x in a[i]]
-        row += [Fraction(int(i == j)) for j in range(m)]
-        row.append(Fraction(sign * b[i]))
-        rows.append(row)
-    basis = list(range(n, n + m))
-    zero = Fraction(0)
-
-    for iteration in range(max_iter):
-        art_rows = [i for i in range(m) if basis[i] >= n]
-        value = sum((rows[i][-1] for i in art_rows), zero)
-        costs = [sum((rows[i][j] for i in art_rows), zero) for j in range(n)]
-        entering = -1
-        for j in range(n):
-            if j in basis or costs[j] <= zero:
-                continue
-            if any(rows[i][j] > zero for i in range(m)):
-                entering = j
-                break
-        if entering < 0:
-            feasible = value == zero
             x = None
             if feasible:
                 values = [zero] * n
@@ -131,14 +86,14 @@ def _phase1_exact(a: np.ndarray, b: np.ndarray, max_iter: int) -> Phase1Result:
         ratios = [
             (rows[i][-1] / rows[i][entering], basis[i], i)
             for i in range(m)
-            if rows[i][entering] > zero
+            if rows[i][entering] > pivot_tol
         ]
         _, _, leave_row = min(ratios, key=lambda r: (r[0], r[1]))
         pivot = rows[leave_row][entering]
-        rows[leave_row] = [x / pivot for x in rows[leave_row]]
+        rows[leave_row] = [v / pivot for v in rows[leave_row]]
         for i in range(m):
             factor = rows[i][entering]
             if i != leave_row and factor != zero:
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[leave_row])]
+                rows[i] = [v - factor * w for v, w in zip(rows[i], rows[leave_row])]
         basis[leave_row] = entering
-    raise ConvergenceError(f"exact phase-1 simplex exceeded {max_iter} iterations")
+    raise ConvergenceError(f"phase-1 simplex exceeded {max_iter} iterations")

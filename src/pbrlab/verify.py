@@ -53,6 +53,9 @@ from .qstate import OverlapParams
 #: (theta, d, split) can make any single b degenerate.
 DEFAULT_B_CANDIDATES = (0.5, 0.8, 1.3)
 
+#: Minimum eigenvalue gap of the randomly drawn couplings in the spectrum checks.
+_SAMPLE_MIN_GAP = 1e-3
+
 
 def default_soc_couplings(theta: float, d: float = 1.0, split: float = 2.0) -> CouplingSet:
     """Constraint-satisfying couplings with the first non-degenerate default b."""
@@ -85,36 +88,22 @@ def _draws(seed: int, purpose: int, count: int, width: int) -> np.ndarray:
     return rng.run_uniforms(seed, purpose * 1_000_000, purpose * 1_000_000 + count, width)
 
 
-def _random_xyz_couplings(seed: int, purpose: int, n: int, min_gap: float = 1e-3):
+def _random_couplings(seed: int, purpose: int, n: int, variant: Variant) -> list[CouplingSet]:
+    """n couplings uniform in [-3, 3) whose analytic spectrum has gaps >= 1e-3.
+
+    Spin-orbit rows draw d as a fourth coupling and skip |d| < 0.05.
+    """
+    soc = variant is Variant.SOC
+    spectrum = analytic_spectrum_soc if soc else analytic_spectrum_xyz
     out = []
     block = 0
     while len(out) < n:
-        rows = _draws(seed, purpose + block, 4 * n, 3)
-        for row in rows:
+        for row in _draws(seed, purpose + block, 4 * n, 4 if soc else 3):
             c = CouplingSet(*(6.0 * x - 3.0 for x in row))
-            try:
-                analytic_spectrum_xyz(c, gap_tol=min_gap)
-            except PbrlabError:
+            if soc and abs(c.d) < 0.05:
                 continue
-            out.append(c)
-            if len(out) == n:
-                break
-        block += 1
-    return out
-
-
-def _random_soc_couplings(seed: int, purpose: int, n: int, min_gap: float = 1e-3):
-    out = []
-    block = 0
-    while len(out) < n:
-        rows = _draws(seed, purpose + block, 4 * n, 4)
-        for row in rows:
-            d = 6.0 * row[3] - 3.0
-            if abs(d) < 0.05:
-                continue
-            c = CouplingSet(6.0 * row[0] - 3.0, 6.0 * row[1] - 3.0, 6.0 * row[2] - 3.0, d)
             try:
-                analytic_spectrum_soc(c, gap_tol=min_gap)
+                spectrum(c, gap_tol=_SAMPLE_MIN_GAP)
             except PbrlabError:
                 continue
             out.append(c)
@@ -126,7 +115,7 @@ def _random_soc_couplings(seed: int, purpose: int, n: int, min_gap: float = 1e-3
 
 def check_xyz_spectrum(seed: int, n: int = 250) -> CheckResult:
     max_de, max_infid = 0.0, 0.0
-    for c in _random_xyz_couplings(seed, 10, n):
+    for c in _random_couplings(seed, 10, n, Variant.XYZ):
         pairs = pair_spectra(analytic_spectrum_xyz(c), numeric_spectrum(build_xyz(c)))
         max_de = max(max_de, max(p.abs_diff for p in pairs))
         max_infid = max(max_infid, max(1.0 - p.fidelity for p in pairs))
@@ -142,7 +131,7 @@ def check_soc_spectrum(seed: int, n: int = 250) -> CheckResult:
     max_de, max_infid, max_cross = 0.0, 0.0, 0.0
     bells = bell_states()
     exact_fixed = True
-    for c in _random_soc_couplings(seed, 20, n):
+    for c in _random_couplings(seed, 20, n, Variant.SOC):
         spec = analytic_spectrum_soc(c)
         pairs = pair_spectra(spec, numeric_spectrum(build_soc(c)))
         max_de = max(max_de, max(p.abs_diff for p in pairs))
@@ -350,7 +339,8 @@ def check_simulation_stats(seed: int, n_runs: int = 200_000, n_workers: int = 1)
         sigma = math.sqrt(p * (1.0 - p) / n_uu) if 0.0 < p < 1.0 else 0.0
         if abs(row[k] / n_uu - p) > max(3.0 * sigma, 1e-12):
             born_ok = False
-    noisy = simulate(inst, n_runs, seed=seed + 1, noise_eps=0.04, prep_policy="roundrobin", n_workers=n_workers)
+    next_seed = (seed + 1) & (2**64 - 1)  # wraps, so the maximum seed stays valid
+    noisy = simulate(inst, n_runs, seed=next_seed, noise_eps=0.04, prep_policy="roundrobin", n_workers=n_workers)
     rates = forbidden_rate(noisy)
     expected = 0.04 / 4.0
     sigma = math.sqrt(expected * (1.0 - expected) / (n_runs / 4.0))

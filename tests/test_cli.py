@@ -4,12 +4,18 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import pbrlab
 from pbrlab.cli import main
+from pbrlab.verify import CheckResult, check_simulation_stats
 
 
 def run_cli(capsys, *argv):
@@ -61,6 +67,22 @@ class TestExitCodes:
         )
         assert code == 3
         assert "cos(alpha + theta)" in err
+
+    def test_closed_stdout_is_two_without_traceback(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = str(Path(pbrlab.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "pbrlab.cli", "bound", "--eps", "0.01"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2
+        assert b"Traceback" not in proc.stderr
+        assert b"standard output was closed" in proc.stderr
 
 
 class TestSolve:
@@ -267,3 +289,6 @@ class TestVerifyAll:
         _, out1, _ = run_cli(capsys, "verify-all", "--seed", "11", "--runs", "20000")
         _, out2, _ = run_cli(capsys, "verify-all", "--seed", "11", "--runs", "20000")
         assert out1 == out2
+
+    def test_max_seed_does_not_overflow(self):
+        assert isinstance(check_simulation_stats(2**64 - 1, n_runs=20_000), CheckResult)

@@ -1,0 +1,53 @@
+"""CLI stdout pinned byte for byte against recorded golden files.
+
+Each case runs ``pbrlab.cli.main`` in process and compares its standard
+output with ``tests/golden/<name>.out``.  A refactor that claims the same
+behaviour must reproduce them exactly; re-record a file only for a change
+that means to alter that output.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from pbrlab.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+XYZ_RUN = [
+    "run", "--variant", "xyz", "--theta", "1.0471975512", "--a", "1", "--b", "2", "--c", "3",
+    "--runs", "100000", "--seed", "42", "--noise", "0.04", "--policy", "roundrobin",
+]
+
+CASES = {
+    "states_soc_json": ["states", "--variant", "soc", "--theta", "0.6", "--format", "json"],
+    "states_xyz_csv": ["states", "--variant", "xyz", "--theta", "0.6", "--phi", "1.1", "--format", "csv"],
+    "spectrum_xyz_csv": ["spectrum", "--variant", "xyz", "--a", "1", "--b", "2", "--c", "3"],
+    "spectrum_soc_json": [
+        "spectrum", "--variant", "soc", "--a", "1.2", "--b", "0.5", "--c", "-0.7", "--d", "0.9",
+        "--format", "json",
+    ],
+    "solve_closed_form": ["solve", "--theta", "1.0471975512", "--d", "1", "--split", "2"],
+    "solve_bisection": ["solve", "--theta", "0.6", "--d", "1.5", "--split", "-1", "--b", "0.3",
+                        "--method", "bisection"],
+    "feasibility_both": ["feasibility", "--variant", "soc", "--theta", "0.7853981634", "--overlap", "both"],
+    "feasibility_both_exact": [
+        "feasibility", "--variant", "soc", "--theta", "0.7853981634", "--overlap", "both", "--exact",
+    ],
+    "feasibility_a": ["feasibility", "--variant", "xyz", "--theta", "1.0471975512", "--overlap", "a"],
+    "feasibility_a_exact": [
+        "feasibility", "--variant", "xyz", "--theta", "1.0471975512", "--overlap", "a", "--exact",
+    ],
+    "bound": ["bound", "--eps", "0.01"],
+    "run_csv": XYZ_RUN,
+    "run_json": [*XYZ_RUN, "--format", "json"],
+    "verify_all_seed42": ["verify-all", "--seed", "42"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_stdout_matches_golden(name, capsys):
+    code = main(CASES[name])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.encode("utf-8") == (GOLDEN / f"{name}.out").read_bytes()

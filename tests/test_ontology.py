@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pbrlab import ontology
 from pbrlab import (
     CouplingSet,
     FeasibilityDecision,
@@ -26,6 +27,7 @@ from pbrlab import (
     solve_closed_form,
     subset_rule_feasible,
 )
+from pbrlab.simplex import phase1_feasible
 
 
 def xyz_instance(theta=math.pi / 3):
@@ -121,6 +123,34 @@ class TestLpFeasible:
     def test_randomized_zeroed_sets_match_oracle(self, zeroed):
         prob = problem_from_zeroed(xyz_instance(), tuple(zeroed))
         assert lp_feasible(prob).feasible == subset_rule_feasible(prob)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_four_variable_lp_over_every_zeroed_subset(self, exact, monkeypatch):
+        # lp_feasible has no rows for p <= 1; nonnegativity and the
+        # normalization must imply them on every zeroed set.
+        systems = []
+
+        def recording(a, b, **kwargs):
+            result = phase1_feasible(a, b, **kwargs)
+            systems.append((np.array(a), kwargs, result))
+            return result
+
+        monkeypatch.setattr(ontology, "phase1_feasible", recording)
+        inst = xyz_instance()
+        for r in range(5):
+            for combo in itertools.combinations(inst.outcome_labels, r):
+                prob = problem_from_zeroed(inst, combo)
+                decision = lp_feasible(prob, exact=exact)
+                a, kwargs, result = systems[-1]
+                assert a.shape == (r + 1, 4)
+                assert kwargs == {"exact": exact}
+                assert result.feasible == decision.feasible == subset_rule_feasible(prob)
+                if result.feasible:
+                    x = np.array(result.x)
+                    assert np.all(x >= 0.0) and np.all(x <= 1.0)
+                    assert x.sum() == pytest.approx(1.0, abs=1e-12)
+                    assert all(x[k] == 0.0 for k in prob.zeroed_indices())
+        assert len(systems) == 16
 
     def test_exact_rational_mode_agrees(self):
         inst = xyz_instance()
