@@ -48,9 +48,9 @@ from .protocol import (
     ORTHO_ATOL,
     PrepPolicy,
     Variant,
+    _forbidden_residuals,
     forbidden_rate,
     make_protocol,
-    orthogonality_residuals,
     simulate,
 )
 from .qstate import OverlapParams, build_pair_soc, build_pair_xyz, overlap
@@ -285,7 +285,7 @@ def _cmd_solve(ns: argparse.Namespace) -> int:
 
 def _run_summary(inst, table, n_workers: int) -> dict:
     rates = forbidden_rate(table)
-    residuals = orthogonality_residuals(inst.variant, inst.params, inst.couplings)
+    residuals = _forbidden_residuals(inst.variant, inst.preparations, inst.spectrum)
     constraint_residual = None
     if inst.variant is Variant.SOC:
         constraint_residual = abs(math.cos(inst.spectrum.alpha + inst.params.theta))

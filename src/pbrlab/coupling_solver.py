@@ -62,11 +62,13 @@ class SolverResult:
 def _validate_inputs(theta: float, d: float, split: float) -> None:
     if not 0.0 < theta < math.pi / 2.0:
         raise DomainError(f"theta must lie strictly inside (0, pi/2), got {theta!r}")
-    if d <= 0.0:
+    if not d > 0.0:
         raise DomainError(
             f"d must be positive, got {d!r}: with d <= 0 the principal-branch "
             "mixing angle never reaches pi/2 - theta"
         )
+    if not math.isfinite(split):
+        raise DomainError(f"split = a - c must be finite, got {split!r}")
     if split == 0.0:
         raise DomainError("split = a - c must be nonzero (a = c is degenerate)")
 
@@ -123,7 +125,6 @@ def solve_by_root_finding(
     b: float = 0.0,
     *,
     gap_tol: float = GAP_TOL,
-    residual_tol: float = ROOT_RESIDUAL_TOL,
 ) -> SolverResult:
     """Bisection on s = a + c; independent oracle for :func:`solve_closed_form`."""
     _validate_inputs(theta, d, split)
@@ -147,8 +148,8 @@ def solve_by_root_finding(
             lo = mid
         else:
             hi = mid
-    if abs(_constraint(mid, d, theta)) > residual_tol:
+    if abs(_constraint(mid, d, theta)) > ROOT_RESIDUAL_TOL:
         raise SolverError(
-            f"bisection stalled at s={mid!r} with |cos(alpha+theta)| > {residual_tol}"
+            f"bisection stalled at s={mid!r} with |cos(alpha+theta)| > {ROOT_RESIDUAL_TOL}"
         )
     return _finish(theta, d, split, b, mid, "bisection", gap_tol)

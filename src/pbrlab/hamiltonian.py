@@ -72,10 +72,14 @@ class CouplingSet:
     d: float | None = None
 
     def __post_init__(self):
-        for name in ("a", "b", "c"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        if self.d is not None:
-            object.__setattr__(self, "d", float(self.d))
+        for name in ("a", "b", "c", "d"):
+            value = getattr(self, name)
+            if value is None:
+                continue
+            value = float(value)
+            if not math.isfinite(value):
+                raise DomainError(f"coupling {name} must be finite, got {value!r}")
+            object.__setattr__(self, name, value)
 
     @property
     def d_or_zero(self) -> float:

@@ -118,18 +118,18 @@ class OverlapParams:
         object.__setattr__(self, "phi", float(self.phi) % TWO_PI)
 
 
-def _check_normalized(norm_sq: float, what: str, atol: float = NORM_ATOL) -> None:
-    if not math.isfinite(norm_sq) or abs(norm_sq - 1.0) > atol:
+def _check_normalized(norm_sq: float, what: str) -> None:
+    if not math.isfinite(norm_sq) or abs(norm_sq - 1.0) > NORM_ATOL:
         raise ValidationError(
-            f"{what} is not normalized: |amps|^2 = {norm_sq!r} (tolerance {atol})"
+            f"{what} is not normalized: |amps|^2 = {norm_sq!r} (tolerance {NORM_ATOL})"
         )
 
 
-def overlap(u: PureState, v: PureState, *, atol: float = NORM_ATOL) -> complex:
+def overlap(u: PureState, v: PureState) -> complex:
     """Inner product ⟨u|v⟩ = conj(u)·v."""
     for name, s in (("u", u), ("v", v)):
         ns = s.norm_sq()
-        if abs(ns - 1.0) > atol:
+        if abs(ns - 1.0) > NORM_ATOL:
             raise ValidationError(f"state {name} is not normalized: |amps|^2 = {ns!r}")
     return (
         u.amp_plus.conjugate() * v.amp_plus + u.amp_minus.conjugate() * v.amp_minus
@@ -177,11 +177,11 @@ def build_pair_soc(p: OverlapParams) -> tuple[PureState, PureState, PureState]:
     return u, v, w
 
 
-def tensor(a: PureState, b: PureState, *, atol: float = NORM_ATOL) -> JointState:
+def tensor(a: PureState, b: PureState) -> JointState:
     """Product state a ⊗ b in the fixed (++, +−, −+, −−) order."""
     for name, s in (("a", a), ("b", b)):
         ns = s.norm_sq()
-        if abs(ns - 1.0) > atol:
+        if abs(ns - 1.0) > NORM_ATOL:
             raise ValidationError(f"state {name} is not normalized: |amps|^2 = {ns!r}")
     return JointState(
         (

@@ -5,6 +5,11 @@ one PASS/FAIL line per check.  All randomness comes from the counter streams
 in :mod:`pbrlab.rng` keyed on the report seed, so the report text is a pure
 function of (seed, n_runs): byte-identical across repeats, platforms, and
 worker counts.
+
+These checks are the only implementation of each invariant: the acceptance
+suite (``tests/test_acceptance.py``) calls them at larger sizes.  The sampled
+checks take ``n`` draws and the grid checks an ``n``-point theta grid; the
+defaults are the sizes ``verify-all`` reports.
 """
 
 from __future__ import annotations
@@ -57,12 +62,12 @@ DEFAULT_B_CANDIDATES = (0.5, 0.8, 1.3)
 _SAMPLE_MIN_GAP = 1e-3
 
 
-def default_soc_couplings(theta: float, d: float = 1.0, split: float = 2.0) -> CouplingSet:
-    """Constraint-satisfying couplings with the first non-degenerate default b."""
+def default_soc_couplings(theta: float) -> CouplingSet:
+    """Constraint couplings (d = 1, split = 2) with the first non-degenerate default b."""
     last: DegeneracyError | None = None
     for b in DEFAULT_B_CANDIDATES:
         try:
-            return solve_closed_form(theta, d, split, b=b).couplings
+            return solve_closed_form(theta, 1.0, 2.0, b=b).couplings
         except DegeneracyError as exc:
             last = exc
     raise last
@@ -149,35 +154,35 @@ def check_soc_spectrum(seed: int, n: int = 250) -> CheckResult:
     )
 
 
-def check_xyz_orthogonality(seed: int) -> CheckResult:
+def check_xyz_orthogonality(seed: int, n: int = 24) -> CheckResult:
     worst = 0.0
     couplings = CouplingSet(1.0, 2.0, 3.0)
     phis = [2.0 * math.pi * k / 8.0 for k in range(8)]
-    for theta in _theta_grid(24):
+    for theta in _theta_grid(n):
         for phi in phis:
             res = orthogonality_residuals(Variant.XYZ, OverlapParams(theta, phi), couplings)
             worst = max(worst, max(res.values()))
     ok = worst <= 1e-12
     return CheckResult(
-        "xyz-orthogonality", ok, f"24x8 (theta, phi) grid, max residual {worst:.3e}"
+        "xyz-orthogonality", ok, f"{n}x8 (theta, phi) grid, max residual {worst:.3e}"
     )
 
 
-def check_soc_orthogonality(seed: int) -> CheckResult:
+def check_soc_orthogonality(seed: int, n: int = 24) -> CheckResult:
     worst = 0.0
-    for theta in _theta_grid(24):
+    for theta in _theta_grid(n):
         couplings = default_soc_couplings(theta)
         res = orthogonality_residuals(Variant.SOC, OverlapParams(theta), couplings)
         worst = max(worst, max(res.values()))
     ok = worst <= 1e-12
     return CheckResult(
-        "soc-orthogonality", ok, f"24 theta grid, constraint couplings, max residual {worst:.3e}"
+        "soc-orthogonality", ok, f"{n} theta grid, constraint couplings, max residual {worst:.3e}"
     )
 
 
-def check_soc_negative_control(seed: int) -> CheckResult:
+def check_soc_negative_control(seed: int, n: int = 12) -> CheckResult:
     weakest = math.inf
-    for theta in _theta_grid(12):
+    for theta in _theta_grid(n):
         good = default_soc_couplings(theta)
         bad = CouplingSet(good.a + 0.25, good.b, good.c + 0.25, good.d)
         violation = abs(math.cos(soc_alpha(bad) + theta))
@@ -191,7 +196,7 @@ def check_soc_negative_control(seed: int) -> CheckResult:
     return CheckResult(
         "soc-negative-control",
         ok,
-        f"12 theta grid, off-constraint couplings, min of max residuals {weakest:.3e} > 1e-4",
+        f"{n} theta grid, off-constraint couplings, min of max residuals {weakest:.3e} > 1e-4",
     )
 
 
@@ -226,15 +231,15 @@ def check_solver_agreement(seed: int, n: int = 60) -> CheckResult:
     )
 
 
-def _instances_for_grid(seed: int):
-    for theta in _theta_grid(12):
+def _instances_for_grid(n: int):
+    for theta in _theta_grid(n):
         yield make_protocol(Variant.XYZ, OverlapParams(theta), CouplingSet(1.0, 2.0, 3.0))
         yield make_protocol(Variant.SOC, OverlapParams(theta), default_soc_couplings(theta))
 
 
-def check_exclusion_feasibility(seed: int) -> CheckResult:
+def check_exclusion_feasibility(seed: int, n: int = 12) -> CheckResult:
     checked = 0
-    for inst in _instances_for_grid(seed):
+    for inst in _instances_for_grid(n):
         both = lp_feasible(build_problem(inst, SupportProfile(True, True)))
         if both.feasible:
             return CheckResult("exclusion-feasibility", False, f"both-overlap feasible for {inst.variant}")
@@ -379,7 +384,7 @@ def check_phi_independence(seed: int) -> CheckResult:
 
 def check_evolution_invariance(seed: int) -> CheckResult:
     worst = 0.0
-    for inst in _instances_for_grid(seed):
+    for inst in _instances_for_grid(12):
         for t in (0.0, 0.37, 2.5, -4.0):
             for _, prep in inst.preparations:
                 before = born_probabilities(prep, inst.spectrum)

@@ -1,7 +1,10 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
-Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-lines.  Every tolerance is pinned where the criterion states it.
+Each criterion runs the ``verify-all`` checks of :mod:`pbrlab.verify` at the
+criterion's pinned size (the sampled checks take ``n`` draws, the grid checks
+an ``n``-point theta grid), so every invariant has one implementation and the
+tolerances are the ones those checks fix.  Run with
+``pytest tests/test_acceptance.py -v -s`` to see the per-criterion lines.
 """
 
 import math
@@ -9,361 +12,103 @@ import subprocess
 import sys
 
 import numpy as np
-import pytest
 
 from pbrlab import (
     CouplingSet,
-    DegeneracyError,
     OverlapParams,
-    Relation,
-    SupportProfile,
     Variant,
     analytic_spectrum_soc,
-    analytic_spectrum_xyz,
     bell_states,
-    born_probabilities,
-    build_problem,
     build_soc,
-    build_xyz,
-    deduce,
-    forbidden_rate,
-    lp_feasible,
     make_protocol,
-    numeric_spectrum,
-    orthogonality_residuals,
-    overlap_bound,
-    pair_spectra,
-    problem_from_zeroed,
     simulate,
-    solve_by_root_finding,
-    solve_closed_form,
-    subset_rule_feasible,
+    verify,
 )
-from pbrlab.hamiltonian import soc_alpha
-from pbrlab.verify import check_cross_protocol, default_soc_couplings, run_all
+from pbrlab.verify import CheckResult
 
 
-def report(criterion: str, ok: bool, detail: str) -> None:
-    print(f"{'PASS' if ok else 'FAIL'} {criterion}: {detail}")
-    assert ok, f"{criterion}: {detail}"
-
-
-def random_valid_xyz(rng, n):
-    out = []
-    while len(out) < n:
-        c = CouplingSet(*rng.uniform(-3, 3, size=3))
-        try:
-            analytic_spectrum_xyz(c)
-        except DegeneracyError:
-            continue
-        out.append(c)
-    return out
-
-
-def random_valid_soc(rng, n):
-    out = []
-    while len(out) < n:
-        vals = rng.uniform(-3, 3, size=4)
-        if abs(vals[3]) < 1e-3:
-            continue
-        c = CouplingSet(*vals)
-        try:
-            analytic_spectrum_soc(c)
-        except DegeneracyError:
-            continue
-        out.append(c)
-    return out
+def report(criterion: str, *results: CheckResult) -> None:
+    ok = all(r.ok for r in results)
+    print(f"{'PASS' if ok else 'FAIL'} {criterion}: " + "; ".join(r.line() for r in results))
+    assert ok, [r.line() for r in results if not r.ok]
 
 
 def test_criterion_1_xyz_spectrum_oracle():
     """Analytic exchange spectrum vs the Jacobi eigensolver, 1000 draws."""
-    rng = np.random.default_rng(101)
-    bells = bell_states()
-    max_de, max_infid, max_bell_infid = 0.0, 0.0, 0.0
-    for c in random_valid_xyz(rng, 1000):
-        analytic = analytic_spectrum_xyz(c)
-        numeric = numeric_spectrum(build_xyz(c))
-        for i, pair in enumerate(pair_spectra(analytic, numeric)):
-            max_de = max(max_de, pair.abs_diff)
-            max_infid = max(max_infid, 1.0 - pair.fidelity)
-        # numeric eigenvectors are the Bell states up to phase
-        nvecs = np.array([v.vector for v in numeric.eigenvectors])
-        bmat = np.array([b.vector for b in bells])
-        fid = np.abs(bmat.conj() @ nvecs.T) ** 2
-        max_bell_infid = max(max_bell_infid, float(np.max(1.0 - np.max(fid, axis=1))))
-    ok = max_de <= 1e-10 and max_infid <= 1e-10 and max_bell_infid <= 1e-10
-    report(
-        "criterion 1 (exchange spectrum)",
-        ok,
-        f"1000 couplings: max |dE| {max_de:.3e}, max infidelity {max_infid:.3e}, "
-        f"max Bell infidelity {max_bell_infid:.3e}",
-    )
+    report("criterion 1 (exchange spectrum)", verify.check_xyz_spectrum(101, n=1000))
 
 
 def test_criterion_2_soc_spectrum_oracle():
     """Spin-orbit spectrum vs Jacobi; fixed eigenvectors exact; block diagonalized."""
-    rng = np.random.default_rng(202)
-    bells = bell_states()
-    phi_plus = bells[0].vector
-    psi_minus = bells[3].vector
-    max_de, max_infid, max_off, max_res = 0.0, 0.0, 0.0, 0.0
-    fixed_exact = True
-    for c in random_valid_soc(rng, 1000):
-        analytic = analytic_spectrum_soc(c)
-        numeric = numeric_spectrum(build_soc(c))
-        for pair in pair_spectra(analytic, numeric):
-            max_de = max(max_de, pair.abs_diff)
-            max_infid = max(max_infid, 1.0 - pair.fidelity)
-        fixed_exact = fixed_exact and analytic.eigenvectors[0] == bells[1]
-        fixed_exact = fixed_exact and analytic.eigenvectors[1] == bells[2]
+    pair = np.array([b.vector for b in bell_states()])[[0, 3]]  # (Phi+, Psi-)
+    max_res, max_off = 0.0, 0.0
+    for c in verify._random_couplings(202, 20, 1000, Variant.SOC):
+        spec = analytic_spectrum_soc(c)
         h = build_soc(c).entries
-        block = np.array(
-            [
-                [np.vdot(phi_plus, h @ phi_plus), np.vdot(phi_plus, h @ psi_minus)],
-                [np.vdot(psi_minus, h @ phi_plus), np.vdot(psi_minus, h @ psi_minus)],
-            ]
-        )
-        ca, sa = math.cos(analytic.alpha), math.sin(analytic.alpha)
-        rot = np.array([[ca, -sa], [sa, ca]])
-        rotated = rot.T @ block.real @ rot
-        max_off = max(max_off, abs(float(rotated[0, 1])), abs(float(rotated[1, 0])))
-        for value, vec in zip(analytic.eigenvalues, analytic.eigenvectors):
+        for value, vec in zip(spec.eigenvalues, spec.eigenvectors):
             max_res = max(max_res, float(np.max(np.abs(h @ vec.vector - value * vec.vector))))
-    ok = (
-        max_de <= 1e-10
-        and max_infid <= 1e-10
-        and fixed_exact
-        and max_off <= 1e-12
-        and max_res <= 1e-12
+        ca, sa = math.cos(spec.alpha), math.sin(spec.alpha)
+        rot = np.array([[ca, -sa], [sa, ca]])
+        rotated = rot.T @ (pair.conj() @ h @ pair.T).real @ rot
+        max_off = max(max_off, abs(rotated[0, 1]), abs(rotated[1, 0]))
+    direct = CheckResult(
+        "soc-eigen-residual",
+        max_res <= 1e-12 and max_off <= 1e-12,
+        f"same 1000 couplings, eigen residual {max_res:.3e}, block off-diagonal {max_off:.3e}",
     )
-    report(
-        "criterion 2 (spin-orbit spectrum)",
-        ok,
-        f"1000 couplings: max |dE| {max_de:.3e}, max infidelity {max_infid:.3e}, "
-        f"e'1/e'2 exact: {fixed_exact}, block off-diagonal {max_off:.3e}, "
-        f"eigen residual {max_res:.3e}",
-    )
+    report("criterion 2 (spin-orbit spectrum)", verify.check_soc_spectrum(202, n=1000), direct)
 
 
 def test_criterion_3_xyz_orthogonality():
-    """Forbidden-outcome overlaps vanish for 500 seeded (theta, phi)."""
-    rng = np.random.default_rng(303)
-    worst = 0.0
-    bijective = True
-    for _ in range(500):
-        theta = rng.uniform(1e-3, math.pi / 2 - 1e-3)
-        phi = rng.uniform(0.0, 2 * math.pi)
-        couplings = random_valid_xyz(rng, 1)[0]
-        inst = make_protocol(Variant.XYZ, OverlapParams(theta, phi), couplings)
-        res = orthogonality_residuals(Variant.XYZ, inst.params, couplings)
-        worst = max(worst, max(res.values()))
-        preps = sorted(p for p, _ in inst.forbidden)
-        outs = sorted(o for _, o in inst.forbidden)
-        bijective = bijective and preps == sorted(inst.prep_labels) and outs == sorted(
-            inst.outcome_labels
-        )
-    ok = worst <= 1e-12 and bijective
-    report(
-        "criterion 3 (exchange orthogonality)",
-        ok,
-        f"500 seeded (theta, phi): max residual {worst:.3e}, bijection holds: {bijective}",
-    )
+    """Forbidden-outcome overlaps vanish on a 63x8 = 504-point (theta, phi) grid."""
+    report("criterion 3 (exchange orthogonality)", verify.check_xyz_orthogonality(303, n=63))
 
 
 def test_criterion_4_soc_orthogonality_with_negative_control():
     """Constraint couplings annihilate the overlaps; off-constraint ones do not."""
-    rng = np.random.default_rng(404)
-    worst = 0.0
-    for _ in range(500):
-        theta = rng.uniform(1e-3, math.pi / 2 - 1e-3)
-        d = rng.uniform(0.1, 3.0)
-        split = rng.uniform(0.3, 2.5) * rng.choice([-1.0, 1.0])
-        b = rng.uniform(0.1, 1.2)
-        try:
-            couplings = solve_closed_form(theta, d, split, b=b).couplings
-        except DegeneracyError:
-            continue
-        res = orthogonality_residuals(Variant.SOC, OverlapParams(theta), couplings)
-        worst = max(worst, max(res.values()))
-    control_ok = True
-    weakest_control = math.inf
-    for _ in range(50):
-        theta = rng.uniform(0.1, math.pi / 2 - 0.1)
-        good = default_soc_couplings(theta)
-        bad = CouplingSet(good.a + 0.3, good.b, good.c + 0.3, good.d)
-        violation = abs(math.cos(soc_alpha(bad) + theta))
-        if violation < 1e-3:
-            control_ok = False
-            continue
-        res = orthogonality_residuals(Variant.SOC, OverlapParams(theta), bad)
-        weakest_control = min(weakest_control, max(res.values()))
-    control_ok = control_ok and weakest_control > 1e-4
-    ok = worst <= 1e-12 and control_ok
     report(
         "criterion 4 (spin-orbit orthogonality)",
-        ok,
-        f"500 seeded theta: max residual {worst:.3e}; negative control min residual "
-        f"{weakest_control:.3e} > 1e-4",
+        verify.check_soc_orthogonality(404, n=500),
+        verify.check_soc_negative_control(404, n=50),
     )
 
 
 def test_criterion_5_coupling_solver():
     """Closed form vs bisection over 200 draws; exact special case."""
-    rng = np.random.default_rng(505)
-    max_gap = 0.0
-    checked = 0
-    while checked < 200:
-        theta = rng.uniform(0.05, math.pi / 2 - 0.05)
-        d = rng.uniform(0.05, 4.0)
-        split = rng.uniform(0.2, 3.0) * rng.choice([-1.0, 1.0])
-        b = rng.uniform(0.1, 1.5)
-        try:
-            closed = solve_closed_form(theta, d, split, b=b)
-            rooted = solve_by_root_finding(theta, d, split, b=b)
-        except DegeneracyError:
-            continue
-        checked += 1
-        gap = abs(
-            (closed.couplings.a + closed.couplings.c)
-            - (rooted.couplings.a + rooted.couplings.c)
-        )
-        max_gap = max(max_gap, gap)
-    special = solve_closed_form(math.pi / 4, d=1.0, split=2.0, b=0.5)
-    ssum = abs(special.couplings.a + special.couplings.c)
-    ok = max_gap <= 1e-8 and ssum <= 1e-12
-    report(
-        "criterion 5 (coupling solver)",
-        ok,
-        f"200 draws: max |s_closed - s_root| {max_gap:.3e}; |a + c| at theta=pi/4 {ssum:.3e}",
-    )
+    report("criterion 5 (coupling solver)", verify.check_solver_agreement(505, n=200))
 
 
 def test_criterion_6_exclusion_argument():
     """Both-overlap infeasible, single overlaps feasible; simplex equals oracle."""
-    rng = np.random.default_rng(606)
-    instances_ok = True
-    n_instances = 0
-    for _ in range(100):
-        theta = rng.uniform(0.05, math.pi / 2 - 0.05)
-        for variant in (Variant.XYZ, Variant.SOC):
-            if variant is Variant.XYZ:
-                inst = make_protocol(variant, OverlapParams(theta), CouplingSet(1, 2, 3))
-            else:
-                inst = make_protocol(variant, OverlapParams(theta), default_soc_couplings(theta))
-            n_instances += 1
-            both = lp_feasible(build_problem(inst, SupportProfile(True, True)))
-            instances_ok = instances_ok and not both.feasible
-            for prof, side_index in (
-                (SupportProfile(True, False), 1),
-                (SupportProfile(False, True), 0),
-            ):
-                for branch in sorted({p.split("*")[side_index] for p in inst.prep_labels}):
-                    single = lp_feasible(build_problem(inst, prof, branch=branch))
-                    instances_ok = instances_ok and single.feasible
-    inst = make_protocol(Variant.XYZ, OverlapParams(1.0), CouplingSet(1, 2, 3))
-    agreements = 0
-    for _ in range(1000):
-        mask = rng.random(4) < 0.5
-        zeroed = tuple(lab for lab, z in zip(inst.outcome_labels, mask) if z)
-        prob = problem_from_zeroed(inst, zeroed)
-        if lp_feasible(prob).feasible == subset_rule_feasible(prob):
-            agreements += 1
-    ok = instances_ok and agreements == 1000
     report(
         "criterion 6 (exclusion argument)",
-        ok,
-        f"{n_instances} instances decided correctly; simplex/oracle agreement {agreements}/1000",
+        verify.check_exclusion_feasibility(606, n=100),
+        verify.check_simplex_oracle(606, n=1000),
     )
 
 
 def test_criterion_7_special_case_verdicts():
     """Exact logical outputs at theta = pi/4 and theta = pi/3."""
-    special = make_protocol(
-        Variant.SOC, OverlapParams(math.pi / 4), default_soc_couplings(math.pi / 4)
-    )
-    v_special = deduce(special, lp_feasible(build_problem(special, SupportProfile(True, True))))
-    generic = make_protocol(
-        Variant.SOC, OverlapParams(math.pi / 3), default_soc_couplings(math.pi / 3)
-    )
-    v_generic = deduce(generic, lp_feasible(build_problem(generic, SupportProfile(True, True))))
-    ok = (
-        v_special == [v_special[0]]
-        and v_special[0].relation is Relation.DISJOINT
-        and v_special[0].pairs == (("u", "v"),)
-        and len(v_generic) == 1
-        and v_generic[0].relation is Relation.AT_LEAST_ONE_DISJOINT
-        and v_generic[0].pairs == (("u", "v"), ("u", "w"))
-    )
-    report(
-        "criterion 7 (special-case verdict)",
-        ok,
-        "theta=pi/4 -> disjoint(u, v); theta=pi/3 -> only the disjunctive verdict",
-    )
+    report("criterion 7 (special-case verdict)", verify.check_special_case_verdicts(42))
 
 
 def test_criterion_8_simulation_statistics():
     """Zero-noise forbids forbidden outcomes; Born and noise statistics in 3 sigma."""
-    inst = make_protocol(Variant.XYZ, OverlapParams(math.pi / 3), CouplingSet(1, 2, 3))
-    clean = simulate(inst, 4_000_000, seed=814, prep_policy="roundrobin")
-    forbidden_hits = sum(
-        clean.counts[clean.prep_labels.index(p)][clean.outcome_labels.index(o)]
-        for p, o in clean.forbidden
-    )
-    row = clean.counts[clean.prep_labels.index("u*u")]
-    n_uu = sum(row)
-    expected = (0.5, 0.125, 0.375, 0.0)
-    born_ok = n_uu == 1_000_000
-    max_pull = 0.0
-    for k, p in enumerate(expected):
-        if p == 0.0:
-            born_ok = born_ok and row[k] == 0
-            continue
-        sigma = math.sqrt(p * (1 - p) / n_uu)
-        pull = abs(row[k] / n_uu - p) / sigma
-        max_pull = max(max_pull, pull)
-        born_ok = born_ok and pull <= 3.0
-    noisy = simulate(inst, 1_000_000, seed=815, noise_eps=0.04, prep_policy="roundrobin")
-    rates = forbidden_rate(noisy)
-    sigma = math.sqrt(0.01 * 0.99 / 250_000)
-    noise_ok = all(abs(r - 0.01) <= 3 * sigma for _, r in rates.per_preparation)
-    noise_ok = noise_ok and abs(rates.eps_hat - 0.01) <= 3 * sigma
-    bound = overlap_bound(rates.eps_hat)
-    bound_ok = abs(bound - 0.04) <= 12 * sigma
-    ok = forbidden_hits == 0 and born_ok and noise_ok and bound_ok
     report(
         "criterion 8 (simulation statistics)",
-        ok,
-        f"4e6 clean runs: forbidden hits {forbidden_hits}; Born max pull {max_pull:.2f} sigma; "
-        f"eps_hat {rates.eps_hat:.5f} (target 0.01), bound {bound:.5f} (target 0.04)",
+        verify.check_simulation_stats(814, n_runs=4_000_000),
     )
 
 
 def test_criterion_9_cross_protocol_consistency():
     """The spin-orbit verdict at theta = pi/4 implies the exchange disjunction."""
-    theta = math.pi / 4
-    xyz = make_protocol(Variant.XYZ, OverlapParams(theta), CouplingSet(1, 2, 3))
-    soc = make_protocol(Variant.SOC, OverlapParams(theta), default_soc_couplings(theta))
-    v_xyz = deduce(xyz, lp_feasible(build_problem(xyz, SupportProfile(True, True))))[0]
-    v_soc = deduce(soc, lp_feasible(build_problem(soc, SupportProfile(True, True))))[0]
-    implication = (
-        v_soc.relation is Relation.DISJOINT
-        and v_xyz.relation is Relation.AT_LEAST_ONE_DISJOINT
-        and v_soc.pairs[0] in v_xyz.pairs
-    )
-    sweep_check = check_cross_protocol(42)
-    ok = implication and sweep_check.ok
-    report(
-        "criterion 9 (cross-protocol consistency)",
-        ok,
-        f"disjoint(u, v) is a disjunct of the exchange verdict: {implication}; "
-        f"verify-all asserts it: {sweep_check.ok}",
-    )
+    report("criterion 9 (cross-protocol consistency)", verify.check_cross_protocol(42))
 
 
 def test_criterion_10_determinism():
     """Byte-identical reports for a fixed seed; worker-count independence."""
-    report_a, ok_a = run_all(seed=5, n_runs=20_000)
-    report_b, ok_b = run_all(seed=5, n_runs=20_000)
+    report_a, ok_a = verify.run_all(seed=5, n_runs=20_000)
+    report_b, ok_b = verify.run_all(seed=5, n_runs=20_000)
     in_process = report_a == report_b and ok_a and ok_b
 
     cmd = [sys.executable, "-m", "pbrlab.cli", "verify-all", "--seed", "5", "--runs", "20000"]
@@ -381,10 +126,12 @@ def test_criterion_10_determinism():
         simulate(inst, 100_000, seed=5, noise_eps=0.03, n_workers=w) == base
         for w in (2, 5)
     )
-    ok = in_process and cli_identical and workers_ok
     report(
         "criterion 10 (determinism)",
-        ok,
-        f"repeat reports identical: {in_process}; CLI byte-identical: {cli_identical}; "
-        f"worker-count independent: {workers_ok}",
+        CheckResult(
+            "determinism",
+            in_process and cli_identical and workers_ok,
+            f"repeat reports identical: {in_process}; CLI byte-identical: {cli_identical}; "
+            f"worker-count independent: {workers_ok}",
+        ),
     )

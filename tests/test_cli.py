@@ -68,6 +68,23 @@ class TestExitCodes:
         assert code == 3
         assert "cos(alpha + theta)" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run", "--variant", "xyz", "--theta", "1", "--a", "nan", "--b", "2", "--c", "3",
+              "--runs", "10", "--seed", "1"], "coupling a must be finite"),
+            (["spectrum", "--variant", "xyz", "--a", "inf", "--b", "2", "--c", "3"],
+             "coupling a must be finite"),
+            (["solve", "--theta", "0.7", "--d", "nan", "--split", "2"], "d must be positive"),
+            (["solve", "--theta", "0.7", "--d", "1", "--split", "inf"], "split = a - c must be finite"),
+        ],
+        ids=["run-a-nan", "spectrum-a-inf", "solve-d-nan", "solve-split-inf"],
+    )
+    def test_non_finite_coupling_is_two(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == "" and message in err and "Traceback" not in err
+
     def test_closed_stdout_is_two_without_traceback(self):
         read_end, write_end = os.pipe()
         os.close(read_end)
@@ -196,6 +213,14 @@ class TestRun:
         doc = json.loads(out)
         assert doc["instance"]["constraint_residual"] <= 1e-10
 
+    def test_gap_tol_reaches_the_summary(self, capsys):
+        code, _, _ = run_cli(
+            capsys, "run", "--variant", "xyz", "--theta", "1.0",
+            "--a", "1", "--b", "2", "--c", "2.0000000001",
+            "--runs", "100", "--seed", "1", "--gap-tol", "1e-12",
+        )
+        assert code == 0
+
 
 class TestFeasibility:
     def test_both_overlap_report(self, capsys):
@@ -284,11 +309,6 @@ class TestVerifyAll:
         assert lines[0] == "verification sweep (seed 11)"
         assert all(line.startswith("PASS") for line in lines[1:-1])
         assert lines[-1].endswith("checks passed")
-
-    def test_report_is_reproducible(self, capsys):
-        _, out1, _ = run_cli(capsys, "verify-all", "--seed", "11", "--runs", "20000")
-        _, out2, _ = run_cli(capsys, "verify-all", "--seed", "11", "--runs", "20000")
-        assert out1 == out2
 
     def test_max_seed_does_not_overflow(self):
         assert isinstance(check_simulation_stats(2**64 - 1, n_runs=20_000), CheckResult)

@@ -241,6 +241,16 @@ class TestSpectrumPairing:
                 assert pair.abs_diff <= 1e-10
                 assert pair.fidelity >= 1 - 1e-10
 
+    def test_agreement_below_the_sampler_floors(self):
+        # verify's coupling sampler keeps gaps >= 1e-3 and |d| >= 0.05.
+        for analytic, build, c in (
+            (analytic_spectrum_xyz, build_xyz, CouplingSet(1, 2, 2 + 1e-6)),  # E1 - E3 = 2e-6
+            (analytic_spectrum_soc, build_soc, CouplingSet(1, 0.2, 1 + 1e-6, 0.3)),  # E'1 - E'2 = 2e-6
+            (analytic_spectrum_soc, build_soc, CouplingSet(1, 0.2, 0.5, 0.01)),
+        ):
+            for pair in pair_spectra(analytic(c), numeric_spectrum(build(c))):
+                assert pair.abs_diff <= 1e-10 and pair.fidelity >= 1 - 1e-10
+
 
 class TestEvolve:
     @pytest.fixture

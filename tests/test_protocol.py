@@ -86,6 +86,14 @@ class TestMakeProtocol:
             res = orthogonality_residuals(Variant.XYZ, OverlapParams(theta, phi), XYZ_COUPLINGS)
             assert max(res.values()) <= 1e-12
 
+    @pytest.mark.parametrize("theta", [1e-3, math.pi / 2 - 1e-3])
+    def test_orthogonality_near_the_ends_of_the_theta_range(self, theta):
+        # verify's theta grids keep a 0.05 margin from 0 and pi/2.
+        xyz = orthogonality_residuals(Variant.XYZ, OverlapParams(theta, 2.0), XYZ_COUPLINGS)
+        couplings = solve_closed_form(theta, d=0.1, split=-2.5, b=1.2).couplings
+        soc = orthogonality_residuals(Variant.SOC, OverlapParams(theta), couplings)
+        assert max(xyz.values()) <= 1e-12 and max(soc.values()) <= 1e-12
+
 
 class TestBornProbabilities:
     def test_uu_example_at_theta_pi_3(self):
