@@ -27,9 +27,6 @@ from dataclasses import dataclass
 from .errors import DegeneracyError, DomainError, LogicError, SolverError
 from .hamiltonian import GAP_TOL, CouplingSet, analytic_spectrum_soc
 
-#: Bracket search is abandoned beyond |a + c| = BRACKET_SPAN * d.
-BRACKET_SPAN = 1e3
-
 CLOSED_FORM_RESIDUAL_TOL = 1e-12
 ROOT_RESIDUAL_TOL = 1e-10
 
@@ -130,16 +127,17 @@ def solve_by_root_finding(
 ) -> SolverResult:
     """Bisection on s = a + c; independent oracle for :func:`solve_closed_form`."""
     _validate_inputs(theta, d, split)
-    # cos(alpha(s) + theta) decreases from cos(theta) > 0 toward -sin(theta) < 0.
+    # cos(alpha(s) + theta) decreases from cos(theta) > 0 toward -sin(theta) < 0,
+    # so doubling each end brackets the root unless s overflows first.
     lo, hi = -d, d
     while _constraint(lo, d, theta) <= 0.0:
         lo *= 2.0
-        if -lo > BRACKET_SPAN * d:
-            raise SolverError(f"no lower bracket within |s| <= {BRACKET_SPAN}*d")
+        if not math.isfinite(lo):
+            raise SolverError("no lower bracket: s = a + c overflows")
     while _constraint(hi, d, theta) >= 0.0:
         hi *= 2.0
-        if hi > BRACKET_SPAN * d:
-            raise SolverError(f"no upper bracket within |s| <= {BRACKET_SPAN}*d")
+        if not math.isfinite(hi):
+            raise SolverError("no upper bracket: s = a + c overflows")
     mid = 0.5 * (lo + hi)
     for _ in range(300):
         mid = 0.5 * (lo + hi)

@@ -10,9 +10,9 @@ fixed basis (|++⟩, |+−⟩, |−+⟩, |−−⟩):
   tan(alpha) = (a + c + sqrt((a+c)² + 4d²)) / (2d).
 
 Analytic spectra keep the protocol's outcome labels (e1..e4, e'1..e'4); the
-independent numeric route is a self-contained cyclic Jacobi diagonalization
-that orders eigenvalues ascending, so spectra from the two routes are matched
-by eigenvector fidelity, never by index.
+independent numeric route is LAPACK ``eigh`` (``zheevd``), which shares no
+code with the analytic formulas and orders eigenvalues ascending, so spectra
+from the two routes are matched by eigenvector fidelity, never by index.
 
 The protocols only need four *distinguishable* outcomes, so every spectrum
 operation enforces pairwise eigenvalue gaps above ``gap_tol`` (the
@@ -41,12 +41,6 @@ from .qstate import JointState
 #: Default minimum pairwise eigenvalue gap.
 GAP_TOL = 1e-9
 
-#: Sweep budget of the Jacobi eigensolver; exhausting it raises ConvergenceError.
-JACOBI_SWEEPS = 60
-
-#: Jacobi stops once the off-diagonal norm is at most this times max(1, |H|).
-_JACOBI_OFF_TOL = 1e-14
-
 _RT2 = math.sqrt(0.5)
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -54,13 +48,23 @@ PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
+_XX = np.kron(PAULI_X, PAULI_X)
+_YY = np.kron(PAULI_Y, PAULI_Y)
+_ZZ = np.kron(PAULI_Z, PAULI_Z)
+_XZ_MINUS_ZX = np.kron(PAULI_X, PAULI_Z) - np.kron(PAULI_Z, PAULI_X)
+
+# JointState is frozen, so one tuple is shared by every caller.
+_BELL_STATES = (
+    JointState((_RT2, 0.0, 0.0, _RT2)),
+    JointState((_RT2, 0.0, 0.0, -_RT2)),
+    JointState((0.0, _RT2, _RT2, 0.0)),
+    JointState((0.0, _RT2, -_RT2, 0.0)),
+)
+
+
 def bell_states() -> tuple[JointState, JointState, JointState, JointState]:
-    return (
-        JointState((_RT2, 0.0, 0.0, _RT2)),
-        JointState((_RT2, 0.0, 0.0, -_RT2)),
-        JointState((0.0, _RT2, _RT2, 0.0)),
-        JointState((0.0, _RT2, -_RT2, 0.0)),
-    )
+    """(Φ⁺, Φ⁻, Ψ⁺, Ψ⁻)."""
+    return _BELL_STATES
 
 
 @dataclass(frozen=True)
@@ -115,18 +119,12 @@ class Spectrum:
 
 def build_xyz(c: CouplingSet) -> HamiltonianMatrix:
     """a XX + b YY + c ZZ as an explicit matrix (any d on c is ignored)."""
-    m = (
-        c.a * np.kron(PAULI_X, PAULI_X)
-        + c.b * np.kron(PAULI_Y, PAULI_Y)
-        + c.c * np.kron(PAULI_Z, PAULI_Z)
-    )
-    return HamiltonianMatrix(m)
+    return HamiltonianMatrix(c.a * _XX + c.b * _YY + c.c * _ZZ)
 
 
 def build_soc(c: CouplingSet) -> HamiltonianMatrix:
     """The exchange matrix plus the antisymmetric term d (XZ − ZX)."""
-    spin_orbit = np.kron(PAULI_X, PAULI_Z) - np.kron(PAULI_Z, PAULI_X)
-    return HamiltonianMatrix(build_xyz(c).entries + c.d_or_zero * spin_orbit)
+    return HamiltonianMatrix(build_xyz(c).entries + c.d_or_zero * _XZ_MINUS_ZX)
 
 
 def xyz_eigenvalues(c: CouplingSet) -> tuple[float, float, float, float]:
@@ -198,26 +196,8 @@ def analytic_spectrum_soc(c: CouplingSet, gap_tol: float = GAP_TOL) -> Spectrum:
     return Spectrum(values, (phi_minus, psi_plus, e3, e4), labels, alpha=alpha)
 
 
-def _jacobi_rotation(a: np.ndarray, p: int, q: int) -> np.ndarray:
-    """Unitary equal to identity outside the (p, q) plane that zeroes a[p, q]."""
-    apq = a[p, q]
-    mag = abs(apq)
-    phase = apq / mag
-    theta = (a[q, q].real - a[p, p].real) / (2.0 * mag)
-    sign = 1.0 if theta >= 0.0 else -1.0
-    t = sign / (abs(theta) + math.hypot(1.0, theta))
-    c = 1.0 / math.hypot(1.0, t)
-    s = t * c
-    u = np.eye(4, dtype=complex)
-    u[p, p] = c
-    u[p, q] = s
-    u[q, p] = -s * phase.conjugate()
-    u[q, q] = c * phase.conjugate()
-    return u
-
-
 def numeric_spectrum(m, gap_tol: float = GAP_TOL) -> Spectrum:
-    """Diagonalize by cyclic Jacobi rotations; independent of the analytic route.
+    """Diagonalize with LAPACK ``eigh``; independent of the analytic route.
 
     Accepts a :class:`HamiltonianMatrix` or a raw 4x4 Hermitian array.
     Eigenvalues are sorted ascending with labels n1..n4; each eigenvector is
@@ -227,40 +207,16 @@ def numeric_spectrum(m, gap_tol: float = GAP_TOL) -> Spectrum:
     """
     if not isinstance(m, HamiltonianMatrix):
         m = HamiltonianMatrix(m)
-    a = np.array(m.entries, dtype=complex)
-    scale = max(1.0, float(np.linalg.norm(a)))
-    v = np.eye(4, dtype=complex)
-    mask = ~np.eye(4, dtype=bool)
-    converged = False
-    for _ in range(JACOBI_SWEEPS):
-        off = math.sqrt(float(np.sum(np.abs(a[mask]) ** 2)))
-        if off <= _JACOBI_OFF_TOL * scale:
-            converged = True
-            break
-        for p in range(3):
-            for q in range(p + 1, 4):
-                if abs(a[p, q]) <= 1e-300:
-                    continue
-                u = _jacobi_rotation(a, p, q)
-                a = u.conj().T @ a @ u
-                v = v @ u
-    if not converged:
-        raise ConvergenceError(
-            f"Jacobi sweep budget ({JACOBI_SWEEPS}) exhausted; off-diagonal norm {off!r}"
-        )
-    values = np.diag(a).real
-    order = np.argsort(values, kind="stable")
-    values = values[order]
-    vecs = []
-    for k in order:
-        col = v[:, k]
-        col = col / np.linalg.norm(col)
-        pivot = col[int(np.argmax(np.abs(col)))]
-        col = col * (abs(pivot) / pivot)
-        vecs.append(JointState.from_vector(col))
+    try:
+        values, vecs = np.linalg.eigh(m.entries)
+    except np.linalg.LinAlgError as exc:  # LAPACK reports this for non-finite off-diagonals
+        raise ConvergenceError(f"eigh failed: {exc}") from exc
     labels = ("n1", "n2", "n3", "n4")
-    _check_gaps(tuple(values), labels, gap_tol)
-    return Spectrum(tuple(float(x) for x in values), tuple(vecs), labels)
+    values = tuple(float(x) for x in values)
+    _check_gaps(values, labels, gap_tol)
+    pivots = vecs[np.argmax(np.abs(vecs), axis=0), range(4)]
+    vecs = vecs * (np.abs(pivots) / pivots)
+    return Spectrum(values, tuple(JointState.from_vector(v) for v in vecs.T), labels)
 
 
 def evolve(s: JointState, spec: Spectrum, t: float) -> JointState:

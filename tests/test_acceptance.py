@@ -34,12 +34,12 @@ def report(criterion: str, *results: CheckResult) -> None:
 
 
 def test_criterion_1_xyz_spectrum_oracle():
-    """Analytic exchange spectrum vs the Jacobi eigensolver, 1000 draws."""
+    """Analytic exchange spectrum vs LAPACK `eigh`, 1000 draws."""
     report("criterion 1 (exchange spectrum)", verify.check_xyz_spectrum(101, n=1000))
 
 
 def test_criterion_2_soc_spectrum_oracle():
-    """Spin-orbit spectrum vs Jacobi; fixed eigenvectors exact; block diagonalized."""
+    """Spin-orbit spectrum vs LAPACK `eigh`; fixed eigenvectors exact; block diagonalized."""
     pair = np.array([b.vector for b in bell_states()])[[0, 3]]  # (Phi+, Psi-)
     max_res, max_off = 0.0, 0.0
     for c in verify._random_couplings(202, 20, 1000, Variant.SOC):

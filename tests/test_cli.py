@@ -113,6 +113,19 @@ class TestExitCodes:
         assert code == 3
         assert out == "" and "spectrum overflows" in err and "Infinity" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spectrum", "--variant", "xyz", "--a=1e-300", "--b=2e-300", "--c=3e-300", "--gap-tol", "0"],
+            ["solve", "--method", "bisection", "--theta", "1e-4", "--d", "1", "--split", "2"],
+        ],
+        ids=["spectrum-tiny-couplings", "solve-bisection-small-theta"],
+    )
+    def test_extreme_scale_is_zero(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0
+        assert out and "Traceback" not in err
+
     def test_json_never_holds_nan_or_infinity(self):
         for value in (math.nan, math.inf, -math.inf):
             with pytest.raises(NonFiniteError, match="not finite"):

@@ -6,6 +6,8 @@ behaviour must reproduce them exactly; re-record a file only for a change
 that means to alter that output.
 """
 
+import csv
+import json
 from pathlib import Path
 
 import pytest
@@ -51,3 +53,15 @@ def test_stdout_matches_golden(name, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out.encode("utf-8") == (GOLDEN / f"{name}.out").read_bytes()
+
+
+def test_recorded_spectra_agree():
+    """A re-recorded spectrum golden must still show agreeing spectra, not just stable bytes."""
+    rows = json.loads((GOLDEN / "spectrum_soc_json.out").read_text())["rows"]
+    for row in rows:
+        assert abs(row["fidelity"] - 1.0) <= 1e-12
+    with open(GOLDEN / "spectrum_xyz_csv.out", newline="") as f:
+        rows += [{k: float(v) for k, v in r.items() if k != "label"} for r in csv.DictReader(f)]
+    assert len(rows) == 8
+    for row in rows:
+        assert row["abs_diff"] == abs(row["analytic_E"] - row["numeric_E"]) <= 1e-12

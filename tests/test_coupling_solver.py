@@ -102,6 +102,15 @@ class TestRootFinding:
             s2 = rooted.couplings.a + rooted.couplings.c
             assert abs(s1 - s2) <= 1e-8
 
+    @pytest.mark.parametrize("theta", [1e-4, 1e-6])
+    def test_root_far_beyond_d(self, theta):
+        # s* = 2d cot 2θ ≈ d/θ, so the bracket must grow to 1e4·d and 1e6·d.
+        closed = solve_closed_form(theta, d=1.0, split=2.0)
+        rooted = solve_by_root_finding(theta, d=1.0, split=2.0)
+        s1 = closed.couplings.a + closed.couplings.c
+        s2 = rooted.couplings.a + rooted.couplings.c
+        assert abs(s2 - s1) <= 1e-8 * abs(s1)
+
     def test_linear_scaling_in_d(self):
         base = solve_closed_form(1.0, d=1.0, split=1.0, b=0.3)
         scaled = solve_closed_form(1.0, d=2.5, split=1.0, b=0.3)

@@ -1,4 +1,4 @@
-"""Hamiltonian builders, analytic spectra, and the Jacobi eigensolver."""
+"""Hamiltonian builders, analytic spectra, and the LAPACK `eigh` numeric spectrum."""
 
 import cmath
 import math
@@ -12,6 +12,7 @@ from pbrlab import (
     DegeneracyError,
     DomainError,
     HamiltonianMatrix,
+    NonFiniteError,
     OverlapParams,
     ValidationError,
     analytic_spectrum_soc,
@@ -25,7 +26,6 @@ from pbrlab import (
     pair_spectra,
     tensor,
 )
-from pbrlab import hamiltonian
 from pbrlab.hamiltonian import PAULI_X, PAULI_Y, PAULI_Z, soc_alpha
 
 
@@ -192,6 +192,7 @@ class TestNumericSpectrum:
         assert spec.eigenvalues == pytest.approx((-6.0, 0.0, 2.0, 4.0), abs=1e-12)
 
     def test_random_hermitian_against_library_eigensolver(self):
+        """The residual bound is the independent oracle: eigvalsh is the same LAPACK routine."""
         rng = np.random.default_rng(2024)
         for _ in range(200):
             h = random_hermitian(rng)
@@ -206,17 +207,35 @@ class TestNumericSpectrum:
         spec = numeric_spectrum(h, gap_tol=0.0)
         vecs = np.array([v.vector for v in spec.eigenvectors])
         assert np.max(np.abs(vecs.conj() @ vecs.T - np.eye(4))) <= 1e-12
+        pivots = vecs[range(4), np.argmax(np.abs(vecs), axis=1)]
+        assert np.all(pivots.real > 0) and np.max(np.abs(pivots.imag)) <= 1e-15
 
     def test_non_hermitian_input_rejected(self):
         bad = np.arange(16, dtype=complex).reshape(4, 4)
         with pytest.raises(ValidationError, match="Hermitian"):
             numeric_spectrum(bad)
 
-    def test_sweep_budget_exhaustion(self, monkeypatch):
-        monkeypatch.setattr(hamiltonian, "JACOBI_SWEEPS", 1)
-        rng = np.random.default_rng(11)
-        with pytest.raises(ConvergenceError, match="budget"):
-            numeric_spectrum(random_hermitian(rng), gap_tol=0.0)
+    @pytest.mark.parametrize("k", [1e-300, 1e-150, 1e150])
+    def test_uniform_scale_scales_the_spectrum(self, k):
+        h = random_hermitian(np.random.default_rng(11))
+        base = numeric_spectrum(h, gap_tol=0.0)
+        scaled = numeric_spectrum(k * h, gap_tol=0.0)
+        top = k * max(abs(x) for x in base.eigenvalues)
+        for value, expected in zip(scaled.eigenvalues, base.eigenvalues):
+            assert abs(value - k * expected) <= 1e-12 * top
+        for vec, expected in zip(scaled.eigenvectors, base.eigenvectors):
+            assert abs(np.vdot(expected.vector, vec.vector)) ** 2 >= 1 - 1e-12
+
+    def test_overflow_message_has_plain_floats(self):
+        with pytest.raises(NonFiniteError, match="n1 = nan") as exc:
+            numeric_spectrum(np.diag([np.inf, 1.0, 2.0, 3.0]))
+        assert "np.float64" not in str(exc.value)
+
+    def test_lapack_failure_is_a_typed_error(self):
+        m = np.zeros((4, 4), dtype=complex)
+        m[0, 1] = m[1, 0] = np.inf
+        with pytest.raises(ConvergenceError, match="eigh"):
+            numeric_spectrum(m)
 
 
 class TestSpectrumPairing:
