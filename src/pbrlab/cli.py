@@ -538,10 +538,32 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """Attach a negative number to the option before it: ``--b -1.2e3`` -> ``--b=-1.2e3``.
+
+    argparse reads a token starting with '-' as an option unless it matches
+    its negative-number pattern, which has no exponent; joined, both spellings
+    parse alike.
+    """
+    out: list[str] = []
+    for tok in argv:
+        prev = out[-1] if out else ""
+        if prev.startswith("--") and len(prev) > 2 and "=" not in prev and tok.startswith("-"):
+            try:
+                float(tok)
+            except ValueError:
+                pass
+            else:
+                out[-1] = f"{prev}={tok}"
+                continue
+        out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as exc:  # argparse has printed its own message
         code = exc.code
         return code if isinstance(code, int) else EXIT_CONFIG

@@ -18,7 +18,9 @@ With overlaps on both sides the four forbidden outcomes cover all four
 outcomes (the forbidden map is a bijection) and the system is infeasible:
 some outcome always occurs, so the two overlaps cannot coexist.  The decision
 is made by a general phase-1 simplex; the trivial subset rule ("infeasible
-iff every outcome is zeroed") is kept alongside purely as an oracle.
+iff every outcome is zeroed") is kept alongside purely as an oracle.  The rows
+depend only on which outcomes are zeroed, so the simplex decides each zeroed
+set once per process and mode: at most 16 x 2 = 32 cached results.
 
 A noise-robust form: if every preparation shows its forbidden outcome with
 frequency at most eps_hat, then for the shared state class of joint weight
@@ -30,12 +32,13 @@ P(forbidden | prep) <= 4 * eps_hat.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
 from .errors import LogicError, ValidationError
 from .protocol import ProtocolInstance, Variant, forbidden_map_for
-from .simplex import phase1_feasible
+from .simplex import Phase1Result, phase1_feasible
 
 #: theta window in which the spin-orbit states v and w are treated as equal.
 SPECIAL_CASE_ATOL = 1e-10
@@ -74,6 +77,11 @@ class FeasibilityProblem:
     theta: float
 
     def zeroed_indices(self) -> tuple[int, ...]:
+        unknown = [lab for lab in self.zeroed if lab not in self.outcome_labels]
+        if unknown:
+            raise ValidationError(
+                f"zeroed labels {unknown} are not outcome labels {list(self.outcome_labels)}"
+            )
         return tuple(self.outcome_labels.index(lab) for lab in self.zeroed)
 
     def to_json(self) -> dict:
@@ -161,14 +169,15 @@ def lp_feasible(prob: FeasibilityProblem, *, exact: bool = False) -> Feasibility
     p >= 0 and the normalization, so they get no rows.  A feasible problem is
     reported with the uniform witness over the outcomes not forced to zero;
     an infeasible one with the textual contradiction certificate.
-    ``exact=True`` pivots over rationals instead of floats.
+    ``exact=True`` pivots over rationals instead of floats.  The simplex runs
+    once per zeroed set and mode in a process (at most 32 cached results);
+    later calls with the same set reuse its decision, whatever the label
+    order or repetition.
     """
     labels = prob.outcome_labels
     if len(labels) != 4 or len(set(labels)) != 4:
         raise ValidationError(f"expected 4 distinct outcome labels, got {labels}")
-    rows = [[float(j == k) for j in range(4)] for k in prob.zeroed_indices()]
-    rows.append([1.0] * 4)
-    result = phase1_feasible(rows, [0.0] * (len(rows) - 1) + [1.0], exact=exact)
+    result = _decide(sum({1 << k for k in prob.zeroed_indices()}), bool(exact))
     method = "phase1-simplex-exact" if exact else "phase1-simplex"
 
     if result.feasible:
@@ -189,6 +198,19 @@ def lp_feasible(prob: FeasibilityProblem, *, exact: bool = False) -> Feasibility
     return FeasibilityDecision(
         feasible=False, witness=None, certificate=certificate, problem=prob, method=method
     )
+
+
+@functools.lru_cache
+def _decide(mask: int, exact: bool) -> Phase1Result:
+    """Phase-1 decision of the LP whose zeroed outcomes are the set bits of ``mask``.
+
+    Rows go in ascending outcome index, then the normalization.  The key space
+    (16 masks x 2 modes) bounds the cache; ``Phase1Result`` is frozen, so
+    callers can share a cached one.
+    """
+    rows = [[float(j == k) for j in range(4)] for k in range(4) if mask >> k & 1]
+    rows.append([1.0] * 4)
+    return phase1_feasible(rows, [0.0] * (len(rows) - 1) + [1.0], exact=exact)
 
 
 def _supports_forbidden(prob: FeasibilityProblem) -> list[tuple[str, str]]:

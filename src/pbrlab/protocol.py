@@ -21,7 +21,6 @@ noise_eps / 4.
 
 from __future__ import annotations
 
-import concurrent.futures
 import enum
 import math
 import os
@@ -362,6 +361,8 @@ def simulate(
     if len(chunks) == 1:
         total = _tally_chunk(*chunks[0], seed, keys, noise_eps, policy)
     else:
+        import concurrent.futures  # here, not at module top: it pulls in logging
+
         total = np.zeros((4, 4), dtype=np.int64)
         with concurrent.futures.ThreadPoolExecutor(max_workers=len(chunks)) as pool:
             futures = [

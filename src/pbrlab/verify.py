@@ -265,6 +265,9 @@ def check_exclusion_feasibility(seed: int, n: int = 12) -> CheckResult:
 
 def check_simplex_oracle(seed: int, n: int = 200) -> CheckResult:
     inst = make_protocol(Variant.XYZ, OverlapParams(math.pi / 3.0), CouplingSet(1.0, 2.0, 3.0))
+    # Each draw picks one of the 16 zeroed sets uniformly, so 200 draws miss
+    # one with probability ~4e-5.  lp_feasible runs the simplex once per set
+    # and reuses its decision, so this checks each set's decision, not each draw.
     rows = _draws(seed, 40, n, 4)
     agreements = 0
     for row in rows:

@@ -25,6 +25,12 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def package_env() -> dict:
+    """The environment of a child Python that imports this pbrlab."""
+    src = str(Path(pbrlab.__file__).resolve().parent.parent)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def load_schema(name: str) -> dict:
     text = resources.files("pbrlab").joinpath(f"schemas/{name}").read_text()
     return json.loads(text)
@@ -126,6 +132,22 @@ class TestExitCodes:
         assert code == 0
         assert out and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv, want",
+        [
+            (["spectrum", "--variant", "xyz", "--a", "1", "--b", "-1.2e3", "--c", "2"], 0),
+            (["spectrum", "--variant", "xyz", "--a", "1e308", "--b", "-1.2e308", "--c", "1.7e308"], 3),
+        ],
+        ids=["spectrum", "overflow"],
+    )
+    def test_exponent_negative_parses_either_way(self, capsys, argv, want):
+        # argparse's negative-number pattern has no exponent; "--b=" always worked.
+        i = argv.index("--b")
+        joined = argv[:i] + [f"--b={argv[i + 1]}"] + argv[i + 2:]
+        separate = run_cli(capsys, *argv)
+        assert separate == run_cli(capsys, *joined)
+        assert separate[0] == want
+
     def test_json_never_holds_nan_or_infinity(self):
         for value in (math.nan, math.inf, -math.inf):
             with pytest.raises(NonFiniteError, match="not finite"):
@@ -135,18 +157,26 @@ class TestExitCodes:
     def test_closed_stdout_is_two_without_traceback(self):
         read_end, write_end = os.pipe()
         os.close(read_end)
-        src = str(Path(pbrlab.__file__).resolve().parent.parent)
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         try:
             proc = subprocess.run(
                 [sys.executable, "-m", "pbrlab.cli", "bound", "--eps", "0.01"],
-                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+                stdout=write_end, stderr=subprocess.PIPE, env=package_env(), timeout=120,
             )
         finally:
             os.close(write_end)
         assert proc.returncode == 2
         assert b"Traceback" not in proc.stderr
         assert b"standard output was closed" in proc.stderr
+
+
+class TestImport:
+    def test_cli_import_leaves_out_the_thread_pool(self):
+        code = "import sys, pbrlab.cli; print('concurrent.futures' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=package_env(), timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
 
 class TestSolve:

@@ -1,5 +1,6 @@
 """Support-overlap feasibility, deductions, and the noise-robust bound."""
 
+import dataclasses
 import itertools
 import math
 
@@ -136,6 +137,7 @@ class TestLpFeasible:
             return result
 
         monkeypatch.setattr(ontology, "phase1_feasible", recording)
+        ontology._decide.cache_clear()  # a cache hit would not reach the recorder
         inst = xyz_instance()
         for r in range(5):
             for combo in itertools.combinations(inst.outcome_labels, r):
@@ -151,6 +153,48 @@ class TestLpFeasible:
                     assert x.sum() == pytest.approx(1.0, abs=1e-12)
                     assert all(x[k] == 0.0 for k in prob.zeroed_indices())
         assert len(systems) == 16
+
+    def test_each_zeroed_set_and_mode_is_decided_once_by_the_simplex(self, monkeypatch):
+        modes = []
+
+        def recording(a, b, **kwargs):
+            modes.append(kwargs["exact"])
+            return phase1_feasible(a, b, **kwargs)
+
+        monkeypatch.setattr(ontology, "phase1_feasible", recording)
+        ontology._decide.cache_clear()
+        for _ in range(2):
+            for exact in (False, True):
+                for mask in range(16):
+                    rows = [[float(j == k) for j in range(4)] for k in range(4) if mask >> k & 1]
+                    rows.append([1.0] * 4)
+                    fresh = phase1_feasible(rows, [0.0] * (len(rows) - 1) + [1.0], exact=exact)
+                    assert ontology._decide(mask, exact) == fresh
+        assert sorted(modes) == [False] * 16 + [True] * 16
+
+    def test_cache_is_bounded_by_the_zeroed_sets(self):
+        inst = xyz_instance()
+        labels = inst.outcome_labels
+        problems = [problem_from_zeroed(inst, combo) for r in range(5)
+                    for combo in itertools.combinations(labels, r)]
+        problems += [
+            dataclasses.replace(problems[0], zeroed=("e1",) * 50),
+            dataclasses.replace(problems[0], zeroed=("e4", "e2", "e4", "e1")),
+            dataclasses.replace(problems[0], outcome_labels=labels[::-1], zeroed=labels[1:]),
+        ]
+        for prob in problems:
+            for exact in (False, True):
+                decision = lp_feasible(prob, exact=exact)
+                assert decision.feasible == subset_rule_feasible(prob)
+        assert ontology._decide.cache_info().currsize <= 32
+
+    def test_unknown_zeroed_label_is_a_validation_error(self):
+        prob = ontology.FeasibilityProblem(
+            outcome_labels=("e1", "e2", "e3", "e4"), zeroed=("zz",), supports=(),
+            variant="xyz", theta=0.5,
+        )
+        with pytest.raises(ValidationError, match="'zz'"):
+            lp_feasible(prob)
 
     def test_exact_rational_mode_agrees(self):
         inst = xyz_instance()
