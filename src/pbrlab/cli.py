@@ -9,9 +9,13 @@ error, including a standard output closed before the result was written;
 constraint, a result that overflows).  JSON output is strict: it never holds
 NaN or Infinity.
 
-Angles are radians unless ``--deg`` is given.  A flat ``key = value`` config
-file may supply any long option (dashes become underscores); explicit flags
-override file values.
+Angles are radians unless ``--deg`` is given.  ``--config FILE`` reads a flat
+``key = value`` file of the subcommand's long options (``gap_tol`` or
+``gap-tol``, no leading dashes) and checks it exactly like flags: each entry
+becomes ``--key=value`` ahead of the command line, so explicit flags win.
+``deg`` and ``exact`` take true/false (yes/no, on/off, 1/0).  Keys that only
+another subcommand declares are ignored, so one file can serve several
+subcommands; an unknown key, or ``--config`` abbreviated, exits 2.
 """
 
 from __future__ import annotations
@@ -48,7 +52,6 @@ from .hamiltonian import (
 from .ontology import SupportProfile, build_problem, deduce, lp_feasible, overlap_bound
 from .protocol import (
     ORTHO_ATOL,
-    PrepPolicy,
     Variant,
     _forbidden_residuals,
     forbidden_rate,
@@ -63,31 +66,23 @@ EXIT_VERIFY = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
-_FLOAT_KEYS = {
-    "theta", "phi", "a", "b", "c", "d", "split", "noise", "eps",
-    "q_a", "q_b", "gap_tol", "ortho_tol",
-}
-_INT_KEYS = {"runs", "seed", "workers"}
-_BOOL_KEYS = {"deg", "exact"}
-_STR_KEYS = {"variant", "policy", "format", "overlap", "method"}
-_ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _BOOL_KEYS | _STR_KEYS
+_BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
+               "0": False, "false": False, "no": False, "off": False}
 
 
-def _parse_bool(field: str, raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in {"1", "true", "yes", "on"}:
-        return True
-    if low in {"0", "false", "no", "off"}:
-        return False
-    raise ValidationError(f"config field '{field}': expected a boolean, got {raw!r}")
+def _config_flags(path: str, command: str) -> list[str]:
+    """The flags a config file stands for, for one subcommand.
 
-
-def _load_config(path: str) -> dict[str, str]:
+    ``key = value`` becomes ``--key=value``; a true ``deg``/``exact`` becomes
+    the bare flag and a false one adds nothing.  Keys that only another
+    subcommand declares are skipped.
+    """
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ValidationError(f"cannot read config file {path!r}: {exc}") from exc
-    entries: dict[str, str] = {}
+    options = _COMMANDS[command][2]
+    flags: list[str] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -95,89 +90,63 @@ def _load_config(path: str) -> dict[str, str]:
         if "=" not in stripped:
             raise ValidationError(f"{path}:{lineno}: expected 'key = value', got {stripped!r}")
         key, _, value = stripped.partition("=")
-        key = key.strip().replace("-", "_")
-        if key not in _ALL_KEYS:
+        key, value = key.strip().replace("-", "_"), value.strip()
+        if key not in _OPTIONS:
             raise ValidationError(
                 f"{path}:{lineno}: unknown config field {key!r} "
-                f"(accepted: {', '.join(sorted(_ALL_KEYS))})"
+                f"(accepted: {', '.join(sorted(_OPTIONS))})"
             )
-        entries[key] = value.strip()
-    return entries
+        if key not in options:
+            continue
+        flag = "--" + key.replace("_", "-")
+        if _OPTIONS[key].get("action") != "store_true":
+            flags.append(f"{flag}={value}")
+        elif value.lower() not in _BOOL_WORDS:
+            raise ValidationError(f"config field '{key}': expected a boolean, got {value!r}")
+        elif _BOOL_WORDS[value.lower()]:
+            flags.append(flag)
+    return flags
 
 
-def _coerce(field: str, raw: str):
-    try:
-        if field in _FLOAT_KEYS:
-            return float(raw)
-        if field in _INT_KEYS:
-            return int(raw)
-        if field in _BOOL_KEYS:
-            return _parse_bool(field, raw)
-        return raw
-    except ValueError as exc:
-        kind = "number" if field in _FLOAT_KEYS else "integer"
-        raise ValidationError(f"config field '{field}': expected {kind}, got {raw!r}") from exc
+def _with_config(argv: list[str]) -> tuple[list[str], str | None]:
+    """``argv`` with the flags of its ``--config FILE`` right after the subcommand name.
 
-
-class _Settings:
-    """Merged view of flags over config-file entries over defaults."""
-
-    def __init__(self, ns: argparse.Namespace):
-        self._ns = ns
-        self._file = _load_config(ns.config) if getattr(ns, "config", None) else {}
-
-    def get(self, field: str, default=None):
-        value = getattr(self._ns, field, None)
-        if value is None and field in self._file:
-            value = _coerce(field, self._file[field])
-        return default if value is None else value
-
-    def require(self, field: str):
-        value = self.get(field)
-        if value is None:
-            flag = "--" + field.replace("_", "-")
-            raise ValidationError(f"missing required field '{field}' (flag {flag} or config)")
-        return value
+    Flags given on the command line come later, so they win by argparse's
+    last-occurrence rule.  The scan takes ``--config`` only spelled in full:
+    as an abbreviation it would swallow ``--c``.  Returns the file path too.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return argv, None
+    scan = argparse.ArgumentParser(prog=f"pbrlab {argv[0]}", add_help=False, allow_abbrev=False)
+    scan.add_argument("--config")
+    path = scan.parse_known_args(argv[1:])[0].config
+    flags = _config_flags(path, argv[0]) if path else []
+    return [argv[0], *flags, *argv[1:]], path
 
 
 def _angle(value: float, deg: bool) -> float:
     return math.radians(value) if deg else value
 
 
-def _params(settings: _Settings) -> OverlapParams:
-    deg = bool(settings.get("deg", False))
-    theta = _angle(float(settings.require("theta")), deg)
-    phi = _angle(float(settings.get("phi", 0.0)), deg)
-    return OverlapParams(theta=theta, phi=phi)
+def _params(ns: argparse.Namespace) -> OverlapParams:
+    return OverlapParams(theta=_angle(ns.theta, ns.deg), phi=_angle(ns.phi, ns.deg))
 
 
-def _variant(settings: _Settings) -> Variant:
-    raw = str(settings.require("variant")).lower()
-    try:
-        return Variant(raw)
-    except ValueError:
-        raise ValidationError(f"field 'variant': expected xyz or soc, got {raw!r}") from None
-
-
-def _couplings(settings: _Settings, variant: Variant, theta: float) -> CouplingSet:
-    given = {k: settings.get(k) for k in ("a", "b", "c", "d")}
-    if all(given[k] is None for k in ("a", "b", "c", "d")):
+def _couplings(ns: argparse.Namespace, variant: Variant, theta: float) -> CouplingSet:
+    if all(getattr(ns, k) is None for k in ("a", "b", "c", "d")):
         if variant is Variant.XYZ:
             return CouplingSet(1.0, 2.0, 3.0)
         return default_soc_couplings(theta)
     for k in ("a", "b", "c"):
-        if given[k] is None:
+        if getattr(ns, k) is None:
             raise ValidationError(f"missing required field '{k}' (couplings are all-or-none)")
-    if variant is Variant.SOC and given["d"] is None:
+    if variant is Variant.SOC and ns.d is None:
         raise ValidationError("missing required field 'd' (spin-orbit variant)")
-    return CouplingSet(
-        a=float(given["a"]), b=float(given["b"]), c=float(given["c"]),
-        d=None if given["d"] is None else float(given["d"]),
-    )
+    return CouplingSet(a=ns.a, b=ns.b, c=ns.c, d=ns.d)
 
 
-def _tolerance(settings: _Settings, field: str, default: float) -> float:
-    value = float(settings.get(field, default))
+def _tolerance(ns: argparse.Namespace, field: str) -> float:
+    value = getattr(ns, field)
     if not math.isfinite(value):
         raise ValidationError(f"field '{field}': must be finite, got {value!r}")
     return value
@@ -204,10 +173,8 @@ def _complex_pair(z: complex) -> list[float]:
 
 
 def _cmd_states(ns: argparse.Namespace) -> int:
-    settings = _Settings(ns)
-    variant = _variant(settings)
-    params = _params(settings)
-    fmt = str(settings.get("format", "json"))
+    variant = Variant(ns.variant)
+    params = _params(ns)
     if variant is Variant.XYZ:
         u, v, other = build_pair_xyz(params)
         other_label = "vbar"
@@ -215,7 +182,7 @@ def _cmd_states(ns: argparse.Namespace) -> int:
         u, v, other = build_pair_soc(params)
         other_label = "w"
     states = {"u": u, "v": v, other_label: other}
-    if fmt == "csv":
+    if ns.format == "csv":
         writer = _csv_writer()
         writer.writerow(["state", "amp_plus_re", "amp_plus_im", "amp_minus_re", "amp_minus_im"])
         for label, s in states.items():
@@ -238,15 +205,9 @@ def _cmd_states(ns: argparse.Namespace) -> int:
 
 
 def _cmd_spectrum(ns: argparse.Namespace) -> int:
-    settings = _Settings(ns)
-    variant = _variant(settings)
-    gap_tol = _tolerance(settings, "gap_tol", GAP_TOL)
-    couplings = CouplingSet(
-        a=float(settings.require("a")),
-        b=float(settings.require("b")),
-        c=float(settings.require("c")),
-        d=settings.get("d"),
-    )
+    variant = Variant(ns.variant)
+    gap_tol = _tolerance(ns, "gap_tol")
+    couplings = CouplingSet(a=ns.a, b=ns.b, c=ns.c, d=ns.d)
     if variant is Variant.XYZ:
         analytic = analytic_spectrum_xyz(couplings, gap_tol=gap_tol)
         numeric = numeric_spectrum(build_xyz(couplings), gap_tol=gap_tol)
@@ -254,8 +215,7 @@ def _cmd_spectrum(ns: argparse.Namespace) -> int:
         analytic = analytic_spectrum_soc(couplings, gap_tol=gap_tol)
         numeric = numeric_spectrum(build_soc(couplings), gap_tol=gap_tol)
     pairs = pair_spectra(analytic, numeric)
-    fmt = str(settings.get("format", "csv"))
-    if fmt == "json":
+    if ns.format == "json":
         _print_json(
             {
                 "variant": variant.value,
@@ -282,20 +242,10 @@ def _cmd_spectrum(ns: argparse.Namespace) -> int:
 
 
 def _cmd_solve(ns: argparse.Namespace) -> int:
-    settings = _Settings(ns)
-    deg = bool(settings.get("deg", False))
-    theta = _angle(float(settings.require("theta")), deg)
-    d = float(settings.require("d"))
-    split = float(settings.require("split"))
-    b = float(settings.get("b", 0.0))
-    gap_tol = _tolerance(settings, "gap_tol", GAP_TOL)
-    method = str(settings.get("method", "closed-form"))
-    if method == "closed-form":
-        result = solve_closed_form(theta, d, split, b=b, gap_tol=gap_tol)
-    elif method == "bisection":
-        result = solve_by_root_finding(theta, d, split, b=b, gap_tol=gap_tol)
-    else:
-        raise ValidationError(f"field 'method': expected closed-form or bisection, got {method!r}")
+    solver = solve_closed_form if ns.method == "closed-form" else solve_by_root_finding
+    result = solver(
+        _angle(ns.theta, ns.deg), ns.d, ns.split, b=ns.b, gap_tol=_tolerance(ns, "gap_tol")
+    )
     _print_json(result.to_json())
     return EXIT_OK
 
@@ -339,31 +289,18 @@ def _run_summary(inst, table, n_workers: int) -> dict:
 
 
 def _cmd_run(ns: argparse.Namespace) -> int:
-    settings = _Settings(ns)
-    variant = _variant(settings)
-    params = _params(settings)
-    couplings = _couplings(settings, variant, params.theta)
-    runs = int(settings.require("runs"))
-    seed = int(settings.require("seed"))
-    noise = float(settings.get("noise", 0.0))
-    workers = int(settings.get("workers", 1))
-    gap_tol = _tolerance(settings, "gap_tol", GAP_TOL)
-    ortho_tol = _tolerance(settings, "ortho_tol", ORTHO_ATOL)
-    policy_raw = str(settings.get("policy", "uniform"))
-    try:
-        policy = PrepPolicy(policy_raw)
-    except ValueError:
-        raise ValidationError(
-            f"field 'policy': expected uniform or roundrobin, got {policy_raw!r}"
-        ) from None
-    fmt = str(settings.get("format", "csv"))
-    if fmt not in {"csv", "json"}:
-        raise ValidationError(f"field 'format': expected csv or json, got {fmt!r}")
+    variant = Variant(ns.variant)
+    params = _params(ns)
+    couplings = _couplings(ns, variant, params.theta)
+    gap_tol = _tolerance(ns, "gap_tol")
+    ortho_tol = _tolerance(ns, "ortho_tol")
 
     inst = make_protocol(variant, params, couplings, gap_tol=gap_tol, ortho_atol=ortho_tol)
-    table = simulate(inst, runs, seed=seed, noise_eps=noise, prep_policy=policy, n_workers=workers)
-    summary = _run_summary(inst, table, workers)
-    if fmt == "json":
+    table = simulate(
+        inst, ns.runs, seed=ns.seed, noise_eps=ns.noise, prep_policy=ns.policy, n_workers=ns.workers
+    )
+    summary = _run_summary(inst, table, ns.workers)
+    if ns.format == "json":
         summary["counts"] = [list(row) for row in table.counts]
         _print_json(summary)
     else:
@@ -377,42 +314,34 @@ def _cmd_run(ns: argparse.Namespace) -> int:
 
 
 def _cmd_feasibility(ns: argparse.Namespace) -> int:
-    settings = _Settings(ns)
-    variant = _variant(settings)
-    params = _params(settings)
-    couplings = _couplings(settings, variant, params.theta)
-    overlap_side = str(settings.require("overlap"))
-    if overlap_side not in {"a", "b", "both"}:
-        raise ValidationError(f"field 'overlap': expected a, b, or both, got {overlap_side!r}")
-    q_a = float(settings.get("q_a", 1.0))
-    q_b = float(settings.get("q_b", 1.0))
-    exact = bool(settings.get("exact", False))
-    inst = make_protocol(variant, params, couplings)
+    variant = Variant(ns.variant)
+    params = _params(ns)
+    inst = make_protocol(variant, params, _couplings(ns, variant, params.theta))
 
     out = {
         "variant": variant.value,
         "theta": params.theta,
-        "overlap": overlap_side,
+        "overlap": ns.overlap,
         "problems": [],
     }
-    if overlap_side == "both":
+    if ns.overlap == "both":
         decision = lp_feasible(
-            build_problem(inst, SupportProfile(True, True, q_a, q_b)), exact=exact
+            build_problem(inst, SupportProfile(True, True, ns.q_a, ns.q_b)), exact=ns.exact
         )
         out["problems"].append({"branch": None, **decision.to_json()})
         out["feasible"] = decision.feasible
         out["verdicts"] = [v.to_json() for v in deduce(inst, decision)]
     else:
-        if overlap_side == "a":
-            prof = SupportProfile(True, False, q_a=q_a)
+        if ns.overlap == "a":
+            prof = SupportProfile(True, False, q_a=ns.q_a)
             side_index = 1  # Bob's state is definite
         else:
-            prof = SupportProfile(False, True, q_b=q_b)
+            prof = SupportProfile(False, True, q_b=ns.q_b)
             side_index = 0
         branches = sorted({label.split("*")[side_index] for label in inst.prep_labels})
         decisions = []
         for branch in branches:
-            decision = lp_feasible(build_problem(inst, prof, branch=branch), exact=exact)
+            decision = lp_feasible(build_problem(inst, prof, branch=branch), exact=ns.exact)
             decisions.append(decision)
             out["problems"].append({"branch": branch, **decision.to_json()})
         out["feasible"] = all(d.feasible for d in decisions)
@@ -421,32 +350,89 @@ def _cmd_feasibility(ns: argparse.Namespace) -> int:
 
 
 def _cmd_bound(ns: argparse.Namespace) -> int:
-    settings = _Settings(ns)
-    eps = float(settings.require("eps"))
-    _print_json({"eps_hat": eps, "bound": overlap_bound(eps)})
+    _print_json({"eps_hat": ns.eps, "bound": overlap_bound(ns.eps)})
     return EXIT_OK
 
 
 def _cmd_verify_all(ns: argparse.Namespace) -> int:
-    settings = _Settings(ns)
-    seed = int(settings.get("seed", 42))
-    runs = int(settings.get("runs", 200_000))
-    workers = int(settings.get("workers", 1))
-    if runs < 1:
-        raise ValidationError(f"field 'runs': must be >= 1, got {runs}")
-    report, ok = run_all(seed=seed, n_runs=runs, n_workers=workers)
+    if ns.runs < 1:
+        raise ValidationError(f"field 'runs': must be >= 1, got {ns.runs}")
+    report, ok = run_all(seed=ns.seed, n_runs=ns.runs, n_workers=ns.workers)
     print(report, end="")
     return EXIT_OK if ok else EXIT_VERIFY
 
 
-_HANDLERS = {
-    "states": _cmd_states,
-    "spectrum": _cmd_spectrum,
-    "solve": _cmd_solve,
-    "run": _cmd_run,
-    "feasibility": _cmd_feasibility,
-    "bound": _cmd_bound,
-    "verify-all": _cmd_verify_all,
+#: Every long option but --config, declared once: field -> add_argument keywords.
+#: The flag is ``--`` plus the field with dashes for underscores.
+_OPTIONS: dict[str, dict] = {
+    "theta": {"type": float, "help": "pair angle, radians (degrees with --deg)"},
+    "phi": {"type": float, "default": 0.0, "help": "overlap phase, radians (degrees with --deg)"},
+    "deg": {"action": "store_true", "help": "interpret angles as degrees"},
+    "a": {"type": float},
+    "b": {"type": float},
+    "c": {"type": float},
+    "d": {"type": float},
+    "variant": {"choices": ["xyz", "soc"]},
+    "split": {"type": float, "help": "a - c, must be nonzero"},
+    "method": {"choices": ["closed-form", "bisection"], "default": "closed-form"},
+    "gap_tol": {"type": float, "default": GAP_TOL},
+    "ortho_tol": {"type": float, "default": ORTHO_ATOL},
+    "runs": {"type": int},
+    "seed": {"type": int},
+    "noise": {"type": float, "default": 0.0, "help": "outcome-flip probability in [0, 1]"},
+    "policy": {"choices": ["uniform", "roundrobin"], "default": "uniform"},
+    "workers": {"type": int, "default": 1},
+    "format": {"choices": ["json", "csv"], "default": "csv"},
+    "overlap": {"choices": ["a", "b", "both"]},
+    "q_a": {"type": float, "default": 1.0, "help": "Alice shared weight in (0, 1]"},
+    "q_b": {"type": float, "default": 1.0, "help": "Bob shared weight in (0, 1]"},
+    "exact": {"action": "store_true", "help": "decide the LP over exact rationals instead of floats"},
+    "eps": {"type": float, "help": "measured max forbidden frequency"},
+}
+
+_REQUIRED = {"required": True}
+
+#: Subcommand -> (handler, help, its fields in help order, add_argument
+#: keywords that this subcommand sets over the option table).
+_COMMANDS = {
+    "states": (
+        _cmd_states, "emit the protocol state family",
+        ("theta", "phi", "deg", "variant", "format"),
+        {"theta": _REQUIRED, "variant": _REQUIRED, "format": {"default": "json"}},
+    ),
+    "spectrum": (
+        _cmd_spectrum, "analytic vs numeric eigenvalue table",
+        ("a", "b", "c", "d", "variant", "gap_tol", "format"),
+        {"a": _REQUIRED, "b": _REQUIRED, "c": _REQUIRED, "variant": _REQUIRED},
+    ),
+    "solve": (
+        _cmd_solve, "couplings satisfying cos(alpha + theta) = 0",
+        ("theta", "phi", "deg", "d", "split", "b", "method", "gap_tol"),
+        {
+            "theta": _REQUIRED,
+            "d": {"required": True, "help": "spin-orbit strength, must be > 0"},
+            "split": _REQUIRED,
+            "b": {"default": 0.0, "help": "free coupling b (default 0)"},
+        },
+    ),
+    "run": (
+        _cmd_run, "simulate measurement runs (CSV tally; JSON summary on stderr)",
+        ("theta", "phi", "deg", "a", "b", "c", "d", "variant", "runs", "seed", "noise",
+         "policy", "workers", "gap_tol", "ortho_tol", "format"),
+        {"theta": _REQUIRED, "variant": _REQUIRED, "runs": _REQUIRED, "seed": _REQUIRED},
+    ),
+    "feasibility": (
+        _cmd_feasibility, "shared-ontic-state feasibility (couplings default per variant)",
+        ("theta", "phi", "deg", "a", "b", "c", "d", "variant", "overlap", "q_a", "q_b", "exact"),
+        {"theta": _REQUIRED, "variant": _REQUIRED, "overlap": _REQUIRED},
+    ),
+    "bound": (_cmd_bound, "overlap bound 4 * eps_hat", ("eps",), {"eps": _REQUIRED}),
+    "verify-all": (
+        _cmd_verify_all, "run the full verification sweep",
+        ("seed", "runs", "workers"),
+        {"seed": {"default": 42},
+         "runs": {"default": 200_000, "help": "simulation runs per statistics check"}},
+    ),
 }
 
 
@@ -457,84 +443,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "coupling solver, measurement simulation, and ontic-overlap feasibility.",
     )
     sub = parser.add_subparsers(dest="command")
-
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--config", help="flat key = value settings file; flags override it")
-
-    angles = argparse.ArgumentParser(add_help=False)
-    angles.add_argument("--theta", type=float, help="pair angle, radians (degrees with --deg)")
-    angles.add_argument("--phi", type=float, help="overlap phase, radians (degrees with --deg)")
-    angles.add_argument("--deg", action="store_true", default=None, help="interpret angles as degrees")
-
-    couplings = argparse.ArgumentParser(add_help=False)
-    couplings.add_argument("--a", type=float)
-    couplings.add_argument("--b", type=float)
-    couplings.add_argument("--c", type=float)
-    couplings.add_argument("--d", type=float)
-
-    p_states = sub.add_parser(
-        "states", parents=[shared, angles], help="emit the protocol state family"
-    )
-    p_states.add_argument("--variant", choices=["xyz", "soc"])
-    p_states.add_argument("--format", choices=["json", "csv"])
-
-    p_spec = sub.add_parser(
-        "spectrum", parents=[shared, couplings],
-        help="analytic vs numeric eigenvalue table",
-    )
-    p_spec.add_argument("--variant", choices=["xyz", "soc"])
-    p_spec.add_argument("--gap-tol", dest="gap_tol", type=float)
-    p_spec.add_argument("--format", choices=["json", "csv"])
-
-    p_solve = sub.add_parser(
-        "solve", parents=[shared, angles],
-        help="couplings satisfying cos(alpha + theta) = 0",
-    )
-    p_solve.add_argument("--d", type=float, help="spin-orbit strength, must be > 0")
-    p_solve.add_argument("--split", type=float, help="a - c, must be nonzero")
-    p_solve.add_argument("--b", type=float, help="free coupling b (default 0)")
-    p_solve.add_argument("--method", choices=["closed-form", "bisection"])
-    p_solve.add_argument("--gap-tol", dest="gap_tol", type=float)
-
-    p_run = sub.add_parser(
-        "run", parents=[shared, angles, couplings],
-        help="simulate measurement runs (CSV tally; JSON summary on stderr)",
-    )
-    p_run.add_argument("--variant", choices=["xyz", "soc"])
-    p_run.add_argument("--runs", type=int)
-    p_run.add_argument("--seed", type=int)
-    p_run.add_argument("--noise", type=float, help="outcome-flip probability in [0, 1]")
-    p_run.add_argument("--policy", choices=["uniform", "roundrobin"])
-    p_run.add_argument("--workers", type=int)
-    p_run.add_argument("--gap-tol", dest="gap_tol", type=float)
-    p_run.add_argument("--ortho-tol", dest="ortho_tol", type=float)
-    p_run.add_argument("--format", choices=["json", "csv"])
-
-    p_feas = sub.add_parser(
-        "feasibility", parents=[shared, angles, couplings],
-        help="shared-ontic-state feasibility (couplings default per variant)",
-    )
-    p_feas.add_argument("--variant", choices=["xyz", "soc"])
-    p_feas.add_argument("--overlap", choices=["a", "b", "both"])
-    p_feas.add_argument("--q-a", dest="q_a", type=float, help="Alice shared weight in (0, 1]")
-    p_feas.add_argument("--q-b", dest="q_b", type=float, help="Bob shared weight in (0, 1]")
-    p_feas.add_argument(
-        "--exact", action="store_true", default=None,
-        help="decide the LP over exact rationals instead of floats",
-    )
-
-    p_bound = sub.add_parser(
-        "bound", parents=[shared], help="overlap bound 4 * eps_hat"
-    )
-    p_bound.add_argument("--eps", type=float, help="measured max forbidden frequency")
-
-    p_verify = sub.add_parser(
-        "verify-all", parents=[shared], help="run the full verification sweep"
-    )
-    p_verify.add_argument("--seed", type=int)
-    p_verify.add_argument("--runs", type=int, help="simulation runs per statistics check")
-    p_verify.add_argument("--workers", type=int)
-
+    for name, (_, help_text, fields, own) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", help="key = value file of this subcommand's options; flags win")
+        for field in fields:
+            keywords = {**_OPTIONS[field], **own.get(field, {})}
+            p.add_argument("--" + field.replace("_", "-"), **keywords)
     return parser
 
 
@@ -563,17 +477,21 @@ def _join_negative_values(argv: list[str]) -> list[str]:
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        ns = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else list(argv)))
+        args, config = _with_config(
+            _join_negative_values(sys.argv[1:] if argv is None else list(argv))
+        )
+        ns = parser.parse_args(args)
+        if ns.command is None:
+            parser.print_help(file=sys.stderr)
+            return EXIT_CONFIG
+        if ns.config != config:
+            raise ValidationError("spell --config out in full: an abbreviation of it is not read")
+        code = _COMMANDS[ns.command][0](ns)
+        sys.stdout.flush()  # a closed stdout surfaces here, not at interpreter exit
+        return code
     except SystemExit as exc:  # argparse has printed its own message
         code = exc.code
         return code if isinstance(code, int) else EXIT_CONFIG
-    if ns.command is None:
-        parser.print_help(file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        code = _HANDLERS[ns.command](ns)
-        sys.stdout.flush()  # a closed stdout surfaces here, not at interpreter exit
-        return code
     except BrokenPipeError:
         # The reader went away.  Point the descriptor at devnull so the
         # interpreter's final flush of the unwritten buffer succeeds silently.

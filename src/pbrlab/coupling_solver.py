@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DegeneracyError, DomainError, LogicError, SolverError
-from .hamiltonian import GAP_TOL, CouplingSet, analytic_spectrum_soc
+from .hamiltonian import GAP_TOL, CouplingSet, analytic_spectrum_soc, mixing_angle
 
 CLOSED_FORM_RESIDUAL_TOL = 1e-12
 ROOT_RESIDUAL_TOL = 1e-10
@@ -113,8 +113,7 @@ def solve_closed_form(
 
 
 def _constraint(ssum: float, d: float, theta: float) -> float:
-    alpha = math.atan((ssum + math.hypot(ssum, 2.0 * d)) / (2.0 * d))
-    return math.cos(alpha + theta)
+    return math.cos(mixing_angle(ssum, d) + theta)
 
 
 def solve_by_root_finding(

@@ -141,13 +141,22 @@ def soc_eigenvalues(c: CouplingSet) -> tuple[float, float, float, float]:
     return (-c.a + c.b + c.c, c.a + c.b - c.c, -c.b - root, -c.b + root)
 
 
+def mixing_angle(s: float, d: float) -> float:
+    """atan((s + sqrt(s² + 4d²)) / 2d) for s = a + c and d ≠ 0.
+
+    For s < 0 the numerator cancels, so the equal 2d / (sqrt(s² + 4d²) − s)
+    is used there; near alpha = 0 the cancelling form loses every digit.
+    """
+    root = math.hypot(s, 2.0 * d)
+    return math.atan((s + root) / (2.0 * d) if s >= 0.0 else 2.0 * d / (root - s))
+
+
 def soc_alpha(c: CouplingSet) -> float:
     """Mixing angle of the Φ⁺/Ψ⁻ block, principal branch of the arctangent."""
     d = c.d_or_zero
     if d == 0.0:
         raise DomainError("mixing angle is undefined at d = 0")
-    s = c.a + c.c
-    return math.atan((s + math.hypot(s, 2.0 * d)) / (2.0 * d))
+    return mixing_angle(c.a + c.c, d)
 
 
 def _check_gaps(values, labels, gap_tol: float) -> None:

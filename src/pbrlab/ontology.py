@@ -84,6 +84,32 @@ class FeasibilityProblem:
             )
         return tuple(self.outcome_labels.index(lab) for lab in self.zeroed)
 
+    def forbidding_preparations(self) -> dict[str, str]:
+        """Zeroed outcome -> the support preparation that forbids it.
+
+        Raises ``ValidationError`` naming the field for an unknown variant, a
+        support that is not one of the variant's preparations, or a zeroed
+        outcome that no support forbids.
+        """
+        try:
+            fmap = dict(forbidden_map_for(self.variant))
+        except ValueError:
+            raise ValidationError(f"field 'variant': expected xyz or soc, got {self.variant!r}") from None
+        try:
+            forbidding = {fmap[prep]: prep for prep in self.supports}
+        except KeyError as exc:
+            raise ValidationError(
+                f"field 'supports': {exc.args[0]!r} is not one of the {self.variant} "
+                f"preparations {list(fmap)}"
+            ) from None
+        orphans = [lab for lab in self.zeroed if lab not in forbidding]
+        if orphans:
+            raise ValidationError(
+                f"field 'zeroed': {orphans} are forbidden by no preparation in supports "
+                f"{list(self.supports)}"
+            )
+        return forbidding
+
     def to_json(self) -> dict:
         return {
             "outcome_labels": list(self.outcome_labels),
@@ -168,7 +194,9 @@ def lp_feasible(prob: FeasibilityProblem, *, exact: bool = False) -> Feasibility
     equalities and the normalization.  The bounds p(k) <= 1 follow from
     p >= 0 and the normalization, so they get no rows.  A feasible problem is
     reported with the uniform witness over the outcomes not forced to zero;
-    an infeasible one with the textual contradiction certificate.
+    an infeasible one with the textual contradiction certificate, which names
+    the support preparation forbidding each zeroed outcome (so an infeasible
+    problem whose fields disagree raises ``ValidationError`` naming the field).
     ``exact=True`` pivots over rationals instead of floats.  The simplex runs
     once per zeroed set and mode in a process (at most 32 cached results);
     later calls with the same set reuse its decision, whatever the label
@@ -186,7 +214,7 @@ def lp_feasible(prob: FeasibilityProblem, *, exact: bool = False) -> Feasibility
         return FeasibilityDecision(
             feasible=True, witness=witness, certificate=None, problem=prob, method=method
         )
-    forbidden_of = {out: prep for prep, out in _supports_forbidden(prob)}
+    forbidden_of = prob.forbidding_preparations()
     certificate = tuple(
         f"p({lab}) = 0  (forbidden outcome of preparation {forbidden_of[lab]}, "
         "whose support contains the shared state)"
@@ -211,11 +239,6 @@ def _decide(mask: int, exact: bool) -> Phase1Result:
     rows = [[float(j == k) for j in range(4)] for k in range(4) if mask >> k & 1]
     rows.append([1.0] * 4)
     return phase1_feasible(rows, [0.0] * (len(rows) - 1) + [1.0], exact=exact)
-
-
-def _supports_forbidden(prob: FeasibilityProblem) -> list[tuple[str, str]]:
-    fmap = dict(forbidden_map_for(Variant(prob.variant)))
-    return [(prep, fmap[prep]) for prep in prob.supports]
 
 
 def problem_from_zeroed(

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -207,6 +208,11 @@ class TestSolve:
         b = json.loads(out_deg)["sum_ac"]
         assert a == pytest.approx(b, abs=1e-9)
 
+    def test_theta_next_to_half_pi(self, capsys):
+        code, out, err = run_cli(capsys, "solve", "--theta", "1.5707962267948966", "--d", "1", "--split", "2")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["residual"] <= 1e-12
+
 
 class TestStatesAndSpectrum:
     def test_states_json(self, capsys):
@@ -376,6 +382,90 @@ class TestConfigFile:
     def test_missing_config_file(self, capsys):
         code, _, err = run_cli(capsys, "solve", "--config", "/nonexistent.cfg", "--theta", "1", "--d", "1", "--split", "2")
         assert code == 2
+
+
+    def test_flag_and_file_share_the_boolean_fields(self, tmp_path, capsys):
+        base = ("solve", "--theta", "60", "--d", "1", "--split", "2")
+        cfg = tmp_path / "settings.cfg"
+        for value, flags in (("yes", ["--deg"]), ("off", []), ("True", ["--deg"]), ("0", [])):
+            cfg.write_text(f"deg = {value}\n")
+            assert run_cli(capsys, *base, "--config", str(cfg)) == run_cli(capsys, *base, *flags)
+        cfg.write_text("deg = maybe\n")
+        code, out, err = run_cli(capsys, *base, "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert "'deg'" in err and "boolean" in err
+
+    def test_keys_of_other_subcommands_are_ignored(self, tmp_path, capsys):
+        cfg = tmp_path / "settings.cfg"
+        cfg.write_text("theta = 0.7\nd = 1.0\nsplit = 2\nruns = 5\nvariant = XYZ\nexact = maybe\n")
+        from_file = run_cli(capsys, "solve", "--config", str(cfg))
+        assert from_file == run_cli(capsys, "solve", "--theta", "0.7", "--d", "1.0", "--split", "2")
+        assert from_file[0] == 0
+
+    def test_abbreviated_config_flag_is_not_ignored(self, tmp_path, capsys):
+        cfg = tmp_path / "settings.cfg"
+        cfg.write_text("b = 0.4\n")
+        code, out, err = run_cli(
+            capsys, "solve", "--conf", str(cfg), "--theta", "0.7", "--d", "1", "--split", "2"
+        )
+        assert (code, out) == (2, "")
+        assert "--config" in err
+
+    @pytest.mark.parametrize(
+        "argv, field, value",
+        [
+            (["states", "--theta", "0.5"], "variant", "XYZ"),
+            (["states", "--variant", "xyz", "--theta", "0.5"], "format", "yaml"),
+            (["spectrum", "--variant", "xyz", "--a", "1", "--b", "2", "--c", "3"], "format", "yaml"),
+            (["run", "--variant", "xyz", "--theta", "0.5", "--runs", "10", "--seed", "1"], "format", "yaml"),
+            (["run", "--variant", "xyz", "--theta", "0.5", "--runs", "10", "--seed", "1"], "policy", "random"),
+            (["solve", "--theta", "0.7", "--d", "1", "--split", "2"], "method", "newton"),
+            (["feasibility", "--variant", "xyz", "--theta", "0.5"], "overlap", "none"),
+        ],
+    )
+    def test_bad_choice_exits_two_from_flag_and_file(self, tmp_path, capsys, argv, field, value):
+        cfg = tmp_path / "settings.cfg"
+        cfg.write_text(f"{field} = {value}\n")
+        for extra in ([f"--{field}", value], ["--config", str(cfg)]):
+            code, out, err = run_cli(capsys, *argv, *extra)
+            assert (code, out) == (2, "")
+            assert f"argument --{field}: invalid choice: '{value}'" in err
+
+
+#: Each subcommand's long options, as its --help lists them.
+LONG_OPTIONS = {
+    "states": ["--config", "--deg", "--format", "--help", "--phi", "--theta", "--variant"],
+    "spectrum": ["--a", "--b", "--c", "--config", "--d", "--format", "--gap-tol", "--help", "--variant"],
+    "solve": [
+        "--b", "--config", "--d", "--deg", "--gap-tol", "--help", "--method", "--phi", "--split",
+        "--theta",
+    ],
+    "run": [
+        "--a", "--b", "--c", "--config", "--d", "--deg", "--format", "--gap-tol", "--help",
+        "--noise", "--ortho-tol", "--phi", "--policy", "--runs", "--seed", "--theta", "--variant",
+        "--workers",
+    ],
+    "feasibility": [
+        "--a", "--b", "--c", "--config", "--d", "--deg", "--exact", "--help", "--overlap", "--phi",
+        "--q-a", "--q-b", "--theta", "--variant",
+    ],
+    "bound": ["--config", "--eps", "--help"],
+    "verify-all": ["--config", "--help", "--runs", "--seed", "--workers"],
+}
+
+
+class TestOptionTable:
+    def test_every_option_serves_a_subcommand(self):
+        used = {field for _, _, fields, _ in cli._COMMANDS.values() for field in fields}
+        assert used == set(cli._OPTIONS)
+        assert set(cli._COMMANDS) == set(LONG_OPTIONS)
+
+    @pytest.mark.parametrize("command", sorted(LONG_OPTIONS))
+    def test_help_lists_the_long_options(self, capsys, command):
+        code, out, _ = run_cli(capsys, command, "--help")
+        assert code == 0
+        listed = re.findall(r"^  (?:-h, )?(--[a-z][a-z-]*)", out, flags=re.MULTILINE)
+        assert sorted(listed) == LONG_OPTIONS[command]
 
 
 class TestVerifyAll:

@@ -55,6 +55,26 @@ def test_stdout_matches_golden(name, capsys):
     assert out.encode("utf-8") == (GOLDEN / f"{name}.out").read_bytes()
 
 
+def _config_text(options: list[str]) -> str:
+    """The config file standing for ``--key value`` pairs and bare ``--flag`` words."""
+    lines = []
+    for tok, following in zip(options, [*options[1:], "--"]):
+        if tok.startswith("--"):
+            lines.append(f"{tok[2:]} = {'true' if following.startswith('--') else following}\n")
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_config_file_matches_golden(name, tmp_path, capsys):
+    command, *options = CASES[name]
+    cfg = tmp_path / "settings.cfg"
+    cfg.write_text(_config_text(options))
+    code = main([command, "--config", str(cfg)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.encode("utf-8") == (GOLDEN / f"{name}.out").read_bytes()
+
+
 def test_recorded_spectra_agree():
     """A re-recorded spectrum golden must still show agreeing spectra, not just stable bytes."""
     rows = json.loads((GOLDEN / "spectrum_soc_json.out").read_text())["rows"]

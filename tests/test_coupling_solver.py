@@ -13,8 +13,8 @@ from pbrlab import (
     solve_by_root_finding,
     solve_closed_form,
 )
-from pbrlab.coupling_solver import _constraint
-from pbrlab.hamiltonian import CouplingSet
+from pbrlab.coupling_solver import CLOSED_FORM_RESIDUAL_TOL, _constraint
+from pbrlab.hamiltonian import CouplingSet, mixing_angle
 
 
 class TestClosedForm:
@@ -117,6 +117,22 @@ class TestRootFinding:
         s_base = base.couplings.a + base.couplings.c
         s_scaled = scaled.couplings.a + scaled.couplings.c
         assert s_scaled == pytest.approx(2.5 * s_base, abs=1e-10)
+
+
+class TestNearHalfPi:
+    """theta next to pi/2 puts alpha next to 0, where s + sqrt(s^2 + 4d^2) cancels."""
+
+    @pytest.mark.parametrize("d", [1e-3, 1.0, 50.0])
+    @pytest.mark.parametrize("solver", [solve_closed_form, solve_by_root_finding])
+    def test_both_solvers_meet_the_closed_form_tolerance(self, solver, d):
+        r = solver(math.pi / 2 - 1e-7, d, 2.0)
+        assert r.residual <= CLOSED_FORM_RESIDUAL_TOL
+
+    @pytest.mark.parametrize("s", [-1e8, -1e12, -1e150])
+    def test_mixing_angle_keeps_its_digits_for_negative_s(self, s):
+        # alpha = atan(2d / (sqrt(s^2 + 4d^2) - s)) = d/|s| (1 + O((d/s)^2)) for |s| >> d.
+        assert mixing_angle(s, 1.0) == pytest.approx(-1.0 / s, rel=1e-15)
+        assert mixing_angle(-s, 1.0) == pytest.approx(math.pi / 2 + 1.0 / s, rel=1e-15)
 
 
 class TestScalingInvariance:

@@ -196,6 +196,22 @@ class TestLpFeasible:
         with pytest.raises(ValidationError, match="'zz'"):
             lp_feasible(prob)
 
+    @pytest.mark.parametrize(
+        "field, supports, variant",
+        [
+            ("zeroed", (), "xyz"),
+            ("variant", ("u*u", "u*vbar", "v*u", "v*vbar"), "abc"),
+            ("supports", ("u*u", "u*w", "v*u", "v*w"), "xyz"),
+        ],
+    )
+    def test_inconsistent_infeasible_problem_names_the_field(self, field, supports, variant):
+        prob = ontology.FeasibilityProblem(
+            outcome_labels=("e1", "e2", "e3", "e4"), zeroed=("e1", "e2", "e3", "e4"),
+            supports=supports, variant=variant, theta=0.5,
+        )
+        with pytest.raises(ValidationError, match=f"field '{field}'"):
+            lp_feasible(prob)
+
     def test_exact_rational_mode_agrees(self):
         inst = xyz_instance()
         for combo in (("e1",), ("e1", "e2", "e3", "e4"), ()):
