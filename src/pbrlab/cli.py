@@ -4,10 +4,12 @@ Subcommands: states, spectrum, solve, run, feasibility, bound, verify-all.
 Results go to standard out (JSON or CSV), diagnostics to standard error.
 
 Exit codes: 0 success; 1 verification failure; 2 usage or configuration
-error, including a standard output closed before the result was written;
-3 numeric failure (degeneracy, non-convergence, violated coupling
-constraint, a result that overflows).  JSON output is strict: it never holds
-NaN or Infinity.
+error, including a standard output closed before the result was written, a
+non-finite phi and a negative or non-finite tolerance; 3 numeric failure
+(degeneracy, non-convergence, violated coupling constraint, a result or a
+coupling sum a + c that overflows).  JSON output is strict: it never holds
+NaN or Infinity.  States, spectra, matrices and default couplings come from
+:mod:`pbrlab.protocol`, the one module that knows how the variants differ.
 
 Angles are radians unless ``--deg`` is given.  ``--config FILE`` reads a flat
 ``key = value`` file of the subcommand's long options (``gap_tol`` or
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import os
@@ -39,27 +42,28 @@ from .errors import (
     SolverError,
     ValidationError,
 )
-from .hamiltonian import (
-    GAP_TOL,
-    CouplingSet,
-    analytic_spectrum_soc,
-    analytic_spectrum_xyz,
-    build_soc,
-    build_xyz,
-    numeric_spectrum,
-    pair_spectra,
+from .hamiltonian import GAP_TOL, CouplingSet, numeric_spectrum, pair_spectra
+from .ontology import (
+    SupportProfile,
+    build_problem,
+    deduce,
+    lp_feasible,
+    overlap_bound,
+    single_overlap_branches,
 )
-from .ontology import SupportProfile, build_problem, deduce, lp_feasible, overlap_bound
 from .protocol import (
     ORTHO_ATOL,
     Variant,
-    _forbidden_residuals,
+    analytic_spectrum,
+    default_couplings,
     forbidden_rate,
+    hamiltonian_matrix,
     make_protocol,
     simulate,
+    state_family,
 )
-from .qstate import OverlapParams, build_pair_soc, build_pair_xyz, overlap
-from .verify import default_soc_couplings, run_all
+from .qstate import OverlapParams, overlap
+from .verify import run_all
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -134,9 +138,7 @@ def _params(ns: argparse.Namespace) -> OverlapParams:
 
 def _couplings(ns: argparse.Namespace, variant: Variant, theta: float) -> CouplingSet:
     if all(getattr(ns, k) is None for k in ("a", "b", "c", "d")):
-        if variant is Variant.XYZ:
-            return CouplingSet(1.0, 2.0, 3.0)
-        return default_soc_couplings(theta)
+        return default_couplings(variant, theta)
     for k in ("a", "b", "c"):
         if getattr(ns, k) is None:
             raise ValidationError(f"missing required field '{k}' (couplings are all-or-none)")
@@ -147,8 +149,8 @@ def _couplings(ns: argparse.Namespace, variant: Variant, theta: float) -> Coupli
 
 def _tolerance(ns: argparse.Namespace, field: str) -> float:
     value = getattr(ns, field)
-    if not math.isfinite(value):
-        raise ValidationError(f"field '{field}': must be finite, got {value!r}")
+    if not math.isfinite(value) or value < 0.0:
+        raise ValidationError(f"field '{field}': must be finite and >= 0, got {value!r}")
     return value
 
 
@@ -175,13 +177,7 @@ def _complex_pair(z: complex) -> list[float]:
 def _cmd_states(ns: argparse.Namespace) -> int:
     variant = Variant(ns.variant)
     params = _params(ns)
-    if variant is Variant.XYZ:
-        u, v, other = build_pair_xyz(params)
-        other_label = "vbar"
-    else:
-        u, v, other = build_pair_soc(params)
-        other_label = "w"
-    states = {"u": u, "v": v, other_label: other}
+    states = state_family(variant, params)
     if ns.format == "csv":
         writer = _csv_writer()
         writer.writerow(["state", "amp_plus_re", "amp_plus_im", "amp_minus_re", "amp_minus_im"])
@@ -195,9 +191,8 @@ def _cmd_states(ns: argparse.Namespace) -> int:
                 "phi": params.phi,
                 "states": {label: s.to_json() for label, s in states.items()},
                 "overlaps": {
-                    "u|v": _complex_pair(overlap(u, v)),
-                    f"u|{other_label}": _complex_pair(overlap(u, other)),
-                    f"v|{other_label}": _complex_pair(overlap(v, other)),
+                    f"{x}|{y}": _complex_pair(overlap(states[x], states[y]))
+                    for x, y in itertools.combinations(states, 2)
                 },
             }
         )
@@ -208,12 +203,8 @@ def _cmd_spectrum(ns: argparse.Namespace) -> int:
     variant = Variant(ns.variant)
     gap_tol = _tolerance(ns, "gap_tol")
     couplings = CouplingSet(a=ns.a, b=ns.b, c=ns.c, d=ns.d)
-    if variant is Variant.XYZ:
-        analytic = analytic_spectrum_xyz(couplings, gap_tol=gap_tol)
-        numeric = numeric_spectrum(build_xyz(couplings), gap_tol=gap_tol)
-    else:
-        analytic = analytic_spectrum_soc(couplings, gap_tol=gap_tol)
-        numeric = numeric_spectrum(build_soc(couplings), gap_tol=gap_tol)
+    analytic = analytic_spectrum(variant, couplings, gap_tol)
+    numeric = numeric_spectrum(hamiltonian_matrix(variant, couplings), gap_tol=gap_tol)
     pairs = pair_spectra(analytic, numeric)
     if ns.format == "json":
         _print_json(
@@ -252,10 +243,6 @@ def _cmd_solve(ns: argparse.Namespace) -> int:
 
 def _run_summary(inst, table, n_workers: int) -> dict:
     rates = forbidden_rate(table)
-    residuals = _forbidden_residuals(inst.variant, inst.preparations, inst.spectrum)
-    constraint_residual = None
-    if inst.variant is Variant.SOC:
-        constraint_residual = abs(math.cos(inst.spectrum.alpha + inst.params.theta))
     return {
         "instance": {
             "variant": inst.variant.value,
@@ -272,8 +259,8 @@ def _run_summary(inst, table, n_workers: int) -> dict:
             "forbidden": [list(pair) for pair in inst.forbidden],
             "eigenvalues": list(inst.spectrum.eigenvalues),
             "alpha": inst.spectrum.alpha,
-            "constraint_residual": constraint_residual,
-            "orthogonality_residuals": {prep: res for (prep, _), res in residuals.items()},
+            "constraint_residual": inst.constraint_residual,
+            "orthogonality_residuals": {p: r for (p, _), r in inst.forbidden_residuals.items()},
         },
         "simulation": {
             "n_runs": table.n_runs,
@@ -315,32 +302,18 @@ def _cmd_run(ns: argparse.Namespace) -> int:
 
 def _cmd_feasibility(ns: argparse.Namespace) -> int:
     variant = Variant(ns.variant)
-    params = _params(ns)
+    params = OverlapParams(_angle(ns.theta, ns.deg))
     inst = make_protocol(variant, params, _couplings(ns, variant, params.theta))
-
-    out = {
-        "variant": variant.value,
-        "theta": params.theta,
-        "overlap": ns.overlap,
-        "problems": [],
-    }
+    out = {"variant": variant.value, "theta": params.theta, "overlap": ns.overlap, "problems": []}
     if ns.overlap == "both":
-        decision = lp_feasible(
-            build_problem(inst, SupportProfile(True, True, ns.q_a, ns.q_b)), exact=ns.exact
-        )
+        decision = lp_feasible(build_problem(inst, SupportProfile(True, True)), exact=ns.exact)
         out["problems"].append({"branch": None, **decision.to_json()})
         out["feasible"] = decision.feasible
         out["verdicts"] = [v.to_json() for v in deduce(inst, decision)]
     else:
-        if ns.overlap == "a":
-            prof = SupportProfile(True, False, q_a=ns.q_a)
-            side_index = 1  # Bob's state is definite
-        else:
-            prof = SupportProfile(False, True, q_b=ns.q_b)
-            side_index = 0
-        branches = sorted({label.split("*")[side_index] for label in inst.prep_labels})
+        prof = SupportProfile(ns.overlap == "a", ns.overlap == "b")
         decisions = []
-        for branch in branches:
+        for branch in single_overlap_branches(inst, prof):
             decision = lp_feasible(build_problem(inst, prof, branch=branch), exact=ns.exact)
             decisions.append(decision)
             out["problems"].append({"branch": branch, **decision.to_json()})
@@ -384,8 +357,6 @@ _OPTIONS: dict[str, dict] = {
     "workers": {"type": int, "default": 1},
     "format": {"choices": ["json", "csv"], "default": "csv"},
     "overlap": {"choices": ["a", "b", "both"]},
-    "q_a": {"type": float, "default": 1.0, "help": "Alice shared weight in (0, 1]"},
-    "q_b": {"type": float, "default": 1.0, "help": "Bob shared weight in (0, 1]"},
     "exact": {"action": "store_true", "help": "decide the LP over exact rationals instead of floats"},
     "eps": {"type": float, "help": "measured max forbidden frequency"},
 }
@@ -407,7 +378,7 @@ _COMMANDS = {
     ),
     "solve": (
         _cmd_solve, "couplings satisfying cos(alpha + theta) = 0",
-        ("theta", "phi", "deg", "d", "split", "b", "method", "gap_tol"),
+        ("theta", "deg", "d", "split", "b", "method", "gap_tol"),
         {
             "theta": _REQUIRED,
             "d": {"required": True, "help": "spin-orbit strength, must be > 0"},
@@ -423,7 +394,7 @@ _COMMANDS = {
     ),
     "feasibility": (
         _cmd_feasibility, "shared-ontic-state feasibility (couplings default per variant)",
-        ("theta", "phi", "deg", "a", "b", "c", "d", "variant", "overlap", "q_a", "q_b", "exact"),
+        ("theta", "deg", "a", "b", "c", "d", "variant", "overlap", "exact"),
         {"theta": _REQUIRED, "variant": _REQUIRED, "overlap": _REQUIRED},
     ),
     "bound": (_cmd_bound, "overlap bound 4 * eps_hat", ("eps",), {"eps": _REQUIRED}),

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DegeneracyError, DomainError, LogicError, SolverError
+from .errors import DegeneracyError, DomainError, LogicError, NonFiniteError, SolverError
 from .hamiltonian import GAP_TOL, CouplingSet, analytic_spectrum_soc, mixing_angle
 
 CLOSED_FORM_RESIDUAL_TOL = 1e-12
@@ -72,6 +72,10 @@ def _validate_inputs(theta: float, d: float, split: float) -> None:
         raise DomainError("split = a - c must be nonzero (a = c is degenerate)")
 
 
+def _overflow(theta: float, d: float) -> NonFiniteError:
+    return NonFiniteError(f"a + c = 2 d cot 2θ overflows at theta = {theta!r}, d = {d!r}")
+
+
 def _finish(
     theta: float, d: float, split: float, b: float, ssum: float, method: str, gap_tol: float
 ) -> SolverResult:
@@ -109,6 +113,8 @@ def solve_closed_form(
     """Couplings with a + c = 2 d cot 2θ, which makes alpha + theta = π/2."""
     _validate_inputs(theta, d, split)
     ssum = 2.0 * d * math.cos(2.0 * theta) / math.sin(2.0 * theta)
+    if not math.isfinite(ssum):
+        raise _overflow(theta, d)
     return _finish(theta, d, split, b, ssum, "closed-form", gap_tol)
 
 
@@ -126,6 +132,8 @@ def solve_by_root_finding(
 ) -> SolverResult:
     """Bisection on s = a + c; independent oracle for :func:`solve_closed_form`."""
     _validate_inputs(theta, d, split)
+    if not math.isfinite(2.0 * d):  # the mixing angle, and so the constraint, would be NaN
+        raise _overflow(theta, d)
     # cos(alpha(s) + theta) decreases from cos(theta) > 0 toward -sin(theta) < 0,
     # so doubling each end brackets the root unless s overflows first.
     lo, hi = -d, d

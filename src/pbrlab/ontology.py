@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import LogicError, ValidationError
-from .protocol import ProtocolInstance, Variant, forbidden_map_for
+from .protocol import ProtocolInstance, Variant, companion, forbidden_map_for
 from .simplex import Phase1Result, phase1_feasible
 
 #: theta window in which the spin-orbit states v and w are treated as equal.
@@ -52,18 +52,10 @@ class Relation(str, enum.Enum):
 
 @dataclass(frozen=True)
 class SupportProfile:
-    """Which party's state pair shares ontic support, with the shared weights."""
+    """Which party's state pair shares ontic support."""
 
     alice_overlap: bool
     bob_overlap: bool
-    q_a: float = 1.0
-    q_b: float = 1.0
-
-    def __post_init__(self):
-        if self.alice_overlap and not 0.0 < self.q_a <= 1.0:
-            raise ValidationError(f"q_a must lie in (0, 1] when alice_overlap, got {self.q_a}")
-        if self.bob_overlap and not 0.0 < self.q_b <= 1.0:
-            raise ValidationError(f"q_b must lie in (0, 1] when bob_overlap, got {self.q_b}")
 
 
 @dataclass(frozen=True)
@@ -141,9 +133,19 @@ class FeasibilityDecision:
         return out
 
 
-def _party_states(label: str) -> tuple[str, str]:
-    alice, bob = label.split("*")
-    return alice, bob
+def _definite_party(prof: SupportProfile) -> int:
+    """Index in an "alice*bob" label of the party whose state a single overlap leaves definite."""
+    if not (prof.alice_overlap or prof.bob_overlap):
+        raise ValidationError("no overlap flag set: there is no shared ontic state to test")
+    if prof.alice_overlap and prof.bob_overlap:
+        raise ValidationError("both overlap flags set: there is no definite party to branch on")
+    return 1 if prof.alice_overlap else 0
+
+
+def single_overlap_branches(inst: ProtocolInstance, prof: SupportProfile) -> list[str]:
+    """The definite party's states, sorted: the ``branch`` values of a single-overlap problem."""
+    party = _definite_party(prof)
+    return sorted({label.split("*")[party] for label in inst.prep_labels})
 
 
 def build_problem(
@@ -159,22 +161,14 @@ def build_problem(
     forbidden = inst.forbidden_map
     if prof.alice_overlap and prof.bob_overlap:
         supports = inst.prep_labels
-    elif prof.alice_overlap:
-        choices = {_party_states(lab)[1] for lab in inst.prep_labels}
-        if branch not in choices:
-            raise ValidationError(f"branch {branch!r} is not one of Bob's states {sorted(choices)}")
-        supports = tuple(
-            lab for lab in inst.prep_labels if _party_states(lab)[1] == branch
-        )
-    elif prof.bob_overlap:
-        choices = {_party_states(lab)[0] for lab in inst.prep_labels}
-        if branch not in choices:
-            raise ValidationError(f"branch {branch!r} is not one of Alice's states {sorted(choices)}")
-        supports = tuple(
-            lab for lab in inst.prep_labels if _party_states(lab)[0] == branch
-        )
     else:
-        raise ValidationError("no overlap flag set: there is no shared ontic state to test")
+        party = _definite_party(prof)
+        choices = single_overlap_branches(inst, prof)
+        if branch not in choices:
+            raise ValidationError(
+                f"branch {branch!r} is not one of {('Alice', 'Bob')[party]}'s states {choices}"
+            )
+        supports = tuple(lab for lab in inst.prep_labels if lab.split("*")[party] == branch)
     zeroed = tuple(
         lab for lab in inst.outcome_labels if lab in {forbidden[p] for p in supports}
     )
@@ -309,27 +303,23 @@ def deduce(inst: ProtocolInstance, both_overlap: FeasibilityDecision) -> list[Ve
             "that impossible for a valid instance"
         )
     theta = inst.params.theta
-    if inst.variant is Variant.XYZ:
-        pairs = (("u", "v"), ("u", "vbar"))
-    else:
-        pairs = (("u", "v"), ("u", "w"))
-        if abs(theta - math.pi / 4.0) <= SPECIAL_CASE_ATOL:
-            return [
-                Verdict(
-                    pairs=(("u", "v"),),
-                    relation=Relation.DISJOINT,
-                    variant=inst.variant.value,
-                    theta=theta,
-                    note=(
-                        "w coincides with v at this overlap (|<u|v>|^2 = 1/2), so the "
-                        "disjunction collapses; backed by the shared-support "
-                        "infeasibility certificate"
-                    ),
-                )
-            ]
+    if inst.variant is Variant.SOC and abs(theta - math.pi / 4.0) <= SPECIAL_CASE_ATOL:
+        return [
+            Verdict(
+                pairs=(("u", "v"),),
+                relation=Relation.DISJOINT,
+                variant=inst.variant.value,
+                theta=theta,
+                note=(
+                    "w coincides with v at this overlap (|<u|v>|^2 = 1/2), so the "
+                    "disjunction collapses; backed by the shared-support "
+                    "infeasibility certificate"
+                ),
+            )
+        ]
     return [
         Verdict(
-            pairs=pairs,
+            pairs=(("u", "v"), ("u", companion(inst.variant))),
             relation=Relation.AT_LEAST_ONE_DISJOINT,
             variant=inst.variant.value,
             theta=theta,

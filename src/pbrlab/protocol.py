@@ -10,6 +10,10 @@ Hamiltonian, and the resulting forbidden-outcome map:
   cos(alpha + theta) = 0 the map is u⊗u → e'2, u⊗w → e'4, v⊗u → e'3,
   v⊗w → e'1.
 
+This module alone knows how the two variants differ (states, spectrum,
+matrix, default couplings, constraint residual); other modules ask it instead
+of branching on the variant.
+
 Simulation draws each run's preparation and outcome from counter-based
 streams (see :mod:`pbrlab.rng`), so a tally table is a pure function of
 (instance, n_runs, seed, noise_eps, policy) no matter how the runs are
@@ -21,6 +25,7 @@ noise_eps / 4.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import math
 import os
@@ -28,15 +33,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstraintError, ValidationError
+from .coupling_solver import solve_closed_form
+from .errors import ConstraintError, DegeneracyError, ValidationError
 from .hamiltonian import (
     GAP_TOL,
     CouplingSet,
+    HamiltonianMatrix,
     Spectrum,
     analytic_spectrum_soc,
     analytic_spectrum_xyz,
+    build_soc,
+    build_xyz,
 )
-from .qstate import JointState, OverlapParams, build_pair_soc, build_pair_xyz, joint_overlap, tensor
+from .qstate import (
+    JointState,
+    OverlapParams,
+    PureState,
+    build_pair_soc,
+    build_pair_xyz,
+    joint_overlap,
+    tensor,
+)
 # run_uniforms is unused here; perfbench's tracer test asserts this binding.
 from .rng import run_uniforms, validate_seed, words  # noqa: F401
 
@@ -45,6 +62,10 @@ ORTHO_ATOL = 1e-12
 
 #: Advertised tolerance on |cos(alpha + theta)| for spin-orbit couplings.
 CONSTRAINT_ATOL = 1e-10
+
+#: b values tried in turn when building default spin-orbit couplings; a fixed
+#: (theta, d, split) can make any single b degenerate.
+DEFAULT_B_CANDIDATES = (0.5, 0.8, 1.3)
 
 _DRAWS_PER_RUN = 4
 
@@ -70,21 +91,41 @@ def forbidden_map_for(variant: Variant) -> tuple[tuple[str, str], ...]:
     return _FORBIDDEN[Variant(variant)]
 
 
-def _build_preparations(
-    variant: Variant, params: OverlapParams
-) -> tuple[tuple[str, JointState], ...]:
-    if variant is Variant.XYZ:
-        u, v, other = build_pair_xyz(params)
-        other_label = "vbar"
-    else:
-        u, v, other = build_pair_soc(params)
-        other_label = "w"
-    return (
-        ("u*u", tensor(u, u)),
-        (f"u*{other_label}", tensor(u, other)),
-        ("v*u", tensor(v, u)),
-        (f"v*{other_label}", tensor(v, other)),
-    )
+def companion(variant: Variant) -> str:
+    """Label of Bob's second state: vbar (exchange) or w (spin-orbit)."""
+    return "vbar" if Variant(variant) is Variant.XYZ else "w"
+
+
+def state_family(variant: Variant, params: OverlapParams) -> dict[str, PureState]:
+    """The variant's states by label: u, v and the companion, in that order."""
+    pair = build_pair_xyz(params) if Variant(variant) is Variant.XYZ else build_pair_soc(params)
+    return dict(zip(("u", "v", companion(variant)), pair))
+
+
+def analytic_spectrum(variant: Variant, couplings: CouplingSet, gap_tol: float) -> Spectrum:
+    """The variant's analytic spectrum, labels e1..e4 (exchange) or e'1..e'4 (spin-orbit)."""
+    if Variant(variant) is Variant.XYZ:
+        return analytic_spectrum_xyz(couplings, gap_tol=gap_tol)
+    return analytic_spectrum_soc(couplings, gap_tol=gap_tol)
+
+
+def hamiltonian_matrix(variant: Variant, couplings: CouplingSet) -> HamiltonianMatrix:
+    """The variant's Hamiltonian as an explicit matrix, for the numeric route."""
+    return build_xyz(couplings) if Variant(variant) is Variant.XYZ else build_soc(couplings)
+
+
+def default_couplings(variant: Variant, theta: float) -> CouplingSet:
+    """The couplings used when none are given.
+
+    Exchange: (1, 2, 3).  Spin-orbit: the constraint couplings at theta with
+    d = 1, split = 2 and the first non-degenerate b of ``DEFAULT_B_CANDIDATES``.
+    """
+    if Variant(variant) is Variant.XYZ:
+        return CouplingSet(1.0, 2.0, 3.0)
+    for b in DEFAULT_B_CANDIDATES[:-1]:
+        with contextlib.suppress(DegeneracyError):
+            return solve_closed_form(theta, 1.0, 2.0, b=b).couplings
+    return solve_closed_form(theta, 1.0, 2.0, b=DEFAULT_B_CANDIDATES[-1]).couplings
 
 
 @dataclass(frozen=True)
@@ -110,6 +151,23 @@ class ProtocolInstance:
     def forbidden_map(self) -> dict[str, str]:
         return dict(self.forbidden)
 
+    @property
+    def constraint_residual(self) -> float | None:
+        """|cos(alpha + theta)| for the spin-orbit variant; None for the exchange one."""
+        if self.variant is Variant.XYZ:
+            return None
+        return abs(math.cos(self.spectrum.alpha + self.params.theta))
+
+    @property
+    def forbidden_residuals(self) -> dict[tuple[str, str], float]:
+        """|⟨e_k|prep⟩| for each (preparation, nominally forbidden outcome) pair."""
+        preps = dict(self.preparations)
+        vecs = dict(zip(self.spectrum.labels, self.spectrum.eigenvectors))
+        return {
+            (prep_label, outcome_label): abs(joint_overlap(vecs[outcome_label], preps[prep_label]))
+            for prep_label, outcome_label in self.forbidden
+        }
+
     def preparation(self, label: str) -> JointState:
         for lab, state in self.preparations:
             if lab == label:
@@ -130,21 +188,20 @@ def born_probabilities(prep: JointState, spectrum: Spectrum) -> tuple[float, flo
     )
 
 
-def _analytic_spectrum(variant: Variant, couplings: CouplingSet, gap_tol: float) -> Spectrum:
-    if variant is Variant.XYZ:
-        return analytic_spectrum_xyz(couplings, gap_tol=gap_tol)
-    return analytic_spectrum_soc(couplings, gap_tol=gap_tol)
-
-
-def _forbidden_residuals(
-    variant: Variant, preparations: tuple[tuple[str, JointState], ...], spectrum: Spectrum
-) -> dict[tuple[str, str], float]:
-    preps = dict(preparations)
-    vecs = dict(zip(spectrum.labels, spectrum.eigenvectors))
-    return {
-        (prep_label, outcome_label): abs(joint_overlap(vecs[outcome_label], preps[prep_label]))
-        for prep_label, outcome_label in _FORBIDDEN[variant]
-    }
+def _assemble(
+    variant: Variant, params: OverlapParams, couplings: CouplingSet, gap_tol: float
+) -> ProtocolInstance:
+    """An instance whose spectrum gaps are checked, and nothing else yet."""
+    variant = Variant(variant)
+    spectrum = analytic_spectrum(variant, couplings, gap_tol)
+    (_, u), (_, v), (other, w) = state_family(variant, params).items()
+    preparations = (
+        ("u*u", tensor(u, u)),
+        (f"u*{other}", tensor(u, w)),
+        ("v*u", tensor(v, u)),
+        (f"v*{other}", tensor(v, w)),
+    )
+    return ProtocolInstance(variant, params, couplings, spectrum, preparations, _FORBIDDEN[variant])
 
 
 def orthogonality_residuals(
@@ -156,9 +213,7 @@ def orthogonality_residuals(
     negative control: couplings off the constraint surface leave two of the
     four residuals at |cos(alpha + theta)| / sqrt(2).
     """
-    variant = Variant(variant)
-    spectrum = _analytic_spectrum(variant, couplings, GAP_TOL)
-    return _forbidden_residuals(variant, _build_preparations(variant, params), spectrum)
+    return _assemble(variant, params, couplings, GAP_TOL).forbidden_residuals
 
 
 def make_protocol(
@@ -176,32 +231,21 @@ def make_protocol(
     forbidden-outcome overlap exceeds ``ortho_atol``; degeneracy errors from
     the spectrum propagate.
     """
-    variant = Variant(variant)
-    spectrum = _analytic_spectrum(variant, couplings, gap_tol)
-    if variant is Variant.SOC:
-        residual = abs(np.cos(spectrum.alpha + params.theta))
-        if residual > CONSTRAINT_ATOL:
-            raise ConstraintError(
-                f"couplings violate cos(alpha + theta) = 0: |cos| = {residual!r} "
-                f"(tolerance {CONSTRAINT_ATOL})",
-                residual=float(residual),
-            )
-    preparations = _build_preparations(variant, params)
-    residuals = _forbidden_residuals(variant, preparations, spectrum)
-    for (prep_label, outcome_label), residual in residuals.items():
+    inst = _assemble(variant, params, couplings, gap_tol)
+    residual = inst.constraint_residual
+    if residual is not None and residual > CONSTRAINT_ATOL:
+        raise ConstraintError(
+            f"couplings violate cos(alpha + theta) = 0: |cos| = {residual!r} "
+            f"(tolerance {CONSTRAINT_ATOL})",
+            residual=residual,
+        )
+    for (prep_label, outcome_label), residual in inst.forbidden_residuals.items():
         if residual > ortho_atol:
             raise ConstraintError(
                 f"⟨{outcome_label}|{prep_label}⟩ = {residual!r} exceeds {ortho_atol}",
-                residual=float(residual),
+                residual=residual,
             )
-    return ProtocolInstance(
-        variant=variant,
-        params=params,
-        couplings=couplings,
-        spectrum=spectrum,
-        preparations=preparations,
-        forbidden=_FORBIDDEN[variant],
-    )
+    return inst
 
 
 @dataclass(frozen=True)

@@ -102,7 +102,8 @@ class OverlapParams:
 
     theta must lie strictly inside (0, π/2): theta = 0 would make the pair
     identical and theta = π/2 orthogonal, and orthogonal pairs are already
-    settled (they never share an ontic state).  phi is reduced mod 2π.
+    settled (they never share an ontic state).  phi must be finite and is
+    reduced mod 2π.
     """
 
     theta: float
@@ -114,8 +115,11 @@ class OverlapParams:
             raise DomainError(
                 f"theta must lie strictly inside (0, pi/2), got {theta!r}"
             )
+        phi = float(self.phi)
+        if not math.isfinite(phi):
+            raise DomainError(f"phi must be finite, got {phi!r}")
         object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "phi", float(self.phi) % TWO_PI)
+        object.__setattr__(self, "phi", phi % TWO_PI)
 
 
 def _check_normalized(norm_sq: float, what: str) -> None:

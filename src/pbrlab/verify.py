@@ -42,11 +42,14 @@ from .ontology import (
     lp_feasible,
     overlap_bound,
     problem_from_zeroed,
+    single_overlap_branches,
     subset_rule_feasible,
 )
 from .protocol import (
     Variant,
+    analytic_spectrum,
     born_probabilities,
+    default_couplings,
     forbidden_rate,
     make_protocol,
     orthogonality_residuals,
@@ -54,23 +57,8 @@ from .protocol import (
 )
 from .qstate import OverlapParams
 
-#: b values tried in turn when building default spin-orbit couplings; a fixed
-#: (theta, d, split) can make any single b degenerate.
-DEFAULT_B_CANDIDATES = (0.5, 0.8, 1.3)
-
 #: Minimum eigenvalue gap of the randomly drawn couplings in the spectrum checks.
 _SAMPLE_MIN_GAP = 1e-3
-
-
-def default_soc_couplings(theta: float) -> CouplingSet:
-    """Constraint couplings (d = 1, split = 2) with the first non-degenerate default b."""
-    last: DegeneracyError | None = None
-    for b in DEFAULT_B_CANDIDATES:
-        try:
-            return solve_closed_form(theta, 1.0, 2.0, b=b).couplings
-        except DegeneracyError as exc:
-            last = exc
-    raise last
 
 
 @dataclass(frozen=True)
@@ -99,7 +87,6 @@ def _random_couplings(seed: int, purpose: int, n: int, variant: Variant) -> list
     Spin-orbit rows draw d as a fourth coupling and skip |d| < 0.05.
     """
     soc = variant is Variant.SOC
-    spectrum = analytic_spectrum_soc if soc else analytic_spectrum_xyz
     out = []
     block = 0
     while len(out) < n:
@@ -108,7 +95,7 @@ def _random_couplings(seed: int, purpose: int, n: int, variant: Variant) -> list
             if soc and abs(c.d) < 0.05:
                 continue
             try:
-                spectrum(c, gap_tol=_SAMPLE_MIN_GAP)
+                analytic_spectrum(variant, c, _SAMPLE_MIN_GAP)
             except PbrlabError:
                 continue
             out.append(c)
@@ -156,9 +143,9 @@ def check_soc_spectrum(seed: int, n: int = 250) -> CheckResult:
 
 def check_xyz_orthogonality(seed: int, n: int = 24) -> CheckResult:
     worst = 0.0
-    couplings = CouplingSet(1.0, 2.0, 3.0)
     phis = [2.0 * math.pi * k / 8.0 for k in range(8)]
     for theta in _theta_grid(n):
+        couplings = default_couplings(Variant.XYZ, theta)
         for phi in phis:
             res = orthogonality_residuals(Variant.XYZ, OverlapParams(theta, phi), couplings)
             worst = max(worst, max(res.values()))
@@ -171,7 +158,7 @@ def check_xyz_orthogonality(seed: int, n: int = 24) -> CheckResult:
 def check_soc_orthogonality(seed: int, n: int = 24) -> CheckResult:
     worst = 0.0
     for theta in _theta_grid(n):
-        couplings = default_soc_couplings(theta)
+        couplings = default_couplings(Variant.SOC, theta)
         res = orthogonality_residuals(Variant.SOC, OverlapParams(theta), couplings)
         worst = max(worst, max(res.values()))
     ok = worst <= 1e-12
@@ -183,7 +170,7 @@ def check_soc_orthogonality(seed: int, n: int = 24) -> CheckResult:
 def check_soc_negative_control(seed: int, n: int = 12) -> CheckResult:
     weakest = math.inf
     for theta in _theta_grid(n):
-        good = default_soc_couplings(theta)
+        good = default_couplings(Variant.SOC, theta)
         bad = CouplingSet(good.a + 0.25, good.b, good.c + 0.25, good.d)
         violation = abs(math.cos(soc_alpha(bad) + theta))
         if violation < 1e-3:
@@ -231,10 +218,14 @@ def check_solver_agreement(seed: int, n: int = 60) -> CheckResult:
     )
 
 
+def _instance(variant: Variant, theta: float):
+    return make_protocol(variant, OverlapParams(theta), default_couplings(variant, theta))
+
+
 def _instances_for_grid(n: int):
     for theta in _theta_grid(n):
-        yield make_protocol(Variant.XYZ, OverlapParams(theta), CouplingSet(1.0, 2.0, 3.0))
-        yield make_protocol(Variant.SOC, OverlapParams(theta), default_soc_couplings(theta))
+        for variant in Variant:
+            yield _instance(variant, theta)
 
 
 def check_exclusion_feasibility(seed: int, n: int = 12) -> CheckResult:
@@ -243,11 +234,8 @@ def check_exclusion_feasibility(seed: int, n: int = 12) -> CheckResult:
         both = lp_feasible(build_problem(inst, SupportProfile(True, True)))
         if both.feasible:
             return CheckResult("exclusion-feasibility", False, f"both-overlap feasible for {inst.variant}")
-        for prof, side in ((SupportProfile(True, False), "bob"), (SupportProfile(False, True), "alice")):
-            branches = sorted(
-                {lab.split("*")[1 if side == "bob" else 0] for lab in inst.prep_labels}
-            )
-            for branch in branches:
+        for prof in (SupportProfile(True, False), SupportProfile(False, True)):
+            for branch in single_overlap_branches(inst, prof):
                 single = lp_feasible(build_problem(inst, prof, branch=branch))
                 if not single.feasible:
                     return CheckResult(
@@ -264,7 +252,7 @@ def check_exclusion_feasibility(seed: int, n: int = 12) -> CheckResult:
 
 
 def check_simplex_oracle(seed: int, n: int = 200) -> CheckResult:
-    inst = make_protocol(Variant.XYZ, OverlapParams(math.pi / 3.0), CouplingSet(1.0, 2.0, 3.0))
+    inst = _instance(Variant.XYZ, math.pi / 3.0)
     # Each draw picks one of the 16 zeroed sets uniformly, so 200 draws miss
     # one with probability ~4e-5.  lp_feasible runs the simplex once per set
     # and reuses its decision, so this checks each set's decision, not each draw.
@@ -283,17 +271,16 @@ def check_simplex_oracle(seed: int, n: int = 200) -> CheckResult:
     )
 
 
+def _verdicts(variant: Variant, theta: float):
+    """The deduced verdicts at theta with the default couplings."""
+    inst = _instance(variant, theta)
+    return deduce(inst, lp_feasible(build_problem(inst, SupportProfile(True, True))))
+
+
 def check_special_case_verdicts(seed: int) -> CheckResult:
-    soc_special = make_protocol(
-        Variant.SOC, OverlapParams(math.pi / 4.0), default_soc_couplings(math.pi / 4.0)
-    )
-    v_special = deduce(soc_special, lp_feasible(build_problem(soc_special, SupportProfile(True, True))))
-    soc_generic = make_protocol(
-        Variant.SOC, OverlapParams(math.pi / 3.0), default_soc_couplings(math.pi / 3.0)
-    )
-    v_generic = deduce(soc_generic, lp_feasible(build_problem(soc_generic, SupportProfile(True, True))))
-    xyz = make_protocol(Variant.XYZ, OverlapParams(math.pi / 3.0), CouplingSet(1.0, 2.0, 3.0))
-    v_xyz = deduce(xyz, lp_feasible(build_problem(xyz, SupportProfile(True, True))))
+    v_special = _verdicts(Variant.SOC, math.pi / 4.0)
+    v_generic = _verdicts(Variant.SOC, math.pi / 3.0)
+    v_xyz = _verdicts(Variant.XYZ, math.pi / 3.0)
     ok = (
         len(v_special) == 1
         and v_special[0].relation is Relation.DISJOINT
@@ -313,11 +300,8 @@ def check_special_case_verdicts(seed: int) -> CheckResult:
 
 
 def check_cross_protocol(seed: int) -> CheckResult:
-    theta = math.pi / 4.0
-    xyz = make_protocol(Variant.XYZ, OverlapParams(theta), CouplingSet(1.0, 2.0, 3.0))
-    soc = make_protocol(Variant.SOC, OverlapParams(theta), default_soc_couplings(theta))
-    v_xyz = deduce(xyz, lp_feasible(build_problem(xyz, SupportProfile(True, True))))[0]
-    v_soc = deduce(soc, lp_feasible(build_problem(soc, SupportProfile(True, True))))[0]
+    v_xyz = _verdicts(Variant.XYZ, math.pi / 4.0)[0]
+    v_soc = _verdicts(Variant.SOC, math.pi / 4.0)[0]
     # disjoint(u, v) from one procedure satisfies the other's disjunction over
     # (u, v), (u, vbar): the same pair is one of its disjuncts.
     implies = (
@@ -333,7 +317,7 @@ def check_cross_protocol(seed: int) -> CheckResult:
 
 
 def check_simulation_stats(seed: int, n_runs: int = 200_000, n_workers: int = 1) -> CheckResult:
-    inst = make_protocol(Variant.XYZ, OverlapParams(math.pi / 3.0), CouplingSet(1.0, 2.0, 3.0))
+    inst = _instance(Variant.XYZ, math.pi / 3.0)
     clean = simulate(inst, n_runs, seed=seed, noise_eps=0.0, prep_policy="roundrobin", n_workers=n_workers)
     forbidden_hits = sum(
         clean.counts[clean.prep_labels.index(p)][clean.outcome_labels.index(o)]
@@ -366,14 +350,11 @@ def check_simulation_stats(seed: int, n_runs: int = 200_000, n_workers: int = 1)
 
 def check_phi_independence(seed: int) -> CheckResult:
     worst = 0.0
-    for variant, make_couplings in (
-        (Variant.XYZ, lambda theta: CouplingSet(1.0, 2.0, 3.0)),
-        (Variant.SOC, default_soc_couplings),
-    ):
+    for variant in Variant:
         for theta in _theta_grid(8):
             reference = None
             for phi in [2.0 * math.pi * k / 6.0 for k in range(6)]:
-                inst = make_protocol(variant, OverlapParams(theta, phi), make_couplings(theta))
+                inst = make_protocol(variant, OverlapParams(theta, phi), default_couplings(variant, theta))
                 born = inst.born_matrix()
                 if reference is None:
                     reference = born
@@ -400,7 +381,7 @@ def check_evolution_invariance(seed: int) -> CheckResult:
 
 
 def check_determinism(seed: int, n_runs: int = 50_000) -> CheckResult:
-    inst = make_protocol(Variant.SOC, OverlapParams(1.0), default_soc_couplings(1.0))
+    inst = _instance(Variant.SOC, 1.0)
     one = simulate(inst, n_runs, seed=seed, noise_eps=0.02, prep_policy="uniform", n_workers=1)
     again = simulate(inst, n_runs, seed=seed, noise_eps=0.02, prep_policy="uniform", n_workers=1)
     split3 = simulate(inst, n_runs, seed=seed, noise_eps=0.02, prep_policy="uniform", n_workers=3)

@@ -86,8 +86,13 @@ class TestExitCodes:
             (["solve", "--theta", "0.7", "--d", "nan", "--split", "2"], "d must be positive"),
             (["solve", "--theta", "0.7", "--d", "1", "--split", "inf"], "split = a - c must be finite"),
             (["solve", "--theta", "0.7", "--d", "inf", "--split", "2"], "d must be finite"),
+            (["states", "--variant", "xyz", "--theta", "0.5", "--phi", "inf"], "phi must be finite"),
+            (["states", "--variant", "xyz", "--theta", "0.5", "--phi", "nan"], "phi must be finite"),
+            (["run", "--variant", "xyz", "--theta", "1", "--phi", "inf", "--runs", "10", "--seed", "1"],
+             "phi must be finite"),
         ],
-        ids=["run-a-nan", "spectrum-a-inf", "solve-d-nan", "solve-split-inf", "solve-d-inf"],
+        ids=["run-a-nan", "spectrum-a-inf", "solve-d-nan", "solve-split-inf", "solve-d-inf",
+             "states-phi-inf", "states-phi-nan", "run-phi-inf"],
     )
     def test_non_finite_coupling_is_two(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)
@@ -103,13 +108,28 @@ class TestExitCodes:
              "ortho_tol"),
             (["spectrum", "--variant", "xyz", "--a", "1", "--b", "2", "--c", "3", "--gap-tol", "inf"], "gap_tol"),
             (["solve", "--theta", "0.7", "--d", "1", "--split", "2", "--gap-tol=-inf"], "gap_tol"),
+            (["run", "--variant", "xyz", "--theta", "1", "--a", "1", "--b", "1", "--c", "1",
+              "--runs", "10", "--seed", "1", "--gap-tol", "-1"], "gap_tol"),
+            (["run", "--variant", "xyz", "--theta", "1", "--runs", "10", "--seed", "1", "--ortho-tol", "-1"],
+             "ortho_tol"),
+            (["spectrum", "--variant", "xyz", "--a", "1", "--b", "2", "--c", "3", "--gap-tol=-1e-300"],
+             "gap_tol"),
         ],
-        ids=["run-gap-tol-nan", "run-ortho-tol-nan", "spectrum-gap-tol-inf", "solve-gap-tol-minus-inf"],
+        ids=["run-gap-tol-nan", "run-ortho-tol-nan", "spectrum-gap-tol-inf", "solve-gap-tol-minus-inf",
+             "run-gap-tol-negative", "run-ortho-tol-negative", "spectrum-gap-tol-negative"],
     )
     def test_non_finite_tolerance_is_two(self, capsys, argv, field):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == "" and f"'{field}'" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("method", ["closed-form", "bisection"])
+    def test_overflowing_coupling_sum_is_three(self, capsys, method):
+        code, out, err = run_cli(
+            capsys, "solve", "--theta", "0.7", "--d", "1e308", "--split", "2", "--method", method
+        )
+        assert code == 3
+        assert out == "" and "a + c" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_overflowing_spectrum_is_three(self, capsys, fmt):
@@ -125,8 +145,10 @@ class TestExitCodes:
         [
             ["spectrum", "--variant", "xyz", "--a=1e-300", "--b=2e-300", "--c=3e-300", "--gap-tol", "0"],
             ["solve", "--method", "bisection", "--theta", "1e-4", "--d", "1", "--split", "2"],
+            ["run", "--variant", "xyz", "--theta", "1", "--a", "1", "--b", "1", "--c", "1",
+             "--runs", "10", "--seed", "1", "--gap-tol", "0"],
         ],
-        ids=["spectrum-tiny-couplings", "solve-bisection-small-theta"],
+        ids=["spectrum-tiny-couplings", "solve-bisection-small-theta", "run-gap-tol-zero-skips-the-check"],
     )
     def test_extreme_scale_is_zero(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
@@ -437,8 +459,7 @@ LONG_OPTIONS = {
     "states": ["--config", "--deg", "--format", "--help", "--phi", "--theta", "--variant"],
     "spectrum": ["--a", "--b", "--c", "--config", "--d", "--format", "--gap-tol", "--help", "--variant"],
     "solve": [
-        "--b", "--config", "--d", "--deg", "--gap-tol", "--help", "--method", "--phi", "--split",
-        "--theta",
+        "--b", "--config", "--d", "--deg", "--gap-tol", "--help", "--method", "--split", "--theta",
     ],
     "run": [
         "--a", "--b", "--c", "--config", "--d", "--deg", "--format", "--gap-tol", "--help",
@@ -446,8 +467,8 @@ LONG_OPTIONS = {
         "--workers",
     ],
     "feasibility": [
-        "--a", "--b", "--c", "--config", "--d", "--deg", "--exact", "--help", "--overlap", "--phi",
-        "--q-a", "--q-b", "--theta", "--variant",
+        "--a", "--b", "--c", "--config", "--d", "--deg", "--exact", "--help", "--overlap", "--theta",
+        "--variant",
     ],
     "bound": ["--config", "--eps", "--help"],
     "verify-all": ["--config", "--help", "--runs", "--seed", "--workers"],

@@ -8,6 +8,7 @@ import pytest
 from pbrlab import (
     DegeneracyError,
     DomainError,
+    NonFiniteError,
     SolverError,
     analytic_spectrum_soc,
     solve_by_root_finding,
@@ -133,6 +134,21 @@ class TestNearHalfPi:
         # alpha = atan(2d / (sqrt(s^2 + 4d^2) - s)) = d/|s| (1 + O((d/s)^2)) for |s| >> d.
         assert mixing_angle(s, 1.0) == pytest.approx(-1.0 / s, rel=1e-15)
         assert mixing_angle(-s, 1.0) == pytest.approx(math.pi / 2 + 1.0 / s, rel=1e-15)
+
+
+class TestOverflow:
+    @pytest.mark.parametrize(
+        "solver, theta, d",
+        [
+            (solve_closed_form, 0.7, 1e308),  # 2d overflows
+            (solve_by_root_finding, 0.7, 1e308),
+            (solve_closed_form, 1e-300, 1e10),  # cot 2theta overflows the product
+        ],
+        ids=["closed-form-2d", "bisection-2d", "closed-form-cot"],
+    )
+    def test_overflowing_sum_is_a_non_finite_error(self, solver, theta, d):
+        with pytest.raises(NonFiniteError, match=r"a \+ c = 2 d cot 2θ overflows"):
+            solver(theta, d, 2.0)
 
 
 class TestScalingInvariance:

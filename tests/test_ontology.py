@@ -40,17 +40,6 @@ def soc_instance(theta, b=0.5):
     return make_protocol(Variant.SOC, OverlapParams(theta), couplings)
 
 
-class TestSupportProfile:
-    def test_weights_validated_when_flag_set(self):
-        with pytest.raises(ValidationError, match="q_a"):
-            SupportProfile(True, False, q_a=0.0)
-        with pytest.raises(ValidationError, match="q_b"):
-            SupportProfile(False, True, q_b=1.5)
-
-    def test_unused_weight_ignored(self):
-        SupportProfile(True, False, q_a=0.5, q_b=7.0)
-
-
 class TestBuildProblem:
     def test_both_overlaps_zero_every_outcome(self):
         prob = build_problem(xyz_instance(), SupportProfile(True, True))
@@ -80,6 +69,24 @@ class TestBuildProblem:
     def test_unknown_branch_is_an_error(self):
         with pytest.raises(ValidationError, match="branch"):
             build_problem(xyz_instance(), SupportProfile(True, False), branch="w")
+
+
+class TestSingleOverlapBranches:
+    def test_branches_are_the_definite_partys_states(self):
+        branches = ontology.single_overlap_branches
+        assert branches(xyz_instance(), SupportProfile(True, False)) == ["u", "vbar"]
+        assert branches(xyz_instance(), SupportProfile(False, True)) == ["u", "v"]
+        assert branches(soc_instance(1.0), SupportProfile(True, False)) == ["u", "w"]
+        assert branches(soc_instance(1.0), SupportProfile(False, True)) == ["u", "v"]
+
+    @pytest.mark.parametrize(
+        "prof, message",
+        [((True, True), "both overlap"), ((False, False), "no overlap")],
+        ids=["both", "neither"],
+    )
+    def test_needs_exactly_one_overlap(self, prof, message):
+        with pytest.raises(ValidationError, match=message):
+            ontology.single_overlap_branches(xyz_instance(), SupportProfile(*prof))
 
 
 class TestLpFeasible:

@@ -27,7 +27,12 @@ from pbrlab import (
     solve_closed_form,
 )
 from pbrlab import protocol
-from pbrlab.protocol import forbidden_map_for
+from pbrlab.protocol import (
+    DEFAULT_B_CANDIDATES,
+    CONSTRAINT_ATOL,
+    default_couplings,
+    forbidden_map_for,
+)
 from pbrlab.rng import splitmix64, uniform
 
 XYZ_COUPLINGS = CouplingSet(1, 2, 3)
@@ -82,6 +87,12 @@ class TestMakeProtocol:
         with pytest.raises(DegeneracyError):
             make_protocol(Variant.XYZ, OverlapParams(1.0), CouplingSet(1, 1, 0))
 
+    def test_constraint_residual_is_the_spin_orbit_cosine(self):
+        assert xyz_instance().constraint_residual is None
+        inst = soc_instance(math.pi / 3)
+        assert inst.constraint_residual == abs(math.cos(inst.spectrum.alpha + math.pi / 3))
+        assert inst.constraint_residual <= CONSTRAINT_ATOL
+
     def test_orthogonality_holds_across_seeded_parameters(self):
         rng = np.random.default_rng(88)
         for _ in range(50):
@@ -97,6 +108,21 @@ class TestMakeProtocol:
         couplings = solve_closed_form(theta, d=0.1, split=-2.5, b=1.2).couplings
         soc = orthogonality_residuals(Variant.SOC, OverlapParams(theta), couplings)
         assert max(xyz.values()) <= 1e-12 and max(soc.values()) <= 1e-12
+
+
+class TestDefaultCouplings:
+    @pytest.mark.parametrize(
+        "theta", [0.5 * math.asin(2 / 3), math.pi / 2 - 0.5 * math.asin(2 / 3)]
+    )
+    def test_spin_orbit_falls_back_past_a_degenerate_b(self, theta):
+        # root = hypot(2 cot 2theta, 2) = 3 here, so b = 0.5 makes e'2 = b + 2 equal e'4 = root - b.
+        first = DEFAULT_B_CANDIDATES[0]
+        with pytest.raises(DegeneracyError, match="e'2.*e'4"):
+            solve_closed_form(theta, d=1.0, split=2.0, b=first)
+        couplings = default_couplings(Variant.SOC, theta)
+        assert (first, couplings.b) == (0.5, 0.8)
+        inst = make_protocol(Variant.SOC, OverlapParams(theta), couplings)
+        assert inst.constraint_residual <= 1e-12
 
 
 class TestBornProbabilities:

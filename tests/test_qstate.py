@@ -62,6 +62,11 @@ class TestStateTypes:
         with pytest.raises(DomainError, match="theta"):
             OverlapParams(theta)
 
+    @pytest.mark.parametrize("phi", [math.inf, -math.inf, math.nan])
+    def test_non_finite_phi_names_the_field(self, phi):
+        with pytest.raises(DomainError, match="phi must be finite"):
+            OverlapParams(0.5, phi)
+
     def test_phi_is_reduced_mod_two_pi(self):
         p = OverlapParams(0.5, 2 * math.pi + 0.25)
         assert p.phi == pytest.approx(0.25, abs=1e-12)
