@@ -64,9 +64,7 @@ from .qstate import (
     PureState,
     build_pair_soc,
     build_pair_xyz,
-    fidelity,
     overlap,
-    params_from_overlap,
     tensor,
 )
 
@@ -111,7 +109,6 @@ __all__ = [
     "build_xyz",
     "deduce",
     "evolve",
-    "fidelity",
     "forbidden_rate",
     "lp_feasible",
     "make_protocol",
@@ -120,7 +117,6 @@ __all__ = [
     "overlap",
     "overlap_bound",
     "pair_spectra",
-    "params_from_overlap",
     "problem_from_zeroed",
     "simulate",
     "solve_by_root_finding",

@@ -81,6 +81,11 @@ def _finish(
 ) -> SolverResult:
     a = 0.5 * (ssum + split)
     c = 0.5 * (ssum - split)
+    if a == c:
+        raise SolverError(
+            f"split = {split!r} is lost in rounding: a + c = {ssum!r} has spacing (ulp) "
+            f"{math.ulp(ssum)!r}, so a = c; use a larger split or a smaller d"
+        )
     couplings = CouplingSet(a=a, b=b, c=c, d=d)
     try:
         spectrum = analytic_spectrum_soc(couplings, gap_tol=gap_tol)

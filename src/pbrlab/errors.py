@@ -45,7 +45,7 @@ class NonFiniteError(PbrlabError):
 
 
 class SolverError(PbrlabError):
-    """Root finding failed (no bracket found)."""
+    """A coupling solver failed (no bracket found, or the split lost in rounding)."""
 
 
 class LogicError(PbrlabError):

@@ -145,10 +145,15 @@ def mixing_angle(s: float, d: float) -> float:
     """atan((s + sqrt(s² + 4d²)) / 2d) for s = a + c and d ≠ 0.
 
     For s < 0 the numerator cancels, so the equal 2d / (sqrt(s² + 4d²) − s)
-    is used there; near alpha = 0 the cancelling form loses every digit.
+    is used there; near alpha = 0 the cancelling form loses every digit.  The
+    ratio is scale-free, so a sum that overflows is redone at a quarter scale
+    (exact: a power of two).
     """
     root = math.hypot(s, 2.0 * d)
-    return math.atan((s + root) / (2.0 * d) if s >= 0.0 else 2.0 * d / (root - s))
+    total = s + root if s >= 0.0 else root - s
+    if math.isinf(total) and math.isfinite(s) and math.isfinite(d):
+        return mixing_angle(0.25 * s, 0.25 * d)
+    return math.atan(total / (2.0 * d) if s >= 0.0 else 2.0 * d / total)
 
 
 def soc_alpha(c: CouplingSet) -> float:

@@ -12,7 +12,9 @@ constraint system is
     p(1) + p(2) + p(3) + p(4) = 1,       p(k) >= 0.
 
 (p(k) <= 1 needs no row of its own: nonnegativity and normalization imply
-it.)
+it.)  A problem holds just the (support preparation, forbidden outcome) pairs
+it keeps from the instance; its supports and zeroed outcomes are read off
+those pairs, so they cannot disagree.
 
 With overlaps on both sides the four forbidden outcomes cover all four
 outcomes (the forbidden map is a bijection) and the system is infeasible:
@@ -34,10 +36,11 @@ from __future__ import annotations
 import enum
 import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .errors import LogicError, ValidationError
-from .protocol import ProtocolInstance, Variant, companion, forbidden_map_for
+from .protocol import ProtocolInstance, Variant, companion
 from .simplex import Phase1Result, phase1_feasible
 
 #: theta window in which the spin-orbit states v and w are treated as equal.
@@ -60,47 +63,39 @@ class SupportProfile:
 
 @dataclass(frozen=True)
 class FeasibilityProblem:
-    """Response-probability constraints induced by a support profile."""
+    """Response-probability constraints induced by a support profile.
+
+    ``forbidden`` holds the (support preparation, forbidden outcome) pairs kept
+    from the instance: each support contains the shared state, so its outcome
+    gets probability zero.  ``supports`` and ``zeroed`` are read off the pairs.
+    Construction raises ``ValidationError`` unless the four outcome labels are
+    distinct and every forbidden outcome is one of them.
+    """
 
     outcome_labels: tuple[str, ...]
-    zeroed: tuple[str, ...]
-    supports: tuple[str, ...]
+    forbidden: tuple[tuple[str, str], ...]
     variant: str
     theta: float
 
-    def zeroed_indices(self) -> tuple[int, ...]:
-        unknown = [lab for lab in self.zeroed if lab not in self.outcome_labels]
+    def __post_init__(self):
+        labels = self.outcome_labels
+        if len(labels) != 4 or len(set(labels)) != 4:
+            raise ValidationError(f"expected 4 distinct outcome labels, got {labels}")
+        unknown = [out for _, out in self.forbidden if out not in labels]
         if unknown:
             raise ValidationError(
-                f"zeroed labels {unknown} are not outcome labels {list(self.outcome_labels)}"
+                f"forbidden outcomes {unknown} are not outcome labels {list(labels)}"
             )
-        return tuple(self.outcome_labels.index(lab) for lab in self.zeroed)
 
-    def forbidding_preparations(self) -> dict[str, str]:
-        """Zeroed outcome -> the support preparation that forbids it.
+    @property
+    def supports(self) -> tuple[str, ...]:
+        return tuple(prep for prep, _ in self.forbidden)
 
-        Raises ``ValidationError`` naming the field for an unknown variant, a
-        support that is not one of the variant's preparations, or a zeroed
-        outcome that no support forbids.
-        """
-        try:
-            fmap = dict(forbidden_map_for(self.variant))
-        except ValueError:
-            raise ValidationError(f"field 'variant': expected xyz or soc, got {self.variant!r}") from None
-        try:
-            forbidding = {fmap[prep]: prep for prep in self.supports}
-        except KeyError as exc:
-            raise ValidationError(
-                f"field 'supports': {exc.args[0]!r} is not one of the {self.variant} "
-                f"preparations {list(fmap)}"
-            ) from None
-        orphans = [lab for lab in self.zeroed if lab not in forbidding]
-        if orphans:
-            raise ValidationError(
-                f"field 'zeroed': {orphans} are forbidden by no preparation in supports "
-                f"{list(self.supports)}"
-            )
-        return forbidding
+    @property
+    def zeroed(self) -> tuple[str, ...]:
+        """The forbidden outcomes, once each, in outcome-label order."""
+        outs = {out for _, out in self.forbidden}
+        return tuple(lab for lab in self.outcome_labels if lab in outs)
 
     def to_json(self) -> dict:
         return {
@@ -158,24 +153,22 @@ def build_problem(
     ``branch`` names it, and only the two preparations using that state
     contribute their forbidden outcomes.
     """
-    forbidden = inst.forbidden_map
     if prof.alice_overlap and prof.bob_overlap:
-        supports = inst.prep_labels
-    else:
-        party = _definite_party(prof)
-        choices = single_overlap_branches(inst, prof)
-        if branch not in choices:
-            raise ValidationError(
-                f"branch {branch!r} is not one of {('Alice', 'Bob')[party]}'s states {choices}"
-            )
-        supports = tuple(lab for lab in inst.prep_labels if lab.split("*")[party] == branch)
-    zeroed = tuple(
-        lab for lab in inst.outcome_labels if lab in {forbidden[p] for p in supports}
-    )
+        return _problem(inst, lambda prep, out: True)
+    party = _definite_party(prof)
+    choices = single_overlap_branches(inst, prof)
+    if branch not in choices:
+        raise ValidationError(
+            f"branch {branch!r} is not one of {('Alice', 'Bob')[party]}'s states {choices}"
+        )
+    return _problem(inst, lambda prep, out: prep.split("*")[party] == branch)
+
+
+def _problem(inst: ProtocolInstance, keep: Callable[[str, str], bool]) -> FeasibilityProblem:
+    """The problem on the instance's (preparation, forbidden outcome) pairs ``keep`` accepts."""
     return FeasibilityProblem(
         outcome_labels=inst.outcome_labels,
-        zeroed=zeroed,
-        supports=supports,
+        forbidden=tuple(pair for pair in inst.forbidden if keep(*pair)),
         variant=inst.variant.value,
         theta=inst.params.theta,
     )
@@ -189,28 +182,25 @@ def lp_feasible(prob: FeasibilityProblem, *, exact: bool = False) -> Feasibility
     p >= 0 and the normalization, so they get no rows.  A feasible problem is
     reported with the uniform witness over the outcomes not forced to zero;
     an infeasible one with the textual contradiction certificate, which names
-    the support preparation forbidding each zeroed outcome (so an infeasible
-    problem whose fields disagree raises ``ValidationError`` naming the field).
+    the support preparation forbidding each zeroed outcome.
     ``exact=True`` pivots over rationals instead of floats.  The simplex runs
     once per zeroed set and mode in a process (at most 32 cached results);
     later calls with the same set reuse its decision, whatever the label
     order or repetition.
     """
     labels = prob.outcome_labels
-    if len(labels) != 4 or len(set(labels)) != 4:
-        raise ValidationError(f"expected 4 distinct outcome labels, got {labels}")
-    result = _decide(sum({1 << k for k in prob.zeroed_indices()}), bool(exact))
+    forbidder = {out: prep for prep, out in prob.forbidden}
+    result = _decide(sum(1 << labels.index(out) for out in forbidder), bool(exact))
     method = "phase1-simplex-exact" if exact else "phase1-simplex"
 
     if result.feasible:
-        live = [lab for lab in labels if lab not in prob.zeroed]
+        live = [lab for lab in labels if lab not in forbidder]
         witness = tuple((lab, 1.0 / len(live)) for lab in live)
         return FeasibilityDecision(
             feasible=True, witness=witness, certificate=None, problem=prob, method=method
         )
-    forbidden_of = prob.forbidding_preparations()
     certificate = tuple(
-        f"p({lab}) = 0  (forbidden outcome of preparation {forbidden_of[lab]}, "
+        f"p({lab}) = 0  (forbidden outcome of preparation {forbidder[lab]}, "
         "whose support contains the shared state)"
         for lab in prob.zeroed
     ) + (
@@ -240,27 +230,18 @@ def problem_from_zeroed(
 ) -> FeasibilityProblem:
     """Problem with an arbitrary zeroed set (for randomized solver checks).
 
-    The supporting preparations are reconstructed through the forbidden
-    bijection, so degenerate sets (empty, partial, full) stay self-consistent.
+    The supporting preparations are the ones whose forbidden outcome is in
+    ``zeroed``, so degenerate sets (empty, partial, full) stay self-consistent.
     """
     unknown = set(zeroed) - set(inst.outcome_labels)
     if unknown:
         raise ValidationError(f"unknown outcome labels {sorted(unknown)}")
-    supports = tuple(
-        prep for prep, out in inst.forbidden if out in set(zeroed)
-    )
-    return FeasibilityProblem(
-        outcome_labels=inst.outcome_labels,
-        zeroed=tuple(lab for lab in inst.outcome_labels if lab in set(zeroed)),
-        supports=supports,
-        variant=inst.variant.value,
-        theta=inst.params.theta,
-    )
+    return _problem(inst, lambda prep, out: out in zeroed)
 
 
 def subset_rule_feasible(prob: FeasibilityProblem) -> bool:
     """Oracle: feasible iff the zero equalities do not cover every outcome."""
-    return len(set(prob.zeroed)) < len(prob.outcome_labels)
+    return len(prob.zeroed) < len(prob.outcome_labels)
 
 
 @dataclass(frozen=True)

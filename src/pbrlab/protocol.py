@@ -86,11 +86,6 @@ _FORBIDDEN = {
 }
 
 
-def forbidden_map_for(variant: Variant) -> tuple[tuple[str, str], ...]:
-    """The fixed preparation → forbidden-outcome pairs of a variant."""
-    return _FORBIDDEN[Variant(variant)]
-
-
 def companion(variant: Variant) -> str:
     """Label of Bob's second state: vbar (exchange) or w (spin-orbit)."""
     return "vbar" if Variant(variant) is Variant.XYZ else "w"
@@ -146,10 +141,6 @@ class ProtocolInstance:
     @property
     def outcome_labels(self) -> tuple[str, ...]:
         return self.spectrum.labels
-
-    @property
-    def forbidden_map(self) -> dict[str, str]:
-        return dict(self.forbidden)
 
     @property
     def constraint_residual(self) -> float | None:

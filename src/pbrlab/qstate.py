@@ -9,7 +9,7 @@ Conventions used throughout the package:
 - A pair of distinct, non-orthogonal states is parametrized by
   theta = arccos|⟨u|v⟩| in the open interval (0, π/2) and phi = arg⟨u|v⟩.
 - States carry their constructed global phase (the u states carry e^{-i phi});
-  physical comparisons go through :func:`fidelity`, which ignores phase.
+  physical comparisons use |overlap|², which ignores it.
 
 Two state families are provided: the x-z Bloch-plane pair (u, v) with the
 companion state vbar orthogonal to v inside span{u, v}, and the pair (u, v)
@@ -53,14 +53,8 @@ class PureState:
         return np.array([self.amp_plus, self.amp_minus], dtype=complex)
 
     def to_json(self) -> list[list[float]]:
-        """Amplitudes as [re, im] pairs (full double precision round-trips)."""
+        """Amplitudes as [re, im] pairs at full double precision."""
         return [[z.real, z.imag] for z in (self.amp_plus, self.amp_minus)]
-
-    @classmethod
-    def from_json(cls, pairs) -> "PureState":
-        if len(pairs) != 2:
-            raise ValidationError(f"PureState needs 2 amplitude pairs, got {len(pairs)}")
-        return cls(*(complex(re, im) for re, im in pairs))
 
 
 @dataclass(frozen=True)
@@ -81,15 +75,6 @@ class JointState:
     @property
     def vector(self) -> np.ndarray:
         return np.array(self.amps, dtype=complex)
-
-    def to_json(self) -> list[list[float]]:
-        return [[a.real, a.imag] for a in self.amps]
-
-    @classmethod
-    def from_json(cls, pairs) -> "JointState":
-        if len(pairs) != 4:
-            raise ValidationError(f"JointState needs 4 amplitude pairs, got {len(pairs)}")
-        return cls(tuple(complex(re, im) for re, im in pairs))
 
     @classmethod
     def from_vector(cls, vec: np.ndarray) -> "JointState":
@@ -145,13 +130,6 @@ def joint_overlap(x: JointState, y: JointState) -> complex:
     return complex(np.vdot(x.vector, y.vector))
 
 
-def fidelity(x, y) -> float:
-    """Phase-insensitive |⟨x|y⟩|² for two states of the same kind."""
-    if isinstance(x, PureState):
-        return abs(overlap(x, y)) ** 2
-    return abs(joint_overlap(x, y)) ** 2
-
-
 def build_pair_xyz(p: OverlapParams) -> tuple[PureState, PureState, PureState]:
     """States (u, v, vbar) of the Bloch-plane family.
 
@@ -195,12 +173,3 @@ def tensor(a: PureState, b: PureState) -> JointState:
             a.amp_minus * b.amp_minus,
         )
     )
-
-
-def params_from_overlap(ov: complex) -> OverlapParams:
-    """Recover (theta, phi) from an overlap value cos(θ)·e^{i phi}."""
-    mag = abs(ov)
-    if mag > 1.0 + NORM_ATOL:
-        raise ValidationError(f"|overlap| = {mag!r} exceeds 1")
-    theta = math.acos(min(mag, 1.0))
-    return OverlapParams(theta=theta, phi=cmath.phase(ov) % TWO_PI)

@@ -131,6 +131,25 @@ class TestExitCodes:
         assert code == 3
         assert out == "" and "a + c" in err and "Traceback" not in err
 
+    def test_near_overflow_sums_agree_across_methods(self, capsys):
+        sums = []
+        for method in ("closed-form", "bisection"):
+            code, out, err = run_cli(
+                capsys, "solve", "--theta", "0.7", "--d", "8e307", "--split", "1e300",
+                "--method", method,
+            )
+            assert code == 0 and err == ""
+            sums.append(json.loads(out)["sum_ac"])
+        assert sums[1] == pytest.approx(sums[0], rel=1e-8)
+
+    @pytest.mark.parametrize("method", ["closed-form", "bisection"])
+    def test_split_lost_in_rounding_is_three(self, capsys, method):
+        code, out, err = run_cli(
+            capsys, "solve", "--theta", "0.7", "--d", "8e307", "--split", "2", "--method", method
+        )
+        assert code == 3
+        assert out == "" and "split" in err and "ulp" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_overflowing_spectrum_is_three(self, capsys, fmt):
         code, out, err = run_cli(

@@ -150,6 +150,28 @@ class TestOverflow:
         with pytest.raises(NonFiniteError, match=r"a \+ c = 2 d cot 2θ overflows"):
             solver(theta, d, 2.0)
 
+    @pytest.mark.parametrize(
+        "s, d", [(2.76e307, 8e307), (1.2e308, 1e308), (-1.7e308, 1e308), (1.0, 1.5e308)]
+    )
+    def test_mixing_angle_rescales_an_overflowing_sum(self, s, d):
+        # s + sqrt(s^2 + 4d^2) (or its s < 0 twin) overflows; the angle depends
+        # only on s/d, which scaling both by a power of two keeps exactly.
+        alpha = mixing_angle(s, d)
+        assert alpha == mixing_angle(s * 2.0**-600, d * 2.0**-600)
+        assert 0.0 <= alpha <= math.pi / 2
+
+    @pytest.mark.parametrize("solver", [solve_closed_form, solve_by_root_finding])
+    def test_near_overflow_couplings_meet_the_constraint(self, solver):
+        r = solver(0.7, 8e307, 1e300)
+        assert r.residual <= CLOSED_FORM_RESIDUAL_TOL
+        assert r.alpha == pytest.approx(math.pi / 2 - 0.7, abs=1e-12)
+
+    @pytest.mark.parametrize("solver", [solve_closed_form, solve_by_root_finding])
+    def test_split_below_the_spacing_of_the_sum_is_named(self, solver):
+        # a + c ~ 2.8e307 has ulp ~5e291, so a = (s + 2)/2 and c = (s - 2)/2 round equal.
+        with pytest.raises(SolverError, match=r"split = 2\.0 is lost in rounding.*ulp"):
+            solver(0.7, 8e307, 2.0)
+
 
 class TestScalingInvariance:
     def test_uniform_coupling_scale_leaves_alpha_fixed(self):

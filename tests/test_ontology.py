@@ -158,7 +158,8 @@ class TestLpFeasible:
                     x = np.array(result.x)
                     assert np.all(x >= 0.0) and np.all(x <= 1.0)
                     assert x.sum() == pytest.approx(1.0, abs=1e-12)
-                    assert all(x[k] == 0.0 for k in prob.zeroed_indices())
+                    labels = inst.outcome_labels
+                    assert all(x[labels.index(out)] == 0.0 for _, out in prob.forbidden)
         assert len(systems) == 16
 
     def test_each_zeroed_set_and_mode_is_decided_once_by_the_simplex(self, monkeypatch):
@@ -185,9 +186,14 @@ class TestLpFeasible:
         problems = [problem_from_zeroed(inst, combo) for r in range(5)
                     for combo in itertools.combinations(labels, r)]
         problems += [
-            dataclasses.replace(problems[0], zeroed=("e1",) * 50),
-            dataclasses.replace(problems[0], zeroed=("e4", "e2", "e4", "e1")),
-            dataclasses.replace(problems[0], outcome_labels=labels[::-1], zeroed=labels[1:]),
+            dataclasses.replace(problems[0], forbidden=(("u*u", "e1"),) * 50),
+            dataclasses.replace(
+                problems[0],
+                forbidden=(("v*u", "e4"), ("u*u", "e2"), ("u*vbar", "e4"), ("v*vbar", "e1")),
+            ),
+            dataclasses.replace(
+                problems[0], outcome_labels=labels[::-1], forbidden=tuple(zip("abc", labels[1:]))
+            ),
         ]
         for prob in problems:
             for exact in (False, True):
@@ -196,28 +202,17 @@ class TestLpFeasible:
         assert ontology._decide.cache_info().currsize <= 32
 
     def test_unknown_zeroed_label_is_a_validation_error(self):
-        prob = ontology.FeasibilityProblem(
-            outcome_labels=("e1", "e2", "e3", "e4"), zeroed=("zz",), supports=(),
-            variant="xyz", theta=0.5,
-        )
         with pytest.raises(ValidationError, match="'zz'"):
-            lp_feasible(prob)
+            ontology.FeasibilityProblem(
+                outcome_labels=("e1", "e2", "e3", "e4"), forbidden=(("u*u", "zz"),),
+                variant="xyz", theta=0.5,
+            )
 
-    @pytest.mark.parametrize(
-        "field, supports, variant",
-        [
-            ("zeroed", (), "xyz"),
-            ("variant", ("u*u", "u*vbar", "v*u", "v*vbar"), "abc"),
-            ("supports", ("u*u", "u*w", "v*u", "v*w"), "xyz"),
-        ],
-    )
-    def test_inconsistent_infeasible_problem_names_the_field(self, field, supports, variant):
-        prob = ontology.FeasibilityProblem(
-            outcome_labels=("e1", "e2", "e3", "e4"), zeroed=("e1", "e2", "e3", "e4"),
-            supports=supports, variant=variant, theta=0.5,
-        )
-        with pytest.raises(ValidationError, match=f"field '{field}'"):
-            lp_feasible(prob)
+    def test_repeated_outcome_label_is_a_validation_error(self):
+        with pytest.raises(ValidationError, match="4 distinct outcome labels"):
+            ontology.FeasibilityProblem(
+                outcome_labels=("e1", "e2", "e2", "e4"), forbidden=(), variant="xyz", theta=0.5
+            )
 
     def test_exact_rational_mode_agrees(self):
         inst = xyz_instance()

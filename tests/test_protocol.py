@@ -31,7 +31,6 @@ from pbrlab.protocol import (
     DEFAULT_B_CANDIDATES,
     CONSTRAINT_ATOL,
     default_couplings,
-    forbidden_map_for,
 )
 from pbrlab.rng import splitmix64, uniform
 
@@ -50,7 +49,7 @@ def soc_instance(theta=math.pi / 4, b=0.5):
 class TestMakeProtocol:
     def test_xyz_forbidden_map(self):
         inst = xyz_instance()
-        assert inst.forbidden_map == {
+        assert dict(inst.forbidden) == {
             "u*u": "e4",
             "u*vbar": "e2",
             "v*u": "e3",
@@ -61,7 +60,7 @@ class TestMakeProtocol:
         inst = make_protocol(
             Variant.SOC, OverlapParams(math.pi / 4), CouplingSet(1, 0.5, -1, 1)
         )
-        assert inst.forbidden_map == {
+        assert dict(inst.forbidden) == {
             "u*u": "e'2",
             "u*w": "e'4",
             "v*u": "e'3",
@@ -412,7 +411,7 @@ class TestTallyTableAndRates:
             seed=0,
             noise_eps=0.0,
             policy="roundrobin",
-            forbidden=forbidden_map_for(Variant.XYZ),
+            forbidden=xyz_instance().forbidden,
         )
 
     def test_count_total_must_match_runs(self):

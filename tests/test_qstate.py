@@ -17,7 +17,6 @@ from pbrlab import (
     build_pair_soc,
     build_pair_xyz,
     overlap,
-    params_from_overlap,
     tensor,
 )
 from pbrlab.qstate import joint_overlap
@@ -25,8 +24,7 @@ from pbrlab.qstate import joint_overlap
 PLUS = PureState(1.0, 0.0)
 MINUS = PureState(0.0, 1.0)
 
-# Safely inside (0, pi/2): the round-trip through acos loses ~eps/tan(theta)
-# near the endpoints.
+# Safely inside (0, pi/2), away from the endpoints.
 thetas = st.floats(min_value=1e-4, max_value=math.pi / 2 - 1e-4)
 phis = st.floats(min_value=0.0, max_value=2 * math.pi, exclude_max=True)
 
@@ -50,12 +48,6 @@ class TestStateTypes:
     def test_joint_state_needs_four_amplitudes(self):
         with pytest.raises(ValidationError, match="4 amplitudes"):
             JointState((1.0, 0.0))
-
-    def test_json_round_trip_is_exact(self):
-        u, _, _ = build_pair_xyz(OverlapParams(0.7, 1.3))
-        assert PureState.from_json(u.to_json()) == u
-        joint = tensor(u, u)
-        assert JointState.from_json(joint.to_json()) == joint
 
     @pytest.mark.parametrize("theta", [0.0, math.pi / 2, -0.3, 2.0])
     def test_theta_domain_is_open(self, theta):
@@ -126,15 +118,6 @@ class TestBuildPairXyz:
         u, v, _ = build_pair_xyz(OverlapParams(theta, phi))
         expected = math.cos(theta) * cmath.exp(1j * phi)
         assert overlap(u, v) == pytest.approx(expected, abs=1e-12)
-
-    @given(thetas, phis)
-    @settings(max_examples=100, deadline=None)
-    def test_round_trip_recovers_parameters(self, theta, phi):
-        u, v, _ = build_pair_xyz(OverlapParams(theta, phi))
-        p = params_from_overlap(overlap(u, v))
-        assert abs(p.theta - theta) <= 1e-10
-        dphi = abs(p.phi - phi) % (2 * math.pi)
-        assert min(dphi, 2 * math.pi - dphi) <= 1e-10
 
     @given(thetas, phis)
     @settings(max_examples=100, deadline=None)
