@@ -73,6 +73,12 @@ def _validate_inputs(theta: float, d: float, split: float) -> None:
 
 
 def _overflow(theta: float, d: float) -> NonFiniteError:
+    if math.isinf(2.0 * d):
+        # The eigenvalues lie 2 sqrt((a + c)² + 4d²) >= 4d apart, wider than the float range.
+        return NonFiniteError(
+            f"2d = 2 * {d!r} overflows: the spin-orbit eigenvalues -b ± sqrt((a + c)² + 4d²) "
+            f"lie at least 4d apart, so one exceeds the float range (theta = {theta!r})"
+        )
     return NonFiniteError(f"a + c = 2 d cot 2θ overflows at theta = {theta!r}, d = {d!r}")
 
 

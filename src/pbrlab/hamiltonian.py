@@ -13,6 +13,8 @@ Analytic spectra keep the protocol's outcome labels (e1..e4, e'1..e'4); the
 independent numeric route is LAPACK ``eigh`` (``zheevd``), which shares no
 code with the analytic formulas and orders eigenvalues ascending, so spectra
 from the two routes are matched by eigenvector fidelity, never by index.
+Both the numeric route and the matching work on (n, 4, 4) stacks, one
+``eigh`` call per stack; the single-spectrum functions are their n = 1 case.
 
 The protocols only need four *distinguishable* outcomes, so every spectrum
 operation enforces pairwise eigenvalue gaps above ``gap_tol`` (the
@@ -117,14 +119,24 @@ class Spectrum:
     alpha: float | None = None
 
 
+def hamiltonian_entries(a, b, c, d):
+    """a XX + b YY + c ZZ, plus d (XZ − ZX) unless d is None, summed left to right.
+
+    The couplings are floats for one matrix or (n, 1, 1) arrays for a stack;
+    both give the same bits per matrix.
+    """
+    exchange = a * _XX + b * _YY + c * _ZZ
+    return exchange if d is None else exchange + d * _XZ_MINUS_ZX
+
+
 def build_xyz(c: CouplingSet) -> HamiltonianMatrix:
     """a XX + b YY + c ZZ as an explicit matrix (any d on c is ignored)."""
-    return HamiltonianMatrix(c.a * _XX + c.b * _YY + c.c * _ZZ)
+    return HamiltonianMatrix(hamiltonian_entries(c.a, c.b, c.c, None))
 
 
 def build_soc(c: CouplingSet) -> HamiltonianMatrix:
     """The exchange matrix plus the antisymmetric term d (XZ − ZX)."""
-    return HamiltonianMatrix(build_xyz(c).entries + c.d_or_zero * _XZ_MINUS_ZX)
+    return HamiltonianMatrix(hamiltonian_entries(c.a, c.b, c.c, c.d_or_zero))
 
 
 def xyz_eigenvalues(c: CouplingSet) -> tuple[float, float, float, float]:
@@ -164,10 +176,14 @@ def soc_alpha(c: CouplingSet) -> float:
     return mixing_angle(c.a + c.c, d)
 
 
-def _check_gaps(values, labels, gap_tol: float) -> None:
+def _check_gaps(values, labels, gap_tol: float, where: str) -> None:
+    """Raise unless the four values are finite and pairwise ``gap_tol`` apart.
+
+    ``where`` prefixes the message (empty, or the matrix of a stack).
+    """
     overflowing = [f"{lab} = {val!r}" for lab, val in zip(labels, values) if not math.isfinite(val)]
     if overflowing:
-        raise NonFiniteError(f"spectrum overflows: {', '.join(overflowing)}")
+        raise NonFiniteError(f"{where}spectrum overflows: {', '.join(overflowing)}")
     if gap_tol <= 0.0:
         return
     colliding = [
@@ -182,7 +198,7 @@ def _check_gaps(values, labels, gap_tol: float) -> None:
             for li, lj in colliding
         )
         raise DegeneracyError(
-            f"degenerate spectrum (gap_tol={gap_tol}): {detail}",
+            f"{where}degenerate spectrum (gap_tol={gap_tol}): {detail}",
             pairs=tuple(colliding),
         )
 
@@ -193,7 +209,7 @@ def analytic_spectrum_xyz(c: CouplingSet, gap_tol: float = GAP_TOL) -> Spectrum:
         raise ValidationError(f"exchange variant requires d absent or zero, got d={c.d}")
     labels = ("e1", "e2", "e3", "e4")
     values = xyz_eigenvalues(c)
-    _check_gaps(values, labels, gap_tol)
+    _check_gaps(values, labels, gap_tol, "")
     return Spectrum(values, bell_states(), labels)
 
 
@@ -202,7 +218,7 @@ def analytic_spectrum_soc(c: CouplingSet, gap_tol: float = GAP_TOL) -> Spectrum:
     alpha = soc_alpha(c)  # raises DomainError at d = 0
     labels = ("e'1", "e'2", "e'3", "e'4")
     values = soc_eigenvalues(c)
-    _check_gaps(values, labels, gap_tol)
+    _check_gaps(values, labels, gap_tol, "")
     ca, sa = math.cos(alpha), math.sin(alpha)
     _, phi_minus, psi_plus, _ = bell_states()
     e3 = JointState((_RT2 * ca, _RT2 * sa, -_RT2 * sa, _RT2 * ca))
@@ -210,27 +226,66 @@ def analytic_spectrum_soc(c: CouplingSet, gap_tol: float = GAP_TOL) -> Spectrum:
     return Spectrum(values, (phi_minus, psi_plus, e3, e4), labels, alpha=alpha)
 
 
+_NUMERIC_LABELS = ("n1", "n2", "n3", "n4")
+_UPPER_PAIRS = np.triu_indices(4, 1)
+
+
+def _which(k: int, n: int) -> str:
+    """Message prefix naming matrix k of an n-stack; empty for a lone matrix."""
+    return f"matrix {k} of {n}: " if n > 1 else ""
+
+
+def numeric_spectra(entries, gap_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonalize an (n, 4, 4) Hermitian stack with one LAPACK ``eigh`` call.
+
+    Returns ``(values, vectors)``: values (n, 4), ascending per matrix, and
+    vectors (n, 4, 4) whose column j is the eigenvector of ``values[:, j]``,
+    gauged so its largest component is real and positive.  Every matrix gets
+    the checks of :func:`numeric_spectrum`; an error names the first failing
+    matrix of its kind.
+    """
+    m = np.asarray(entries, dtype=complex)
+    if m.ndim != 3 or m.shape[1:] != (4, 4):
+        raise ValidationError(f"expected an (n, 4, 4) stack, got shape {m.shape}")
+    n = len(m)
+    hermitian = (m == m.conj().swapaxes(1, 2)).all(axis=(1, 2))
+    if not hermitian.all():
+        k = int(np.argmin(hermitian))
+        raise ValidationError(f"{_which(k, n)}matrix is not Hermitian (entries != conjugate transpose)")
+    try:
+        values, vecs = np.linalg.eigh(m)
+    except np.linalg.LinAlgError as exc:  # LAPACK reports this for non-finite off-diagonals
+        raise ConvergenceError(f"eigh failed: {exc}") from exc
+    failing = ~np.isfinite(values).all(axis=1)
+    if gap_tol > 0.0:
+        i, j = _UPPER_PAIRS
+        failing |= (np.abs(values[:, i] - values[:, j]) < gap_tol).any(axis=1)
+    if failing.any():
+        k = int(np.argmax(failing))
+        _check_gaps(tuple(float(x) for x in values[k]), _NUMERIC_LABELS, gap_tol, _which(k, n))
+    rows = np.argmax(np.abs(vecs), axis=1)[:, np.newaxis, :]
+    pivots = np.take_along_axis(vecs, rows, axis=1)
+    return values, vecs * (np.abs(pivots) / pivots)
+
+
 def numeric_spectrum(m, gap_tol: float = GAP_TOL) -> Spectrum:
     """Diagonalize with LAPACK ``eigh``; independent of the analytic route.
 
-    Accepts a :class:`HamiltonianMatrix` or a raw 4x4 Hermitian array.
-    Eigenvalues are sorted ascending with labels n1..n4; each eigenvector is
-    gauged so its largest component is real and positive.  Passing
-    ``gap_tol=0`` skips the degeneracy check (the zero matrix is a legitimate
-    input for the solver even though no protocol can use it).
+    Accepts a :class:`HamiltonianMatrix` or a raw 4x4 Hermitian array; this is
+    the n = 1 case of :func:`numeric_spectra`.  Eigenvalues are sorted
+    ascending with labels n1..n4; each eigenvector is gauged so its largest
+    component is real and positive.  Passing ``gap_tol=0`` skips the
+    degeneracy check (the zero matrix is a legitimate input for the solver
+    even though no protocol can use it).
     """
     if not isinstance(m, HamiltonianMatrix):
         m = HamiltonianMatrix(m)
-    try:
-        values, vecs = np.linalg.eigh(m.entries)
-    except np.linalg.LinAlgError as exc:  # LAPACK reports this for non-finite off-diagonals
-        raise ConvergenceError(f"eigh failed: {exc}") from exc
-    labels = ("n1", "n2", "n3", "n4")
-    values = tuple(float(x) for x in values)
-    _check_gaps(values, labels, gap_tol)
-    pivots = vecs[np.argmax(np.abs(vecs), axis=0), range(4)]
-    vecs = vecs * (np.abs(pivots) / pivots)
-    return Spectrum(values, tuple(JointState.from_vector(v) for v in vecs.T), labels)
+    values, vecs = numeric_spectra(m.entries[np.newaxis], gap_tol)
+    return Spectrum(
+        tuple(float(x) for x in values[0]),
+        tuple(JointState.from_vector(v) for v in vecs[0].T),
+        _NUMERIC_LABELS,
+    )
 
 
 def evolve(s: JointState, spec: Spectrum, t: float) -> JointState:
@@ -257,20 +312,39 @@ class SpectrumPairing:
         return abs(self.analytic_eigenvalue - self.numeric_eigenvalue)
 
 
+def pair_stacks(
+    analytic_vectors: np.ndarray, numeric_vectors: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Match eigenvectors by fidelity across (n, 4, 4) stacks.
+
+    Row i of ``analytic_vectors[k]`` is an analytic eigenvector and column j of
+    ``numeric_vectors[k]`` a numeric one, as :func:`numeric_spectra` returns
+    them.  Returns ``(assignment, fidelity)``, both (n, 4): analytic i pairs
+    with numeric ``assignment[k, i]`` at fidelity |⟨a_i|n_j⟩|².  The match of
+    every matrix must be a bijection.
+    """
+    fid = np.abs(analytic_vectors.conj() @ numeric_vectors) ** 2
+    assignment = np.argmax(fid, axis=2)
+    bijective = (np.sort(assignment, axis=1) == np.arange(4)).all(axis=1)
+    if not bijective.all():
+        k = int(np.argmin(bijective))
+        raise LogicError(
+            f"{_which(k, len(fid))}fidelity pairing is not a bijection: {assignment[k].tolist()}"
+        )
+    return assignment, np.take_along_axis(fid, assignment[:, :, np.newaxis], axis=2)[:, :, 0]
+
+
 def pair_spectra(analytic: Spectrum, numeric: Spectrum) -> tuple[SpectrumPairing, ...]:
-    """Match spectra by eigenvector fidelity; requires the match to be a bijection."""
+    """Match spectra by eigenvector fidelity; the n = 1 case of :func:`pair_stacks`."""
     amat = np.array([v.vector for v in analytic.eigenvectors])
     nmat = np.array([v.vector for v in numeric.eigenvectors])
-    fid = np.abs(amat.conj() @ nmat.T) ** 2
-    assignment = [int(np.argmax(fid[i])) for i in range(4)]
-    if sorted(assignment) != [0, 1, 2, 3]:
-        raise LogicError(f"fidelity pairing is not a bijection: {assignment}")
+    assignment, fidelity = pair_stacks(amat[np.newaxis], nmat.T[np.newaxis])
     return tuple(
         SpectrumPairing(
             label=analytic.labels[i],
             analytic_eigenvalue=analytic.eigenvalues[i],
             numeric_eigenvalue=numeric.eigenvalues[j],
-            fidelity=float(fid[i, j]),
+            fidelity=float(f),
         )
-        for i, j in enumerate(assignment)
+        for i, (j, f) in enumerate(zip(assignment[0].tolist(), fidelity[0]))
     )

@@ -29,6 +29,7 @@ import contextlib
 import enum
 import math
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,7 @@ from .hamiltonian import (
     analytic_spectrum_xyz,
     build_soc,
     build_xyz,
+    hamiltonian_entries,
 )
 from .qstate import (
     JointState,
@@ -107,6 +109,13 @@ def analytic_spectrum(variant: Variant, couplings: CouplingSet, gap_tol: float) 
 def hamiltonian_matrix(variant: Variant, couplings: CouplingSet) -> HamiltonianMatrix:
     """The variant's Hamiltonian as an explicit matrix, for the numeric route."""
     return build_xyz(couplings) if Variant(variant) is Variant.XYZ else build_soc(couplings)
+
+
+def hamiltonian_stack(variant: Variant, couplings: Sequence[CouplingSet]) -> np.ndarray:
+    """The (n, 4, 4) stack of :func:`hamiltonian_matrix` entries, bit for bit."""
+    columns = np.array([(c.a, c.b, c.c, c.d_or_zero) for c in couplings], dtype=float).reshape(-1, 4).T
+    a, b, c, d = columns[:, :, np.newaxis, np.newaxis]
+    return hamiltonian_entries(a, b, c, None if Variant(variant) is Variant.XYZ else d)
 
 
 def default_couplings(variant: Variant, theta: float) -> CouplingSet:

@@ -22,6 +22,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -72,9 +73,12 @@ class JointState:
     def norm_sq(self) -> float:
         return float(sum(abs(a) ** 2 for a in self.amps))
 
-    @property
+    @cached_property
     def vector(self) -> np.ndarray:
-        return np.array(self.amps, dtype=complex)
+        """The amplitudes as a read-only array, built on first access."""
+        vec = np.array(self.amps, dtype=complex)
+        vec.setflags(write=False)
+        return vec
 
     @classmethod
     def from_vector(cls, vec: np.ndarray) -> "JointState":

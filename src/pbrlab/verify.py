@@ -23,15 +23,13 @@ from . import rng
 from .coupling_solver import solve_by_root_finding, solve_closed_form
 from .errors import DegeneracyError, PbrlabError
 from .hamiltonian import (
+    GAP_TOL,
     CouplingSet,
-    analytic_spectrum_soc,
-    analytic_spectrum_xyz,
+    Spectrum,
     bell_states,
-    build_soc,
-    build_xyz,
     evolve,
-    numeric_spectrum,
-    pair_spectra,
+    numeric_spectra,
+    pair_stacks,
     soc_alpha,
 )
 from .ontology import (
@@ -51,6 +49,7 @@ from .protocol import (
     born_probabilities,
     default_couplings,
     forbidden_rate,
+    hamiltonian_stack,
     make_protocol,
     orthogonality_residuals,
     simulate,
@@ -81,10 +80,13 @@ def _draws(seed: int, purpose: int, count: int, width: int) -> np.ndarray:
     return rng.run_uniforms(seed, purpose * 1_000_000, purpose * 1_000_000 + count, width)
 
 
-def _random_couplings(seed: int, purpose: int, n: int, variant: Variant) -> list[CouplingSet]:
+def _random_couplings(
+    seed: int, purpose: int, n: int, variant: Variant
+) -> list[tuple[CouplingSet, Spectrum]]:
     """n couplings uniform in [-3, 3) whose analytic spectrum has gaps >= 1e-3.
 
-    Spin-orbit rows draw d as a fourth coupling and skip |d| < 0.05.
+    Spin-orbit rows draw d as a fourth coupling and skip |d| < 0.05.  Each
+    coupling set comes with its analytic spectrum.
     """
     soc = variant is Variant.SOC
     out = []
@@ -95,22 +97,36 @@ def _random_couplings(seed: int, purpose: int, n: int, variant: Variant) -> list
             if soc and abs(c.d) < 0.05:
                 continue
             try:
-                analytic_spectrum(variant, c, _SAMPLE_MIN_GAP)
+                spectrum = analytic_spectrum(variant, c, _SAMPLE_MIN_GAP)
             except PbrlabError:
                 continue
-            out.append(c)
+            out.append((c, spectrum))
             if len(out) == n:
                 break
         block += 1
     return out
 
 
+def _numeric_agreement(
+    variant: Variant, sampled: list[tuple[CouplingSet, Spectrum]]
+) -> tuple[float, float]:
+    """Max |dE| and max infidelity of the sampled analytic spectra against ``eigh``.
+
+    All matrices go through one stacked ``eigh`` and one stacked pairing.
+    """
+    couplings = [c for c, _ in sampled]
+    values, vectors = numeric_spectra(hamiltonian_stack(variant, couplings), GAP_TOL)
+    analytic_values = np.array([spec.eigenvalues for _, spec in sampled], dtype=float).reshape(-1, 4)
+    analytic_vectors = np.array(
+        [[v.vector for v in spec.eigenvectors] for _, spec in sampled], dtype=complex
+    ).reshape(-1, 4, 4)
+    assignment, fidelity = pair_stacks(analytic_vectors, vectors)
+    de = np.abs(analytic_values - np.take_along_axis(values, assignment, axis=1))
+    return float(np.max(de, initial=0.0)), float(np.max(1.0 - fidelity, initial=0.0))
+
+
 def check_xyz_spectrum(seed: int, n: int = 250) -> CheckResult:
-    max_de, max_infid = 0.0, 0.0
-    for c in _random_couplings(seed, 10, n, Variant.XYZ):
-        pairs = pair_spectra(analytic_spectrum_xyz(c), numeric_spectrum(build_xyz(c)))
-        max_de = max(max_de, max(p.abs_diff for p in pairs))
-        max_infid = max(max_infid, max(1.0 - p.fidelity for p in pairs))
+    max_de, max_infid = _numeric_agreement(Variant.XYZ, _random_couplings(seed, 10, n, Variant.XYZ))
     ok = max_de <= 1e-10 and max_infid <= 1e-10
     return CheckResult(
         "xyz-spectrum-agreement",
@@ -120,14 +136,12 @@ def check_xyz_spectrum(seed: int, n: int = 250) -> CheckResult:
 
 
 def check_soc_spectrum(seed: int, n: int = 250) -> CheckResult:
-    max_de, max_infid, max_cross = 0.0, 0.0, 0.0
+    sampled = _random_couplings(seed, 20, n, Variant.SOC)
+    max_de, max_infid = _numeric_agreement(Variant.SOC, sampled)
+    max_cross = 0.0
     bells = bell_states()
     exact_fixed = True
-    for c in _random_couplings(seed, 20, n, Variant.SOC):
-        spec = analytic_spectrum_soc(c)
-        pairs = pair_spectra(spec, numeric_spectrum(build_soc(c)))
-        max_de = max(max_de, max(p.abs_diff for p in pairs))
-        max_infid = max(max_infid, max(1.0 - p.fidelity for p in pairs))
+    for _, spec in sampled:
         exact_fixed = exact_fixed and spec.eigenvectors[0].amps == bells[1].amps
         exact_fixed = exact_fixed and spec.eigenvectors[1].amps == bells[2].amps
         cross = abs(np.vdot(spec.eigenvectors[2].vector, spec.eigenvectors[3].vector))

@@ -17,7 +17,6 @@ from pbrlab import (
     CouplingSet,
     OverlapParams,
     Variant,
-    analytic_spectrum_soc,
     bell_states,
     build_soc,
     make_protocol,
@@ -42,8 +41,7 @@ def test_criterion_2_soc_spectrum_oracle():
     """Spin-orbit spectrum vs LAPACK `eigh`; fixed eigenvectors exact; block diagonalized."""
     pair = np.array([b.vector for b in bell_states()])[[0, 3]]  # (Phi+, Psi-)
     max_res, max_off = 0.0, 0.0
-    for c in verify._random_couplings(202, 20, 1000, Variant.SOC):
-        spec = analytic_spectrum_soc(c)
+    for c, spec in verify._random_couplings(202, 20, 1000, Variant.SOC):
         h = build_soc(c).entries
         for value, vec in zip(spec.eigenvalues, spec.eigenvectors):
             max_res = max(max_res, float(np.max(np.abs(h @ vec.vector - value * vec.vector))))

@@ -131,6 +131,24 @@ class TestExitCodes:
         assert code == 3
         assert out == "" and "a + c" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("method", ["closed-form", "bisection"])
+    def test_overflowing_eigenvalues_at_quarter_pi_are_three(self, capsys, method):
+        code, out, err = run_cli(
+            capsys, "solve", "--theta", "0.7853981633974483", "--d", "1e308", "--split", "2",
+            "--b", "0.5", "--method", method,
+        )
+        assert code == 3
+        assert out == "" and "2d = 2 * 1e+308 overflows: the spin-orbit eigenvalues" in err
+
+    @pytest.mark.parametrize("method", ["closed-form", "bisection"])
+    def test_largest_finite_2d_at_quarter_pi_solves(self, capsys, method):
+        code, out, err = run_cli(
+            capsys, "solve", "--theta", "0.7853981633974483", "--d", "8e307", "--split", "1e292",
+            "--b", "0.5", "--method", method,
+        )
+        assert code == 0 and err == ""
+        assert json.loads(out)["residual"] <= 1e-12
+
     def test_near_overflow_sums_agree_across_methods(self, capsys):
         sums = []
         for method in ("closed-form", "bisection"):

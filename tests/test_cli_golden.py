@@ -43,7 +43,9 @@ CASES = {
     "bound": ["bound", "--eps", "0.01"],
     "run_csv": XYZ_RUN,
     "run_json": [*XYZ_RUN, "--format", "json"],
+    "verify_all_seed0": ["verify-all", "--seed", "0"],
     "verify_all_seed42": ["verify-all", "--seed", "42"],
+    "verify_all_seed18446744073709551615": ["verify-all", "--seed", "18446744073709551615"],
 }
 
 

@@ -136,19 +136,27 @@ class TestNearHalfPi:
         assert mixing_angle(-s, 1.0) == pytest.approx(math.pi / 2 + 1.0 / s, rel=1e-15)
 
 
+_EIGENVALUES_OVERFLOW = r"2d = 2 \* 1e\+308 overflows: the spin-orbit eigenvalues"
+
+
 class TestOverflow:
     @pytest.mark.parametrize(
-        "solver, theta, d",
+        "solver, theta, d, message",
         [
-            (solve_closed_form, 0.7, 1e308),  # 2d overflows
-            (solve_by_root_finding, 0.7, 1e308),
-            (solve_closed_form, 1e-300, 1e10),  # cot 2theta overflows the product
+            (solve_closed_form, 0.7, 1e308, _EIGENVALUES_OVERFLOW),  # 2d overflows
+            (solve_by_root_finding, 0.7, 1e308, _EIGENVALUES_OVERFLOW),
+            (solve_closed_form, 1e-300, 1e10, r"a \+ c = 2 d cot 2θ overflows"),  # cot 2theta does
+            # a + c ~ 1.2e292 is small here, but the eigenvalues -b ± sqrt((a+c)² + 4d²)
+            # lie >= 4d ~ 4e308 apart, so no float pair holds them.
+            (solve_closed_form, math.pi / 4, 1e308, _EIGENVALUES_OVERFLOW),
+            (solve_by_root_finding, math.pi / 4, 1e308, _EIGENVALUES_OVERFLOW),
         ],
-        ids=["closed-form-2d", "bisection-2d", "closed-form-cot"],
+        ids=["closed-form-2d", "bisection-2d", "closed-form-cot", "closed-form-2d-quarter-pi",
+             "bisection-2d-quarter-pi"],
     )
-    def test_overflowing_sum_is_a_non_finite_error(self, solver, theta, d):
-        with pytest.raises(NonFiniteError, match=r"a \+ c = 2 d cot 2θ overflows"):
-            solver(theta, d, 2.0)
+    def test_overflowing_sum_is_a_non_finite_error(self, solver, theta, d, message):
+        with pytest.raises(NonFiniteError, match=message):
+            solver(theta, d, 2.0, b=0.5)
 
     @pytest.mark.parametrize(
         "s, d", [(2.76e307, 8e307), (1.2e308, 1e308), (-1.7e308, 1e308), (1.0, 1.5e308)]

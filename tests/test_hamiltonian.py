@@ -7,11 +7,14 @@ import numpy as np
 import pytest
 
 from pbrlab import (
+    GAP_TOL,
     ConvergenceError,
     CouplingSet,
     DegeneracyError,
     DomainError,
     HamiltonianMatrix,
+    JointState,
+    LogicError,
     NonFiniteError,
     OverlapParams,
     ValidationError,
@@ -22,16 +25,40 @@ from pbrlab import (
     build_soc,
     build_xyz,
     evolve,
+    numeric_spectra,
     numeric_spectrum,
     pair_spectra,
+    pair_stacks,
     tensor,
 )
 from pbrlab.hamiltonian import PAULI_X, PAULI_Y, PAULI_Z, soc_alpha
+from pbrlab.protocol import Variant, hamiltonian_stack
 
 
 def random_hermitian(rng):
     m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     return (m + m.conj().T) / 2
+
+
+def random_hermitian_stack(rng, n):
+    m = rng.normal(size=(n, 4, 4)) + 1j * rng.normal(size=(n, 4, 4))
+    return (m + m.conj().swapaxes(1, 2)) / 2
+
+
+def random_couplings(rng, n, spin_orbit):
+    return [CouplingSet(*rng.uniform(-3, 3, size=4 if spin_orbit else 3)) for _ in range(n)]
+
+
+def gauged_eigh(m):
+    """The per-matrix reference: LAPACK eigh, then each column's largest component made real positive."""
+    values, vecs = np.linalg.eigh(m)
+    pivots = vecs[np.argmax(np.abs(vecs), axis=0), range(4)]
+    return values, vecs * (np.abs(pivots) / pivots)
+
+
+def same_bits(x, y) -> bool:
+    x, y = np.asarray(x), np.asarray(y)
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
 def residual(matrix, spectrum) -> float:
@@ -236,6 +263,103 @@ class TestNumericSpectrum:
         m[0, 1] = m[1, 0] = np.inf
         with pytest.raises(ConvergenceError, match="eigh"):
             numeric_spectrum(m)
+
+
+class TestNumericSpectra:
+    @pytest.mark.parametrize("variant, build", [(Variant.XYZ, build_xyz), (Variant.SOC, build_soc)])
+    def test_stack_entries_are_the_builders_bits(self, variant, build):
+        couplings = random_couplings(np.random.default_rng(3), 200, variant is Variant.SOC)
+        stack = hamiltonian_stack(variant, couplings)
+        assert stack.shape == (200, 4, 4)
+        for k, c in enumerate(couplings):
+            assert same_bits(stack[k], build(c).entries)
+
+    @pytest.mark.parametrize("source", ["xyz", "soc", "raw"])
+    def test_stack_matches_per_matrix_eigh_bit_for_bit(self, source):
+        rng = np.random.default_rng(31)
+        if source == "raw":
+            stack = random_hermitian_stack(rng, 500)
+        else:
+            variant = Variant(source)
+            stack = hamiltonian_stack(variant, random_couplings(rng, 500, variant is Variant.SOC))
+        values, vectors = numeric_spectra(stack, 0.0)
+        for k, m in enumerate(stack):
+            ref_values, ref_vectors = gauged_eigh(m)
+            assert same_bits(values[k], ref_values)
+            assert same_bits(vectors[k], ref_vectors)
+
+    def test_one_matrix_equals_numeric_spectrum(self):
+        h = random_hermitian(np.random.default_rng(5))
+        values, vectors = numeric_spectra(h[np.newaxis], 0.0)
+        spec = numeric_spectrum(h, gap_tol=0.0)
+        assert spec.eigenvalues == tuple(values[0].tolist())
+        assert spec.eigenvectors == tuple(JointState.from_vector(v) for v in vectors[0].T)
+
+    def test_empty_stack(self):
+        values, vectors = numeric_spectra(np.zeros((0, 4, 4)), GAP_TOL)
+        assert values.shape == (0, 4) and vectors.shape == (0, 4, 4)
+
+    @pytest.mark.parametrize("shape", [(4, 4), (2, 3, 3), (2, 4, 4, 1)])
+    def test_wrong_shape_is_rejected(self, shape):
+        with pytest.raises(ValidationError, match=r"\(n, 4, 4\) stack"):
+            numeric_spectra(np.zeros(shape), 0.0)
+
+    def test_non_hermitian_matrix_is_named(self):
+        stack = random_hermitian_stack(np.random.default_rng(8), 5)
+        stack[3, 0, 1] += 1.0
+        with pytest.raises(ValidationError, match=r"^matrix 3 of 5: matrix is not Hermitian"):
+            numeric_spectra(stack, 0.0)
+
+    def test_non_finite_matrix_is_named_with_the_single_wording(self):
+        stack = random_hermitian_stack(np.random.default_rng(9), 4)
+        stack[2] = np.diag([np.inf, 1.0, 2.0, 3.0])
+        with pytest.raises(NonFiniteError) as single:
+            numeric_spectrum(stack[2])
+        with pytest.raises(NonFiniteError) as stacked:
+            numeric_spectra(stack, GAP_TOL)
+        assert str(stacked.value) == f"matrix 2 of 4: {single.value}"
+
+    def test_lapack_failure_on_a_stack_is_a_typed_error(self):
+        stack = random_hermitian_stack(np.random.default_rng(10), 3)
+        stack[1] = 0.0
+        stack[1, 0, 1] = stack[1, 1, 0] = np.inf
+        with pytest.raises(ConvergenceError, match="eigh failed"):
+            numeric_spectra(stack, GAP_TOL)
+
+    def test_degenerate_matrix_is_named_with_the_single_wording(self):
+        couplings = [CouplingSet(1, 2, 3), CouplingSet(1, 2, 2), CouplingSet(0, 0, 0)]
+        stack = hamiltonian_stack(Variant.XYZ, couplings)
+        with pytest.raises(DegeneracyError) as single:
+            numeric_spectrum(stack[1])
+        with pytest.raises(DegeneracyError) as stacked:
+            numeric_spectra(stack, GAP_TOL)
+        assert str(stacked.value) == f"matrix 1 of 3: {single.value}"
+        assert stacked.value.pairs == single.value.pairs
+
+    def test_gap_tol_zero_skips_the_gap_check(self):
+        values, _ = numeric_spectra(np.zeros((2, 4, 4)), 0.0)
+        assert not values.any()
+
+
+class TestPairStacks:
+    def test_stack_equals_per_spectrum_pairing(self):
+        couplings = random_couplings(np.random.default_rng(12), 100, True)
+        values, vectors = numeric_spectra(hamiltonian_stack(Variant.SOC, couplings), 0.0)
+        analytic = [analytic_spectrum_soc(c, gap_tol=0.0) for c in couplings]
+        assignment, fidelity = pair_stacks(
+            np.array([[v.vector for v in spec.eigenvectors] for spec in analytic]), vectors
+        )
+        for k, (c, spec) in enumerate(zip(couplings, analytic)):
+            pairs = pair_spectra(spec, numeric_spectrum(build_soc(c), gap_tol=0.0))
+            assert [p.numeric_eigenvalue for p in pairs] == values[k, assignment[k]].tolist()
+            assert [p.fidelity for p in pairs] == fidelity[k].tolist()
+
+    def test_non_bijective_match_is_named(self):
+        bells = np.array([v.vector for v in bell_states()])
+        analytic = np.stack([bells, bells[[0, 0, 2, 3]]])
+        message = r"^matrix 1 of 2: fidelity pairing is not a bijection: \[0, 0, 2, 3\]$"
+        with pytest.raises(LogicError, match=message):
+            pair_stacks(analytic, np.stack([bells.T, bells.T]))
 
 
 class TestSpectrumPairing:

@@ -49,6 +49,27 @@ class TestStateTypes:
         with pytest.raises(ValidationError, match="4 amplitudes"):
             JointState((1.0, 0.0))
 
+    def test_joint_state_vector_is_read_only(self):
+        state = JointState((0.6, 0.0, 0.0, 0.8j))
+        with pytest.raises(ValueError, match="read-only"):
+            state.vector[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            state.vector *= 2.0
+        assert np.array_equal(state.vector, [0.6, 0.0, 0.0, 0.8j])
+
+    def test_joint_state_vector_repeats_its_values(self):
+        state = JointState((0.6, 0.0, 0.0, 0.8j))
+        first = state.vector
+        assert state.vector is first
+        assert np.array_equal(state.vector, np.array(state.amps, dtype=complex))
+
+    def test_joint_state_identity_depends_only_on_amps(self):
+        seen, fresh = JointState((0.6, 0.0, 0.0, 0.8j)), JointState((0.6, 0.0, 0.0, 0.8j))
+        seen.vector  # noqa: B018 - fills the per-instance cache
+        assert seen == fresh and hash(seen) == hash(fresh)
+        assert {seen: 1}[fresh] == 1
+        assert seen != JointState((0.8, 0.0, 0.0, 0.6j))
+
     @pytest.mark.parametrize("theta", [0.0, math.pi / 2, -0.3, 2.0])
     def test_theta_domain_is_open(self, theta):
         with pytest.raises(DomainError, match="theta"):

@@ -1,0 +1,71 @@
+"""The stacked spectrum checks of ``verify-all`` against a per-matrix reference.
+
+The reference loop below is the route the checks took one matrix at a time:
+build the matrix, LAPACK ``eigh``, gauge, pair by fidelity.  The stacked
+checks must report the same text, digit for digit.
+"""
+
+import numpy as np
+import pytest
+
+from pbrlab import bell_states, build_soc, build_xyz, verify
+from pbrlab.protocol import Variant
+from pbrlab.verify import CheckResult
+
+
+def per_matrix_agreement(spectrum, matrix) -> tuple[float, float]:
+    """Max |dE| and max infidelity of one analytic spectrum against its own eigh."""
+    values, vecs = np.linalg.eigh(matrix)
+    pivots = vecs[np.argmax(np.abs(vecs), axis=0), range(4)]
+    vecs = vecs * (np.abs(pivots) / pivots)
+    amat = np.array([v.vector for v in spectrum.eigenvectors])
+    fid = np.abs(amat.conj() @ vecs) ** 2
+    assignment = [int(np.argmax(fid[i])) for i in range(4)]
+    assert sorted(assignment) == [0, 1, 2, 3]
+    de = max(abs(spectrum.eigenvalues[i] - float(values[j])) for i, j in enumerate(assignment))
+    infid = max(1.0 - float(fid[i, j]) for i, j in enumerate(assignment))
+    return de, infid
+
+
+def reference_xyz(seed: int, n: int) -> CheckResult:
+    max_de, max_infid = 0.0, 0.0
+    for c, spec in verify._random_couplings(seed, 10, n, Variant.XYZ):
+        de, infid = per_matrix_agreement(spec, build_xyz(c).entries)
+        max_de, max_infid = max(max_de, de), max(max_infid, infid)
+    return CheckResult(
+        "xyz-spectrum-agreement",
+        max_de <= 1e-10 and max_infid <= 1e-10,
+        f"{n} random couplings, max |dE| {max_de:.3e}, max infidelity {max_infid:.3e}",
+    )
+
+
+def reference_soc(seed: int, n: int) -> CheckResult:
+    max_de, max_infid, max_cross = 0.0, 0.0, 0.0
+    bells = bell_states()
+    exact_fixed = True
+    for c, spec in verify._random_couplings(seed, 20, n, Variant.SOC):
+        de, infid = per_matrix_agreement(spec, build_soc(c).entries)
+        max_de, max_infid = max(max_de, de), max(max_infid, infid)
+        exact_fixed = exact_fixed and spec.eigenvectors[0].amps == bells[1].amps
+        exact_fixed = exact_fixed and spec.eigenvectors[1].amps == bells[2].amps
+        cross = abs(np.vdot(spec.eigenvectors[2].vector, spec.eigenvectors[3].vector))
+        max_cross = max(max_cross, float(cross))
+    return CheckResult(
+        "soc-spectrum-agreement",
+        max_de <= 1e-10 and max_infid <= 1e-10 and exact_fixed and max_cross <= 1e-12,
+        f"{n} random couplings, max |dE| {max_de:.3e}, max infidelity {max_infid:.3e}, "
+        f"fixed Bell eigenvectors exact: {exact_fixed}, max |<e'3|e'4>| {max_cross:.3e}",
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 3, 42, 2**64 - 1])
+@pytest.mark.parametrize("n", [1, 7, 40])
+def test_stacked_spectrum_checks_equal_the_per_matrix_loop(seed, n):
+    assert verify.check_xyz_spectrum(seed, n=n) == reference_xyz(seed, n)
+    assert verify.check_soc_spectrum(seed, n=n) == reference_soc(seed, n)
+
+
+def test_sampled_spectra_are_the_analytic_ones():
+    for variant in Variant:
+        for c, spec in verify._random_couplings(5, 10, 20, variant):
+            assert spec == verify.analytic_spectrum(variant, c, verify._SAMPLE_MIN_GAP)
