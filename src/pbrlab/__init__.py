@@ -22,18 +22,13 @@ from .errors import (
 from .hamiltonian import (
     GAP_TOL,
     CouplingSet,
-    HamiltonianMatrix,
     Spectrum,
     analytic_spectrum_soc,
     analytic_spectrum_xyz,
     bell_states,
-    build_soc,
-    build_xyz,
     evolve,
-    numeric_spectra,
     numeric_spectrum,
     pair_spectra,
-    pair_stacks,
 )
 from .ontology import (
     FeasibilityDecision,
@@ -82,7 +77,6 @@ __all__ = [
     "FeasibilityProblem",
     "ForbiddenRates",
     "GAP_TOL",
-    "HamiltonianMatrix",
     "JointState",
     "LogicError",
     "NonFiniteError",
@@ -107,20 +101,16 @@ __all__ = [
     "build_pair_soc",
     "build_pair_xyz",
     "build_problem",
-    "build_soc",
-    "build_xyz",
     "deduce",
     "evolve",
     "forbidden_rate",
     "lp_feasible",
     "make_protocol",
-    "numeric_spectra",
     "numeric_spectrum",
     "orthogonality_residuals",
     "overlap",
     "overlap_bound",
     "pair_spectra",
-    "pair_stacks",
     "problem_from_zeroed",
     "simulate",
     "solve_by_root_finding",

@@ -4,12 +4,14 @@ Subcommands: states, spectrum, solve, run, feasibility, bound, verify-all.
 Results go to standard out (JSON or CSV), diagnostics to standard error.
 
 Exit codes: 0 success; 1 verification failure; 2 usage or configuration
-error, including a standard output closed before the result was written, a
-non-finite phi and a negative or non-finite tolerance; 3 numeric failure
-(degeneracy, non-convergence, violated coupling constraint, a result or a
-coupling sum a + c that overflows).  JSON output is strict: it never holds
-NaN or Infinity.  States, spectra, matrices and default couplings come from
-:mod:`pbrlab.protocol`, the one module that knows how the variants differ.
+error, including a standard output closed before the result was written; a
+package error exits with its ``exit_code`` (see :mod:`pbrlab.errors`): 2 for
+invalid input (a non-finite phi, a negative tolerance), 3 for a numeric
+failure (degeneracy, a violated coupling constraint, a result or a coupling
+sum a + c that overflows), 1 for a logic error.  JSON output is strict: it
+never holds NaN or Infinity.  States, spectra, Hamiltonian stacks and default
+couplings come from :mod:`pbrlab.protocol`, the one module that knows how the
+variants differ.
 
 Angles are radians unless ``--deg`` is given.  ``--config FILE`` reads a flat
 ``key = value`` file of the subcommand's long options (``gap_tol`` or
@@ -32,17 +34,8 @@ import sys
 from pathlib import Path
 
 from .coupling_solver import solve_by_root_finding, solve_closed_form
-from .errors import (
-    ConstraintError,
-    ConvergenceError,
-    DegeneracyError,
-    DomainError,
-    LogicError,
-    NonFiniteError,
-    SolverError,
-    ValidationError,
-)
-from .hamiltonian import GAP_TOL, CouplingSet, numeric_spectrum, pair_spectra
+from .errors import DegeneracyError, LogicError, NonFiniteError, PbrlabError, ValidationError
+from .hamiltonian import GAP_TOL, CouplingSet, Spectrum
 from .ontology import (
     SupportProfile,
     build_problem,
@@ -57,8 +50,8 @@ from .protocol import (
     analytic_spectrum,
     default_couplings,
     forbidden_rate,
-    hamiltonian_matrix,
     make_protocol,
+    numeric_pairing,
     simulate,
     state_family,
 )
@@ -66,9 +59,8 @@ from .qstate import OverlapParams, overlap
 from .verify import run_all
 
 EXIT_OK = 0
-EXIT_VERIFY = 1
-EXIT_CONFIG = 2
-EXIT_NUMERIC = 3
+EXIT_VERIFY = LogicError.exit_code
+EXIT_CONFIG = ValidationError.exit_code
 
 _BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
                "0": False, "false": False, "no": False, "off": False}
@@ -136,7 +128,8 @@ def _params(ns: argparse.Namespace) -> OverlapParams:
     return OverlapParams(theta=_angle(ns.theta, ns.deg), phi=_angle(ns.phi, ns.deg))
 
 
-def _couplings(ns: argparse.Namespace, variant: Variant, theta: float) -> CouplingSet:
+def _couplings(ns: argparse.Namespace, variant: Variant, theta: float | None) -> CouplingSet:
+    """The couplings given, or the variant's defaults at theta when none are."""
     if all(getattr(ns, k) is None for k in ("a", "b", "c", "d")):
         return default_couplings(variant, theta)
     for k in ("a", "b", "c"):
@@ -199,13 +192,29 @@ def _cmd_states(ns: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _unpaired(analytic: Spectrum, gap_tol: float) -> DegeneracyError:
+    """A degeneracy error naming the closest label pairs of ``analytic``."""
+    e, labels = analytic.eigenvalues, analytic.labels
+    gaps = {(labels[i], labels[j]): abs(e[i] - e[j]) for i, j in itertools.combinations(range(4), 2)}
+    closest = min(gaps.values())
+    tied = tuple(pair for pair, gap in gaps.items() if gap == closest)
+    return DegeneracyError(
+        f"degenerate spectrum (gap_tol={gap_tol}): {', '.join(f'{i} and {j}' for i, j in tied)} "
+        f"lie {closest!r} apart, too close to pair their eigenvectors",
+        pairs=tied,
+    )
+
+
 def _cmd_spectrum(ns: argparse.Namespace) -> int:
     variant = Variant(ns.variant)
     gap_tol = _tolerance(ns, "gap_tol")
-    couplings = CouplingSet(a=ns.a, b=ns.b, c=ns.c, d=ns.d)
+    couplings = _couplings(ns, variant, None)  # a, b and c are required: no defaults
     analytic = analytic_spectrum(variant, couplings, gap_tol)
-    numeric = numeric_spectrum(hamiltonian_matrix(variant, couplings), gap_tol=gap_tol)
-    pairs = pair_spectra(analytic, numeric)
+    try:
+        numeric, fidelity = numeric_pairing(variant, [(couplings, analytic)], gap_tol)
+    except LogicError:  # only eigenvalues too close for eigh to resolve, let through by gap_tol
+        raise _unpaired(analytic, gap_tol) from None
+    rows = zip(analytic.labels, analytic.eigenvalues, numeric[0].tolist(), fidelity[0].tolist())
     if ns.format == "json":
         _print_json(
             {
@@ -213,22 +222,16 @@ def _cmd_spectrum(ns: argparse.Namespace) -> int:
                 "couplings": {"a": couplings.a, "b": couplings.b, "c": couplings.c, "d": couplings.d},
                 "alpha": analytic.alpha,
                 "rows": [
-                    {
-                        "label": p.label,
-                        "analytic_E": p.analytic_eigenvalue,
-                        "numeric_E": p.numeric_eigenvalue,
-                        "abs_diff": p.abs_diff,
-                        "fidelity": p.fidelity,
-                    }
-                    for p in pairs
+                    {"label": label, "analytic_E": e, "numeric_E": n, "abs_diff": abs(e - n), "fidelity": f}
+                    for label, e, n, f in rows
                 ],
             }
         )
     else:
         writer = _csv_writer()
         writer.writerow(["label", "analytic_E", "numeric_E", "abs_diff"])
-        for p in pairs:
-            writer.writerow([p.label, p.analytic_eigenvalue, p.numeric_eigenvalue, p.abs_diff])
+        for label, e, n, _ in rows:
+            writer.writerow([label, e, n, abs(e - n)])
     return EXIT_OK
 
 
@@ -469,15 +472,10 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print("error: standard output was closed before the result was written", file=sys.stderr)
         return EXIT_CONFIG
-    except (DomainError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (DegeneracyError, ConvergenceError, SolverError, ConstraintError, NonFiniteError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except LogicError as exc:
-        print(f"internal verification failure: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
+    except PbrlabError as exc:
+        kind = "internal verification failure" if isinstance(exc, LogicError) else "error"
+        print(f"{kind}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

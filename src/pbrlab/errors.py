@@ -1,8 +1,10 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto process exit codes: configuration problems exit 2,
-numeric failures (degeneracy, non-convergence, unsatisfied coupling
-constraints, results that overflow) exit 3, verification failures exit 1.
+Each class carries the CLI's process exit code for it as ``exit_code``:
+invalid input (validation and domain errors) exits 2; numeric failures
+(degeneracy, non-convergence, an unsatisfied coupling constraint, a result
+that overflows, a failed coupling solver) exit 3; a logic error, an internal
+verification failure, exits 1.
 """
 
 from __future__ import annotations
@@ -11,9 +13,14 @@ from __future__ import annotations
 class PbrlabError(Exception):
     """Base class for all package errors."""
 
+    #: The CLI's exit code for this error; 1 unless a subclass says otherwise.
+    exit_code = 1
+
 
 class ValidationError(PbrlabError):
     """An input value violates a contract (unnormalized state, bad shape, ...)."""
+
+    exit_code = 2
 
 
 class DomainError(ValidationError):
@@ -23,6 +30,8 @@ class DomainError(ValidationError):
 class DegeneracyError(PbrlabError):
     """Two eigenvalues collide within the gap tolerance."""
 
+    exit_code = 3
+
     def __init__(self, message: str, pairs: tuple[tuple[str, str], ...] = ()):
         super().__init__(message)
         self.pairs = pairs
@@ -31,9 +40,13 @@ class DegeneracyError(PbrlabError):
 class ConvergenceError(PbrlabError):
     """An iterative numeric procedure exhausted its budget."""
 
+    exit_code = 3
+
 
 class ConstraintError(PbrlabError):
     """The spin-orbit coupling constraint cos(alpha + theta) = 0 is violated."""
+
+    exit_code = 3
 
     def __init__(self, message: str, residual: float | None = None):
         super().__init__(message)
@@ -43,10 +56,14 @@ class ConstraintError(PbrlabError):
 class NonFiniteError(PbrlabError):
     """A computed result overflowed to infinity or NaN."""
 
+    exit_code = 3
+
 
 class SolverError(PbrlabError):
     """A coupling solver failed (no bracket found, or the split lost in rounding)."""
 
+    exit_code = 3
+
 
 class LogicError(PbrlabError):
-    """An internal state the mathematics rules out; indicates a bug."""
+    """An internal state the mathematics rules out; indicates a bug (exit code 1)."""

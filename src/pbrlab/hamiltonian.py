@@ -13,8 +13,8 @@ Analytic spectra keep the protocol's outcome labels (e1..e4, e'1..e'4); the
 independent numeric route is LAPACK ``eigh`` (``zheevd``), which shares no
 code with the analytic formulas and orders eigenvalues ascending, so spectra
 from the two routes are matched by eigenvector fidelity, never by index.
-Both the numeric route and the matching work on (n, 4, 4) stacks, one
-``eigh`` call per stack; the single-spectrum functions are their n = 1 case.
+Both :func:`numeric_spectrum` and the matching, :func:`pair_spectra`, take
+(n, 4, 4) stacks, one ``eigh`` call per stack; a lone matrix is a stack of one.
 
 The protocols only need four *distinguishable* outcomes, so every spectrum
 operation enforces pairwise eigenvalue gaps above ``gap_tol`` (the
@@ -94,22 +94,6 @@ class CouplingSet:
 
 
 @dataclass(frozen=True)
-class HamiltonianMatrix:
-    """A 4x4 Hermitian matrix over the (++, +−, −+, −−) basis."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        m = np.array(self.entries, dtype=complex)
-        if m.shape != (4, 4):
-            raise ValidationError(f"expected a 4x4 matrix, got shape {m.shape}")
-        if not np.array_equal(m, m.conj().T):
-            raise ValidationError("matrix is not Hermitian (entries != conjugate transpose)")
-        m.setflags(write=False)
-        object.__setattr__(self, "entries", m)
-
-
-@dataclass(frozen=True)
 class Spectrum:
     """Four (eigenvalue, eigenvector) pairs plus the mixing angle when defined."""
 
@@ -127,16 +111,6 @@ def hamiltonian_entries(a, b, c, d):
     """
     exchange = a * _XX + b * _YY + c * _ZZ
     return exchange if d is None else exchange + d * _XZ_MINUS_ZX
-
-
-def build_xyz(c: CouplingSet) -> HamiltonianMatrix:
-    """a XX + b YY + c ZZ as an explicit matrix (any d on c is ignored)."""
-    return HamiltonianMatrix(hamiltonian_entries(c.a, c.b, c.c, None))
-
-
-def build_soc(c: CouplingSet) -> HamiltonianMatrix:
-    """The exchange matrix plus the antisymmetric term d (XZ − ZX)."""
-    return HamiltonianMatrix(hamiltonian_entries(c.a, c.b, c.c, c.d_or_zero))
 
 
 def xyz_eigenvalues(c: CouplingSet) -> tuple[float, float, float, float]:
@@ -235,14 +209,17 @@ def _which(k: int, n: int) -> str:
     return f"matrix {k} of {n}: " if n > 1 else ""
 
 
-def numeric_spectra(entries, gap_tol: float) -> tuple[np.ndarray, np.ndarray]:
+def numeric_spectrum(entries, gap_tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Diagonalize an (n, 4, 4) Hermitian stack with one LAPACK ``eigh`` call.
 
-    Returns ``(values, vectors)``: values (n, 4), ascending per matrix, and
-    vectors (n, 4, 4) whose column j is the eigenvector of ``values[:, j]``,
-    gauged so its largest component is real and positive.  Every matrix gets
-    the checks of :func:`numeric_spectrum`; an error names the first failing
-    matrix of its kind.
+    Independent of the analytic route.  Returns ``(values, vectors)``: values
+    (n, 4), ascending per matrix (labels n1..n4 in messages), and vectors
+    (n, 4, 4) whose column j is the eigenvector of ``values[:, j]``, gauged so
+    its largest component is real and positive.  Every matrix must be
+    Hermitian, diagonalize, and have finite eigenvalues pairwise ``gap_tol``
+    apart; ``gap_tol=0`` skips the gap check (the zero matrix is a legitimate
+    input for the solver even though no protocol can use it).  An error names
+    the first failing matrix of its kind.
     """
     m = np.asarray(entries, dtype=complex)
     if m.ndim != 3 or m.shape[1:] != (4, 4):
@@ -268,26 +245,6 @@ def numeric_spectra(entries, gap_tol: float) -> tuple[np.ndarray, np.ndarray]:
     return values, vecs * (np.abs(pivots) / pivots)
 
 
-def numeric_spectrum(m, gap_tol: float = GAP_TOL) -> Spectrum:
-    """Diagonalize with LAPACK ``eigh``; independent of the analytic route.
-
-    Accepts a :class:`HamiltonianMatrix` or a raw 4x4 Hermitian array; this is
-    the n = 1 case of :func:`numeric_spectra`.  Eigenvalues are sorted
-    ascending with labels n1..n4; each eigenvector is gauged so its largest
-    component is real and positive.  Passing ``gap_tol=0`` skips the
-    degeneracy check (the zero matrix is a legitimate input for the solver
-    even though no protocol can use it).
-    """
-    if not isinstance(m, HamiltonianMatrix):
-        m = HamiltonianMatrix(m)
-    values, vecs = numeric_spectra(m.entries[np.newaxis], gap_tol)
-    return Spectrum(
-        tuple(float(x) for x in values[0]),
-        tuple(JointState.from_vector(v) for v in vecs[0].T),
-        _NUMERIC_LABELS,
-    )
-
-
 def evolve(s: JointState, spec: Spectrum, t: float) -> JointState:
     """Apply exp(-iHt) through the spectral decomposition of H."""
     vec = s.vector
@@ -298,27 +255,13 @@ def evolve(s: JointState, spec: Spectrum, t: float) -> JointState:
     return JointState.from_vector(out)
 
 
-@dataclass(frozen=True)
-class SpectrumPairing:
-    """One matched (analytic, numeric) eigenpair."""
-
-    label: str
-    analytic_eigenvalue: float
-    numeric_eigenvalue: float
-    fidelity: float
-
-    @property
-    def abs_diff(self) -> float:
-        return abs(self.analytic_eigenvalue - self.numeric_eigenvalue)
-
-
-def pair_stacks(
+def pair_spectra(
     analytic_vectors: np.ndarray, numeric_vectors: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Match eigenvectors by fidelity across (n, 4, 4) stacks.
 
     Row i of ``analytic_vectors[k]`` is an analytic eigenvector and column j of
-    ``numeric_vectors[k]`` a numeric one, as :func:`numeric_spectra` returns
+    ``numeric_vectors[k]`` a numeric one, as :func:`numeric_spectrum` returns
     them.  Returns ``(assignment, fidelity)``, both (n, 4): analytic i pairs
     with numeric ``assignment[k, i]`` at fidelity |⟨a_i|n_j⟩|².  The match of
     every matrix must be a bijection.
@@ -332,19 +275,3 @@ def pair_stacks(
             f"{_which(k, len(fid))}fidelity pairing is not a bijection: {assignment[k].tolist()}"
         )
     return assignment, np.take_along_axis(fid, assignment[:, :, np.newaxis], axis=2)[:, :, 0]
-
-
-def pair_spectra(analytic: Spectrum, numeric: Spectrum) -> tuple[SpectrumPairing, ...]:
-    """Match spectra by eigenvector fidelity; the n = 1 case of :func:`pair_stacks`."""
-    amat = np.array([v.vector for v in analytic.eigenvectors])
-    nmat = np.array([v.vector for v in numeric.eigenvectors])
-    assignment, fidelity = pair_stacks(amat[np.newaxis], nmat.T[np.newaxis])
-    return tuple(
-        SpectrumPairing(
-            label=analytic.labels[i],
-            analytic_eigenvalue=analytic.eigenvalues[i],
-            numeric_eigenvalue=numeric.eigenvalues[j],
-            fidelity=float(f),
-        )
-        for i, (j, f) in enumerate(zip(assignment[0].tolist(), fidelity[0]))
-    )

@@ -11,8 +11,8 @@ Hamiltonian, and the resulting forbidden-outcome map:
   v⊗w → e'1.
 
 This module alone knows how the two variants differ (states, spectrum,
-matrix, default couplings, constraint residual); other modules ask it instead
-of branching on the variant.
+Hamiltonian stack, default couplings, constraint residual); other modules ask
+it instead of branching on the variant.
 
 Simulation draws each run's preparation and outcome from counter-based
 streams (see :mod:`pbrlab.rng`), so a tally table is a pure function of
@@ -39,13 +39,12 @@ from .errors import ConstraintError, DegeneracyError, ValidationError
 from .hamiltonian import (
     GAP_TOL,
     CouplingSet,
-    HamiltonianMatrix,
     Spectrum,
     analytic_spectrum_soc,
     analytic_spectrum_xyz,
-    build_soc,
-    build_xyz,
     hamiltonian_entries,
+    numeric_spectrum,
+    pair_spectra,
 )
 from .qstate import (
     JointState,
@@ -106,16 +105,32 @@ def analytic_spectrum(variant: Variant, couplings: CouplingSet, gap_tol: float) 
     return analytic_spectrum_soc(couplings, gap_tol=gap_tol)
 
 
-def hamiltonian_matrix(variant: Variant, couplings: CouplingSet) -> HamiltonianMatrix:
-    """The variant's Hamiltonian as an explicit matrix, for the numeric route."""
-    return build_xyz(couplings) if Variant(variant) is Variant.XYZ else build_soc(couplings)
-
-
 def hamiltonian_stack(variant: Variant, couplings: Sequence[CouplingSet]) -> np.ndarray:
-    """The (n, 4, 4) stack of :func:`hamiltonian_matrix` entries, bit for bit."""
+    """The variant's Hamiltonians at ``couplings``, an (n, 4, 4) stack for :func:`numeric_spectrum`.
+
+    Matrix k is :func:`hamiltonian_entries` of ``couplings[k]``, with d dropped
+    (exchange) or a missing d taken as 0 (spin-orbit), in the same bits for any n.
+    """
     columns = np.array([(c.a, c.b, c.c, c.d_or_zero) for c in couplings], dtype=float).reshape(-1, 4).T
     a, b, c, d = columns[:, :, np.newaxis, np.newaxis]
     return hamiltonian_entries(a, b, c, None if Variant(variant) is Variant.XYZ else d)
+
+
+def numeric_pairing(
+    variant: Variant, sampled: Sequence[tuple[CouplingSet, Spectrum]], gap_tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each analytic eigenvalue's numeric partner and the pair's fidelity, both (n, 4).
+
+    ``sampled`` pairs coupling sets with their analytic spectra; column i of
+    both results belongs to analytic label i.  One stacked
+    :func:`numeric_spectrum` and one :func:`pair_spectra` do the work.
+    """
+    values, vectors = numeric_spectrum(hamiltonian_stack(variant, [c for c, _ in sampled]), gap_tol)
+    analytic_vectors = np.array(
+        [[v.vector for v in spec.eigenvectors] for _, spec in sampled], dtype=complex
+    ).reshape(-1, 4, 4)
+    assignment, fidelity = pair_spectra(analytic_vectors, vectors)
+    return np.take_along_axis(values, assignment, axis=1), fidelity
 
 
 def default_couplings(variant: Variant, theta: float) -> CouplingSet:

@@ -28,8 +28,6 @@ from .hamiltonian import (
     Spectrum,
     bell_states,
     evolve,
-    numeric_spectra,
-    pair_stacks,
     soc_alpha,
 )
 from .ontology import (
@@ -49,8 +47,8 @@ from .protocol import (
     born_probabilities,
     default_couplings,
     forbidden_rate,
-    hamiltonian_stack,
     make_protocol,
+    numeric_pairing,
     orthogonality_residuals,
     simulate,
 )
@@ -110,18 +108,10 @@ def _random_couplings(
 def _numeric_agreement(
     variant: Variant, sampled: list[tuple[CouplingSet, Spectrum]]
 ) -> tuple[float, float]:
-    """Max |dE| and max infidelity of the sampled analytic spectra against ``eigh``.
-
-    All matrices go through one stacked ``eigh`` and one stacked pairing.
-    """
-    couplings = [c for c, _ in sampled]
-    values, vectors = numeric_spectra(hamiltonian_stack(variant, couplings), GAP_TOL)
-    analytic_values = np.array([spec.eigenvalues for _, spec in sampled], dtype=float).reshape(-1, 4)
-    analytic_vectors = np.array(
-        [[v.vector for v in spec.eigenvectors] for _, spec in sampled], dtype=complex
-    ).reshape(-1, 4, 4)
-    assignment, fidelity = pair_stacks(analytic_vectors, vectors)
-    de = np.abs(analytic_values - np.take_along_axis(values, assignment, axis=1))
+    """Max |dE| and max infidelity of the sampled analytic spectra against ``eigh``."""
+    numeric, fidelity = numeric_pairing(variant, sampled, GAP_TOL)
+    analytic = np.array([spec.eigenvalues for _, spec in sampled], dtype=float).reshape(-1, 4)
+    de = np.abs(analytic - numeric)
     return float(np.max(de, initial=0.0)), float(np.max(1.0 - fidelity, initial=0.0))
 
 

@@ -18,11 +18,11 @@ from pbrlab import (
     OverlapParams,
     Variant,
     bell_states,
-    build_soc,
     make_protocol,
     simulate,
     verify,
 )
+from pbrlab.protocol import hamiltonian_stack
 from pbrlab.verify import CheckResult
 
 
@@ -41,8 +41,8 @@ def test_criterion_2_soc_spectrum_oracle():
     """Spin-orbit spectrum vs LAPACK `eigh`; fixed eigenvectors exact; block diagonalized."""
     pair = np.array([b.vector for b in bell_states()])[[0, 3]]  # (Phi+, Psi-)
     max_res, max_off = 0.0, 0.0
-    for c, spec in verify._random_couplings(202, 20, 1000, Variant.SOC):
-        h = build_soc(c).entries
+    sampled = verify._random_couplings(202, 20, 1000, Variant.SOC)
+    for (_, spec), h in zip(sampled, hamiltonian_stack(Variant.SOC, [c for c, _ in sampled])):
         for value, vec in zip(spec.eigenvalues, spec.eigenvectors):
             max_res = max(max_res, float(np.max(np.abs(h @ vec.vector - value * vec.vector))))
         ca, sa = math.cos(spec.alpha), math.sin(spec.alpha)

@@ -51,10 +51,33 @@ class TestExitCodes:
         assert code == 3
         assert "degenerate" in err
 
+    @pytest.mark.parametrize(
+        "argv, tied",
+        [
+            (["--a", "1", "--b", "1", "--c", "0"], "e1 and e2 lie 0.0 apart"),
+            (["--a", "0", "--b", "0", "--c", "0"],
+             "e1 and e2, e1 and e3, e1 and e4, e2 and e3, e2 and e4, e3 and e4 lie 0.0 apart"),
+        ],
+        ids=["one-tie", "all-tied"],
+    )
+    def test_unpairable_spectrum_with_gap_check_off_is_three(self, capsys, argv, tied):
+        code, out, err = run_cli(capsys, "spectrum", "--variant", "xyz", *argv, "--gap-tol", "0")
+        assert code == 3
+        assert out == "" and err.startswith("error: degenerate spectrum (gap_tol=0.0): ")
+        assert tied in err and "internal" not in err
+
     def test_missing_field_is_two(self, capsys):
         code, _, err = run_cli(capsys, "solve", "--d", "1", "--split", "2")
         assert code == 2
         assert "theta" in err
+
+    @pytest.mark.parametrize("command", ["spectrum", "run", "feasibility"])
+    def test_missing_spin_orbit_d_is_named(self, capsys, command):
+        extra = {"spectrum": [], "run": ["--theta", "1", "--runs", "10", "--seed", "1"],
+                 "feasibility": ["--theta", "1", "--overlap", "both"]}[command]
+        code, out, err = run_cli(capsys, command, "--variant", "soc", "--a", "1", "--b", "2", "--c", "3", *extra)
+        assert code == 2
+        assert out == "" and err == "error: missing required field 'd' (spin-orbit variant)\n"
 
     def test_bad_domain_is_two(self, capsys):
         code, _, err = run_cli(capsys, "states", "--variant", "xyz", "--theta", "3.0")

@@ -1,4 +1,4 @@
-"""Hamiltonian builders, analytic spectra, and the LAPACK `eigh` numeric spectrum."""
+"""Hamiltonian stacks, analytic spectra, and the LAPACK `eigh` numeric spectrum."""
 
 import cmath
 import math
@@ -12,8 +12,6 @@ from pbrlab import (
     CouplingSet,
     DegeneracyError,
     DomainError,
-    HamiltonianMatrix,
-    JointState,
     LogicError,
     NonFiniteError,
     OverlapParams,
@@ -22,17 +20,13 @@ from pbrlab import (
     analytic_spectrum_xyz,
     bell_states,
     build_pair_xyz,
-    build_soc,
-    build_xyz,
     evolve,
-    numeric_spectra,
     numeric_spectrum,
     pair_spectra,
-    pair_stacks,
     tensor,
 )
-from pbrlab.hamiltonian import PAULI_X, PAULI_Y, PAULI_Z, soc_alpha
-from pbrlab.protocol import Variant, hamiltonian_stack
+from pbrlab.hamiltonian import PAULI_X, PAULI_Y, PAULI_Z, hamiltonian_entries
+from pbrlab.protocol import Variant, analytic_spectrum, hamiltonian_stack, numeric_pairing
 
 
 def random_hermitian(rng):
@@ -49,6 +43,11 @@ def random_couplings(rng, n, spin_orbit):
     return [CouplingSet(*rng.uniform(-3, 3, size=4 if spin_orbit else 3)) for _ in range(n)]
 
 
+def matrix(variant, c):
+    """The variant's Hamiltonian at c, as a stack of one gives it."""
+    return hamiltonian_stack(variant, [c])[0]
+
+
 def gauged_eigh(m):
     """The per-matrix reference: LAPACK eigh, then each column's largest component made real positive."""
     values, vecs = np.linalg.eigh(m)
@@ -61,38 +60,49 @@ def same_bits(x, y) -> bool:
     return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
-def residual(matrix, spectrum) -> float:
-    worst = 0.0
-    m = np.asarray(matrix.entries if isinstance(matrix, HamiltonianMatrix) else matrix)
-    for value, vec in zip(spectrum.eigenvalues, spectrum.eigenvectors):
-        v = vec.vector
-        worst = max(worst, float(np.max(np.abs(m @ v - value * v))))
-    return worst
+def residual(m, values, vectors) -> float:
+    """Largest |m v - value v| over (value, vector) pairs."""
+    return max(float(np.max(np.abs(m @ v - value * v))) for value, v in zip(values, vectors))
+
+
+def analytic_residual(m, spectrum) -> float:
+    return residual(m, spectrum.eigenvalues, [v.vector for v in spectrum.eigenvectors])
+
+
+def agreement(variant, c, gap_tol=GAP_TOL):
+    """|dE| and fidelity per analytic label, along the route of the ``spectrum`` command."""
+    analytic = analytic_spectrum(variant, c, gap_tol)
+    numeric, fidelity = numeric_pairing(variant, [(c, analytic)], gap_tol)
+    return np.abs(np.array(analytic.eigenvalues) - numeric[0]), fidelity[0]
 
 
 class TestBuilders:
     def test_zero_couplings_give_zero_matrix(self):
-        assert np.array_equal(build_xyz(CouplingSet(0, 0, 0)).entries, np.zeros((4, 4)))
+        assert np.array_equal(matrix(Variant.XYZ, CouplingSet(0, 0, 0)), np.zeros((4, 4)))
 
     def test_xx_term_is_the_antidiagonal(self):
-        m = build_xyz(CouplingSet(1, 0, 0)).entries
+        m = hamiltonian_entries(1.0, 0.0, 0.0, None)
         assert np.array_equal(m, np.fliplr(np.eye(4)))
 
     def test_example_matrix_1_2_3(self):
-        m = build_xyz(CouplingSet(1, 2, 3)).entries
+        m = matrix(Variant.XYZ, CouplingSet(1, 2, 3))
         expected = np.diag([3.0, -3.0, -3.0, 3.0]) + np.fliplr(np.diag([-1.0, 3.0, 3.0, -1.0]))
         assert np.array_equal(m.real, expected)
         assert np.array_equal(m.imag, np.zeros((4, 4)))
 
     def test_soc_reduces_to_xyz_at_d_zero(self):
         c = CouplingSet(0.3, -1.2, 0.7, 0.0)
-        assert np.array_equal(build_soc(c).entries, build_xyz(c).entries)
+        assert np.array_equal(matrix(Variant.SOC, c), matrix(Variant.XYZ, c))
         assert np.array_equal(
-            build_soc(CouplingSet(0.3, -1.2, 0.7)).entries, build_xyz(c).entries
+            matrix(Variant.SOC, CouplingSet(0.3, -1.2, 0.7)), matrix(Variant.XYZ, c)
         )
 
+    def test_xyz_ignores_d(self):
+        c = CouplingSet(0.3, -1.2, 0.7)
+        assert same_bits(matrix(Variant.XYZ, CouplingSet(0.3, -1.2, 0.7, 2.5)), matrix(Variant.XYZ, c))
+
     def test_pure_spin_orbit_matrix(self):
-        m = build_soc(CouplingSet(0, 0, 0, 1)).entries
+        m = matrix(Variant.SOC, CouplingSet(0, 0, 0, 1))
         expected = np.kron(PAULI_X, PAULI_Z) - np.kron(PAULI_Z, PAULI_X)
         assert np.array_equal(m, expected)
         # couples |++> into |-+> - |+-> with unit entries
@@ -101,19 +111,27 @@ class TestBuilders:
 
     @pytest.mark.parametrize("c", [CouplingSet(1, 2, 3), CouplingSet(-0.5, 0.1, 2.2, 1.7)])
     def test_hermitian_and_traceless_exactly(self, c):
-        for m in (build_xyz(CouplingSet(c.a, c.b, c.c)), build_soc(c)):
-            assert np.array_equal(m.entries, m.entries.conj().T)
-            assert np.trace(m.entries) == 0.0
+        for m in (matrix(Variant.XYZ, c), matrix(Variant.SOC, c)):
+            assert np.array_equal(m, m.conj().T)
+            assert np.trace(m) == 0.0
 
     def test_yy_term_is_real(self):
         m = (1.0 * np.kron(PAULI_Y, PAULI_Y))
         assert np.array_equal(m.imag, np.zeros((4, 4)))
 
-    def test_non_hermitian_entries_rejected(self):
-        bad = np.eye(4, dtype=complex)
-        bad[0, 1] = 1.0
-        with pytest.raises(ValidationError, match="Hermitian"):
-            HamiltonianMatrix(bad)
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    def test_stack_bits_do_not_depend_on_its_length(self, variant):
+        """The spectrum command's stack of one and verify's long stacks build the same matrices."""
+        couplings = random_couplings(np.random.default_rng(3), 200, variant is Variant.SOC)
+        stack = hamiltonian_stack(variant, couplings)
+        assert stack.shape == (200, 4, 4)
+        for k, c in enumerate(couplings):
+            assert same_bits(stack[k], matrix(variant, c))
+            d = c.d if variant is Variant.SOC else None
+            assert same_bits(stack[k], hamiltonian_entries(c.a, c.b, c.c, d))
+
+    def test_empty_stack(self):
+        assert hamiltonian_stack(Variant.XYZ, []).shape == (0, 4, 4)
 
 
 class TestAnalyticXyz:
@@ -143,7 +161,7 @@ class TestAnalyticXyz:
     def test_eigen_residual_and_orthonormality(self):
         c = CouplingSet(0.9, -1.4, 0.3)
         spec = analytic_spectrum_xyz(c)
-        assert residual(build_xyz(c), spec) <= 1e-12
+        assert analytic_residual(matrix(Variant.XYZ, c), spec) <= 1e-12
         vecs = np.array([v.vector for v in spec.eigenvectors])
         assert np.max(np.abs(vecs.conj() @ vecs.T - np.eye(4))) <= 1e-12
 
@@ -180,7 +198,7 @@ class TestAnalyticSoc:
     def test_mixture_block_diagonalization(self):
         c = CouplingSet(0.4, -0.9, 1.6, 0.8)
         spec = analytic_spectrum_soc(c)
-        assert residual(build_soc(c), spec) <= 1e-12
+        assert analytic_residual(matrix(Variant.SOC, c), spec) <= 1e-12
         e3, e4 = spec.eigenvectors[2].vector, spec.eigenvectors[3].vector
         assert abs(np.vdot(e3, e4)) <= 1e-12
 
@@ -202,78 +220,71 @@ class TestAnalyticSoc:
         c = CouplingSet(0.4, -0.9, 1.6, -0.8)
         spec = analytic_spectrum_soc(c)
         assert -math.pi / 2 < spec.alpha < 0
-        assert residual(build_soc(c), spec) <= 1e-12
+        assert analytic_residual(matrix(Variant.SOC, c), spec) <= 1e-12
 
 
 class TestNumericSpectrum:
+    """One matrix, as a stack of one."""
+
     def test_zero_matrix_with_gap_check_disabled(self):
-        spec = numeric_spectrum(np.zeros((4, 4), dtype=complex), gap_tol=0.0)
-        assert spec.eigenvalues == (0.0, 0.0, 0.0, 0.0)
+        values, _ = numeric_spectrum(np.zeros((1, 4, 4), dtype=complex), 0.0)
+        assert values.tolist() == [[0.0, 0.0, 0.0, 0.0]]
 
     def test_zero_matrix_fails_gap_check(self):
         with pytest.raises(DegeneracyError):
-            numeric_spectrum(np.zeros((4, 4), dtype=complex))
+            numeric_spectrum(np.zeros((1, 4, 4), dtype=complex), GAP_TOL)
 
     def test_matches_analytic_example_after_sorting(self):
-        spec = numeric_spectrum(build_xyz(CouplingSet(1, 2, 3)))
-        assert spec.eigenvalues == pytest.approx((-6.0, 0.0, 2.0, 4.0), abs=1e-12)
+        values, _ = numeric_spectrum(hamiltonian_stack(Variant.XYZ, [CouplingSet(1, 2, 3)]), GAP_TOL)
+        assert values[0].tolist() == pytest.approx((-6.0, 0.0, 2.0, 4.0), abs=1e-12)
 
     def test_random_hermitian_against_library_eigensolver(self):
         """The residual bound is the independent oracle: eigvalsh is the same LAPACK routine."""
         rng = np.random.default_rng(2024)
         for _ in range(200):
             h = random_hermitian(rng)
-            spec = numeric_spectrum(h, gap_tol=0.0)
+            values, vectors = numeric_spectrum(h[np.newaxis], 0.0)
             reference = np.linalg.eigvalsh(h)
-            assert np.max(np.abs(np.array(spec.eigenvalues) - reference)) <= 1e-10
-            assert residual(h, spec) <= 1e-12
+            assert np.max(np.abs(values[0] - reference)) <= 1e-10
+            assert residual(h, values[0], vectors[0].T) <= 1e-12
 
     def test_eigenvectors_orthonormal(self):
         rng = np.random.default_rng(7)
         h = random_hermitian(rng)
-        spec = numeric_spectrum(h, gap_tol=0.0)
-        vecs = np.array([v.vector for v in spec.eigenvectors])
+        _, vectors = numeric_spectrum(h[np.newaxis], 0.0)
+        vecs = vectors[0].T
         assert np.max(np.abs(vecs.conj() @ vecs.T - np.eye(4))) <= 1e-12
         pivots = vecs[range(4), np.argmax(np.abs(vecs), axis=1)]
         assert np.all(pivots.real > 0) and np.max(np.abs(pivots.imag)) <= 1e-15
 
     def test_non_hermitian_input_rejected(self):
         bad = np.arange(16, dtype=complex).reshape(4, 4)
-        with pytest.raises(ValidationError, match="Hermitian"):
-            numeric_spectrum(bad)
+        with pytest.raises(ValidationError, match="^matrix is not Hermitian"):
+            numeric_spectrum(bad[np.newaxis], GAP_TOL)
 
     @pytest.mark.parametrize("k", [1e-300, 1e-150, 1e150])
     def test_uniform_scale_scales_the_spectrum(self, k):
         h = random_hermitian(np.random.default_rng(11))
-        base = numeric_spectrum(h, gap_tol=0.0)
-        scaled = numeric_spectrum(k * h, gap_tol=0.0)
-        top = k * max(abs(x) for x in base.eigenvalues)
-        for value, expected in zip(scaled.eigenvalues, base.eigenvalues):
-            assert abs(value - k * expected) <= 1e-12 * top
-        for vec, expected in zip(scaled.eigenvectors, base.eigenvectors):
-            assert abs(np.vdot(expected.vector, vec.vector)) ** 2 >= 1 - 1e-12
+        base_values, base_vectors = numeric_spectrum(h[np.newaxis], 0.0)
+        values, vectors = numeric_spectrum((k * h)[np.newaxis], 0.0)
+        top = k * np.max(np.abs(base_values))
+        assert np.max(np.abs(values - k * base_values)) <= 1e-12 * top
+        for vec, expected in zip(vectors[0].T, base_vectors[0].T):
+            assert abs(np.vdot(expected, vec)) ** 2 >= 1 - 1e-12
 
     def test_overflow_message_has_plain_floats(self):
-        with pytest.raises(NonFiniteError, match="n1 = nan") as exc:
-            numeric_spectrum(np.diag([np.inf, 1.0, 2.0, 3.0]))
+        with pytest.raises(NonFiniteError, match="^spectrum overflows: n1 = nan") as exc:
+            numeric_spectrum(np.diag([np.inf, 1.0, 2.0, 3.0])[np.newaxis], GAP_TOL)
         assert "np.float64" not in str(exc.value)
 
     def test_lapack_failure_is_a_typed_error(self):
         m = np.zeros((4, 4), dtype=complex)
         m[0, 1] = m[1, 0] = np.inf
         with pytest.raises(ConvergenceError, match="eigh"):
-            numeric_spectrum(m)
+            numeric_spectrum(m[np.newaxis], GAP_TOL)
 
 
-class TestNumericSpectra:
-    @pytest.mark.parametrize("variant, build", [(Variant.XYZ, build_xyz), (Variant.SOC, build_soc)])
-    def test_stack_entries_are_the_builders_bits(self, variant, build):
-        couplings = random_couplings(np.random.default_rng(3), 200, variant is Variant.SOC)
-        stack = hamiltonian_stack(variant, couplings)
-        assert stack.shape == (200, 4, 4)
-        for k, c in enumerate(couplings):
-            assert same_bits(stack[k], build(c).entries)
-
+class TestNumericSpectrumStacks:
     @pytest.mark.parametrize("source", ["xyz", "soc", "raw"])
     def test_stack_matches_per_matrix_eigh_bit_for_bit(self, source):
         rng = np.random.default_rng(31)
@@ -282,41 +293,34 @@ class TestNumericSpectra:
         else:
             variant = Variant(source)
             stack = hamiltonian_stack(variant, random_couplings(rng, 500, variant is Variant.SOC))
-        values, vectors = numeric_spectra(stack, 0.0)
+        values, vectors = numeric_spectrum(stack, 0.0)
         for k, m in enumerate(stack):
             ref_values, ref_vectors = gauged_eigh(m)
             assert same_bits(values[k], ref_values)
             assert same_bits(vectors[k], ref_vectors)
 
-    def test_one_matrix_equals_numeric_spectrum(self):
-        h = random_hermitian(np.random.default_rng(5))
-        values, vectors = numeric_spectra(h[np.newaxis], 0.0)
-        spec = numeric_spectrum(h, gap_tol=0.0)
-        assert spec.eigenvalues == tuple(values[0].tolist())
-        assert spec.eigenvectors == tuple(JointState.from_vector(v) for v in vectors[0].T)
-
     def test_empty_stack(self):
-        values, vectors = numeric_spectra(np.zeros((0, 4, 4)), GAP_TOL)
+        values, vectors = numeric_spectrum(np.zeros((0, 4, 4)), GAP_TOL)
         assert values.shape == (0, 4) and vectors.shape == (0, 4, 4)
 
     @pytest.mark.parametrize("shape", [(4, 4), (2, 3, 3), (2, 4, 4, 1)])
     def test_wrong_shape_is_rejected(self, shape):
         with pytest.raises(ValidationError, match=r"\(n, 4, 4\) stack"):
-            numeric_spectra(np.zeros(shape), 0.0)
+            numeric_spectrum(np.zeros(shape), 0.0)
 
     def test_non_hermitian_matrix_is_named(self):
         stack = random_hermitian_stack(np.random.default_rng(8), 5)
         stack[3, 0, 1] += 1.0
         with pytest.raises(ValidationError, match=r"^matrix 3 of 5: matrix is not Hermitian"):
-            numeric_spectra(stack, 0.0)
+            numeric_spectrum(stack, 0.0)
 
     def test_non_finite_matrix_is_named_with_the_single_wording(self):
         stack = random_hermitian_stack(np.random.default_rng(9), 4)
         stack[2] = np.diag([np.inf, 1.0, 2.0, 3.0])
         with pytest.raises(NonFiniteError) as single:
-            numeric_spectrum(stack[2])
+            numeric_spectrum(stack[2:3], GAP_TOL)
         with pytest.raises(NonFiniteError) as stacked:
-            numeric_spectra(stack, GAP_TOL)
+            numeric_spectrum(stack, GAP_TOL)
         assert str(stacked.value) == f"matrix 2 of 4: {single.value}"
 
     def test_lapack_failure_on_a_stack_is_a_typed_error(self):
@@ -324,75 +328,66 @@ class TestNumericSpectra:
         stack[1] = 0.0
         stack[1, 0, 1] = stack[1, 1, 0] = np.inf
         with pytest.raises(ConvergenceError, match="eigh failed"):
-            numeric_spectra(stack, GAP_TOL)
+            numeric_spectrum(stack, GAP_TOL)
 
     def test_degenerate_matrix_is_named_with_the_single_wording(self):
         couplings = [CouplingSet(1, 2, 3), CouplingSet(1, 2, 2), CouplingSet(0, 0, 0)]
         stack = hamiltonian_stack(Variant.XYZ, couplings)
         with pytest.raises(DegeneracyError) as single:
-            numeric_spectrum(stack[1])
+            numeric_spectrum(stack[1:2], GAP_TOL)
         with pytest.raises(DegeneracyError) as stacked:
-            numeric_spectra(stack, GAP_TOL)
+            numeric_spectrum(stack, GAP_TOL)
         assert str(stacked.value) == f"matrix 1 of 3: {single.value}"
         assert stacked.value.pairs == single.value.pairs
 
     def test_gap_tol_zero_skips_the_gap_check(self):
-        values, _ = numeric_spectra(np.zeros((2, 4, 4)), 0.0)
+        values, _ = numeric_spectrum(np.zeros((2, 4, 4)), 0.0)
         assert not values.any()
 
 
-class TestPairStacks:
-    def test_stack_equals_per_spectrum_pairing(self):
-        couplings = random_couplings(np.random.default_rng(12), 100, True)
-        values, vectors = numeric_spectra(hamiltonian_stack(Variant.SOC, couplings), 0.0)
-        analytic = [analytic_spectrum_soc(c, gap_tol=0.0) for c in couplings]
-        assignment, fidelity = pair_stacks(
-            np.array([[v.vector for v in spec.eigenvectors] for spec in analytic]), vectors
-        )
-        for k, (c, spec) in enumerate(zip(couplings, analytic)):
-            pairs = pair_spectra(spec, numeric_spectrum(build_soc(c), gap_tol=0.0))
-            assert [p.numeric_eigenvalue for p in pairs] == values[k, assignment[k]].tolist()
-            assert [p.fidelity for p in pairs] == fidelity[k].tolist()
+class TestPairSpectra:
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    def test_agreement_over_seeded_couplings(self, variant):
+        rng = np.random.default_rng(99)
+        found = 0
+        while found < 50:
+            a, b, c, d = rng.uniform(-3, 3, size=4)
+            couplings = CouplingSet(a, b, c, d if variant is Variant.SOC else None)
+            try:
+                de, fidelity = agreement(variant, couplings, 1e-3)
+            except (DegeneracyError, DomainError):
+                continue
+            found += 1
+            assert np.all(de <= 1e-10)
+            assert np.all(fidelity >= 1 - 1e-10)
+
+    def test_agreement_below_the_sampler_floors(self):
+        # verify's coupling sampler keeps gaps >= 1e-3 and |d| >= 0.05.
+        for variant, c in (
+            (Variant.XYZ, CouplingSet(1, 2, 2 + 1e-6)),  # E1 - E3 = 2e-6
+            (Variant.SOC, CouplingSet(1, 0.2, 1 + 1e-6, 0.3)),  # E'1 - E'2 = 2e-6
+            (Variant.SOC, CouplingSet(1, 0.2, 0.5, 0.01)),
+        ):
+            de, fidelity = agreement(variant, c)
+            assert np.all(de <= 1e-10) and np.all(fidelity >= 1 - 1e-10)
+
+    def test_one_stack_pairs_each_label_with_its_numeric_eigenvalue(self):
+        c = CouplingSet(1, 2, 3)
+        numeric, fidelity = numeric_pairing(Variant.XYZ, [(c, analytic_spectrum_xyz(c))], GAP_TOL)
+        assert numeric.shape == fidelity.shape == (1, 4)
+        assert numeric[0].tolist() == pytest.approx([2.0, 4.0, 0.0, -6.0], abs=1e-12)
 
     def test_non_bijective_match_is_named(self):
         bells = np.array([v.vector for v in bell_states()])
         analytic = np.stack([bells, bells[[0, 0, 2, 3]]])
         message = r"^matrix 1 of 2: fidelity pairing is not a bijection: \[0, 0, 2, 3\]$"
         with pytest.raises(LogicError, match=message):
-            pair_stacks(analytic, np.stack([bells.T, bells.T]))
+            pair_spectra(analytic, np.stack([bells.T, bells.T]))
 
-
-class TestSpectrumPairing:
-    @pytest.mark.parametrize("variant", ["xyz", "soc"])
-    def test_agreement_over_seeded_couplings(self, variant):
-        rng = np.random.default_rng(99)
-        found = 0
-        while found < 50:
-            a, b, c, d = rng.uniform(-3, 3, size=4)
-            try:
-                if variant == "xyz":
-                    analytic = analytic_spectrum_xyz(CouplingSet(a, b, c), gap_tol=1e-3)
-                    numeric = numeric_spectrum(build_xyz(CouplingSet(a, b, c)), gap_tol=1e-3)
-                else:
-                    cs = CouplingSet(a, b, c, d)
-                    analytic = analytic_spectrum_soc(cs, gap_tol=1e-3)
-                    numeric = numeric_spectrum(build_soc(cs), gap_tol=1e-3)
-            except (DegeneracyError, DomainError):
-                continue
-            found += 1
-            for pair in pair_spectra(analytic, numeric):
-                assert pair.abs_diff <= 1e-10
-                assert pair.fidelity >= 1 - 1e-10
-
-    def test_agreement_below_the_sampler_floors(self):
-        # verify's coupling sampler keeps gaps >= 1e-3 and |d| >= 0.05.
-        for analytic, build, c in (
-            (analytic_spectrum_xyz, build_xyz, CouplingSet(1, 2, 2 + 1e-6)),  # E1 - E3 = 2e-6
-            (analytic_spectrum_soc, build_soc, CouplingSet(1, 0.2, 1 + 1e-6, 0.3)),  # E'1 - E'2 = 2e-6
-            (analytic_spectrum_soc, build_soc, CouplingSet(1, 0.2, 0.5, 0.01)),
-        ):
-            for pair in pair_spectra(analytic(c), numeric_spectrum(build(c))):
-                assert pair.abs_diff <= 1e-10 and pair.fidelity >= 1 - 1e-10
+    def test_non_bijective_lone_match_has_no_prefix(self):
+        bells = np.array([v.vector for v in bell_states()])
+        with pytest.raises(LogicError, match=r"^fidelity pairing is not a bijection: \[0, 0, 2, 3\]$"):
+            pair_spectra(bells[[0, 0, 2, 3]][np.newaxis], bells.T[np.newaxis])
 
 
 class TestEvolve:

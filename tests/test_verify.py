@@ -8,8 +8,8 @@ checks must report the same text, digit for digit.
 import numpy as np
 import pytest
 
-from pbrlab import bell_states, build_soc, build_xyz, verify
-from pbrlab.protocol import Variant
+from pbrlab import bell_states, verify
+from pbrlab.protocol import Variant, hamiltonian_stack
 from pbrlab.verify import CheckResult
 
 
@@ -30,7 +30,7 @@ def per_matrix_agreement(spectrum, matrix) -> tuple[float, float]:
 def reference_xyz(seed: int, n: int) -> CheckResult:
     max_de, max_infid = 0.0, 0.0
     for c, spec in verify._random_couplings(seed, 10, n, Variant.XYZ):
-        de, infid = per_matrix_agreement(spec, build_xyz(c).entries)
+        de, infid = per_matrix_agreement(spec, hamiltonian_stack(Variant.XYZ, [c])[0])
         max_de, max_infid = max(max_de, de), max(max_infid, infid)
     return CheckResult(
         "xyz-spectrum-agreement",
@@ -44,7 +44,7 @@ def reference_soc(seed: int, n: int) -> CheckResult:
     bells = bell_states()
     exact_fixed = True
     for c, spec in verify._random_couplings(seed, 20, n, Variant.SOC):
-        de, infid = per_matrix_agreement(spec, build_soc(c).entries)
+        de, infid = per_matrix_agreement(spec, hamiltonian_stack(Variant.SOC, [c])[0])
         max_de, max_infid = max(max_de, de), max(max_infid, infid)
         exact_fixed = exact_fixed and spec.eigenvectors[0].amps == bells[1].amps
         exact_fixed = exact_fixed and spec.eigenvectors[1].amps == bells[2].amps
