@@ -44,13 +44,11 @@ from .ontology import (
     subset_rule_feasible,
 )
 from .protocol import (
-    ForbiddenRates,
     PrepPolicy,
     ProtocolInstance,
     TallyTable,
     Variant,
     born_probabilities,
-    forbidden_rate,
     make_protocol,
     orthogonality_residuals,
     simulate,
@@ -75,7 +73,6 @@ __all__ = [
     "DomainError",
     "FeasibilityDecision",
     "FeasibilityProblem",
-    "ForbiddenRates",
     "GAP_TOL",
     "JointState",
     "LogicError",
@@ -103,7 +100,6 @@ __all__ = [
     "build_problem",
     "deduce",
     "evolve",
-    "forbidden_rate",
     "lp_feasible",
     "make_protocol",
     "numeric_spectrum",

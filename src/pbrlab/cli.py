@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import itertools
 import json
 import math
@@ -49,7 +50,6 @@ from .protocol import (
     Variant,
     analytic_spectrum,
     default_couplings,
-    forbidden_rate,
     make_protocol,
     numeric_pairing,
     simulate,
@@ -219,7 +219,7 @@ def _cmd_spectrum(ns: argparse.Namespace) -> int:
         _print_json(
             {
                 "variant": variant.value,
-                "couplings": {"a": couplings.a, "b": couplings.b, "c": couplings.c, "d": couplings.d},
+                "couplings": dataclasses.asdict(couplings),
                 "alpha": analytic.alpha,
                 "rows": [
                     {"label": label, "analytic_E": e, "numeric_E": n, "abs_diff": abs(e - n), "fidelity": f}
@@ -245,18 +245,12 @@ def _cmd_solve(ns: argparse.Namespace) -> int:
 
 
 def _run_summary(inst, table, n_workers: int) -> dict:
-    rates = forbidden_rate(table)
     return {
         "instance": {
             "variant": inst.variant.value,
             "theta": inst.params.theta,
             "phi": inst.params.phi,
-            "couplings": {
-                "a": inst.couplings.a,
-                "b": inst.couplings.b,
-                "c": inst.couplings.c,
-                "d": inst.couplings.d,
-            },
+            "couplings": dataclasses.asdict(inst.couplings),
             "prep_labels": list(inst.prep_labels),
             "outcome_labels": list(inst.outcome_labels),
             "forbidden": [list(pair) for pair in inst.forbidden],
@@ -272,9 +266,9 @@ def _run_summary(inst, table, n_workers: int) -> dict:
             "policy": table.policy,
             "n_workers": n_workers,
         },
-        "forbidden_rates": {label: rate for label, rate in rates.per_preparation},
-        "eps_hat": rates.eps_hat,
-        "overlap_bound": overlap_bound(rates.eps_hat),
+        "forbidden_rates": dict(table.forbidden_rates),
+        "eps_hat": table.eps_hat,
+        "overlap_bound": overlap_bound(table.eps_hat),
     }
 
 

@@ -247,6 +247,8 @@ def numeric_spectrum(entries, gap_tol: float) -> tuple[np.ndarray, np.ndarray]:
 
 def evolve(s: JointState, spec: Spectrum, t: float) -> JointState:
     """Apply exp(-iHt) through the spectral decomposition of H."""
+    if not math.isfinite(t):
+        raise DomainError(f"t must be finite, got {t!r}")
     vec = s.vector
     out = np.zeros(4, dtype=complex)
     for energy, eigvec in zip(spec.eigenvalues, spec.eigenvectors):

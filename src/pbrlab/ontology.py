@@ -50,7 +50,6 @@ SPECIAL_CASE_ATOL = 1e-10
 class Relation(str, enum.Enum):
     DISJOINT = "disjoint"
     AT_LEAST_ONE_DISJOINT = "at-least-one-disjoint"
-    CONJOINT_POSSIBLE = "conjoint-possible"
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,9 @@ streams (see :mod:`pbrlab.rng`), so a tally table is a pure function of
 partitioned across workers.  Noise is a symmetric outcome flip: with
 probability noise_eps the sampled outcome is replaced by one of the four
 outcomes chosen uniformly, so each forbidden outcome shows up with frequency
-noise_eps / 4.
+noise_eps / 4.  The resulting :class:`TallyTable` is the one reader of its
+counts: each frequency, the forbidden-outcome rates and eps_hat are divided
+out by its ``frequency`` method.
 """
 
 from __future__ import annotations
@@ -71,12 +73,22 @@ DEFAULT_B_CANDIDATES = (0.5, 0.8, 1.3)
 _DRAWS_PER_RUN = 4
 
 
-class Variant(str, enum.Enum):
+class _Choice(str, enum.Enum):
+    """A named string choice; an unknown value is a ValidationError listing the known ones."""
+
+    @classmethod
+    def _missing_(cls, value):
+        raise ValidationError(
+            f"unknown {cls.__name__} {value!r} (accepted: {', '.join(m.value for m in cls)})"
+        )
+
+
+class Variant(_Choice):
     XYZ = "xyz"
     SOC = "soc"
 
 
-class PrepPolicy(str, enum.Enum):
+class PrepPolicy(_Choice):
     UNIFORM = "uniform"
     ROUND_ROBIN = "roundrobin"
 
@@ -277,6 +289,8 @@ class TallyTable:
     forbidden: tuple[tuple[str, str], ...]
 
     def __post_init__(self):
+        if self.n_runs < 1:
+            raise ValidationError(f"tally table has no counts: n_runs = {self.n_runs}")
         total = sum(sum(row) for row in self.counts)
         if total != self.n_runs:
             raise ValidationError(
@@ -286,24 +300,30 @@ class TallyTable:
             raise ValidationError("tally counts must be nonnegative")
 
     def frequency(self, prep_label: str, outcome_label: str) -> float:
-        p = self.prep_labels.index(prep_label)
-        k = self.outcome_labels.index(outcome_label)
-        runs = sum(self.counts[p])
-        return self.counts[p][k] / runs if runs else 0.0
+        """Share of ``prep_label``'s runs that gave ``outcome_label``; 0 if it had none."""
+        for label, labels in ((prep_label, self.prep_labels), (outcome_label, self.outcome_labels)):
+            if label not in labels:
+                raise ValidationError(f"unknown tally label {label!r} (labels: {', '.join(labels)})")
+        row = self.counts[self.prep_labels.index(prep_label)]
+        runs = sum(row)
+        return row[self.outcome_labels.index(outcome_label)] / runs if runs else 0.0
 
-    def is_forbidden(self, prep_label: str, outcome_label: str) -> bool:
-        return (prep_label, outcome_label) in self.forbidden
+    @property
+    def forbidden_rates(self) -> tuple[tuple[str, float], ...]:
+        """(preparation, frequency of its forbidden outcome), in ``forbidden`` order."""
+        return tuple((prep, self.frequency(prep, out)) for prep, out in self.forbidden)
+
+    @property
+    def eps_hat(self) -> float:
+        """The largest forbidden-outcome frequency."""
+        return max(rate for _, rate in self.forbidden_rates)
 
     def to_csv_rows(self) -> list[list]:
-        rows = []
-        for p, prep in enumerate(self.prep_labels):
-            runs = sum(self.counts[p])
-            for k, outcome in enumerate(self.outcome_labels):
-                freq = self.counts[p][k] / runs if runs else 0.0
-                rows.append(
-                    [prep, outcome, self.counts[p][k], freq, self.is_forbidden(prep, outcome)]
-                )
-        return rows
+        return [
+            [prep, out, self.counts[p][k], self.frequency(prep, out), (prep, out) in self.forbidden]
+            for p, prep in enumerate(self.prep_labels)
+            for k, out in enumerate(self.outcome_labels)
+        ]
 
 
 #: Runs tallied per block: the kernel's memory is O(_BLOCK) whatever n_runs is.
@@ -383,10 +403,16 @@ def _tally_chunk(
     return (flipped - np.diff(at_least, prepend=hi - lo)).reshape(4, 4)
 
 
+def _check_count(name: str, value: int) -> None:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValidationError(f"{name} must be an integer, got {type(value).__name__}")
+    if value < 1:
+        raise ValidationError(f"{name} must be >= 1, got {value}")
+
+
 def _chunk_plan(n_runs: int, n_workers: int) -> list[tuple[int, int]]:
     """Contiguous run ranges for min(n_workers, CPU count) workers, empty ones dropped."""
-    if n_workers < 1:
-        raise ValidationError(f"n_workers must be >= 1, got {n_workers}")
+    _check_count("n_workers", n_workers)
     parts = min(n_workers, os.cpu_count() or 1)
     bounds = [n_runs * k // parts for k in range(parts + 1)]
     return [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
@@ -408,8 +434,7 @@ def simulate(
     yields the same table as sequential execution.  At most os.cpu_count()
     worker threads run, whatever n_workers asks for.
     """
-    if n_runs < 1:
-        raise ValidationError(f"n_runs must be >= 1, got {n_runs}")
+    _check_count("n_runs", n_runs)
     validate_seed(seed)
     if not 0.0 <= noise_eps <= 1.0:
         raise ValidationError(f"noise_eps must lie in [0, 1], got {noise_eps}")
@@ -441,22 +466,3 @@ def simulate(
         forbidden=inst.forbidden,
     )
 
-
-@dataclass(frozen=True)
-class ForbiddenRates:
-    """Per-preparation forbidden-outcome frequency and its maximum."""
-
-    per_preparation: tuple[tuple[str, float], ...]
-    eps_hat: float
-
-
-def forbidden_rate(table: TallyTable) -> ForbiddenRates:
-    """Frequency of each preparation's forbidden outcome; eps_hat is the max."""
-    if not table.counts or table.n_runs < 1:
-        raise ValidationError("tally table has no counts")
-    rates = []
-    for prep_label, outcome_label in table.forbidden:
-        rates.append((prep_label, table.frequency(prep_label, outcome_label)))
-    return ForbiddenRates(
-        per_preparation=tuple(rates), eps_hat=max(rate for _, rate in rates)
-    )

@@ -10,6 +10,9 @@ Conventions used throughout the package:
   theta = arccos|⟨u|v⟩| in the open interval (0, π/2) and phi = arg⟨u|v⟩.
 - States carry their constructed global phase (the u states carry e^{-i phi});
   physical comparisons use |overlap|², which ignores it.
+- A state's norm is checked once, when it is built: :class:`PureState` and
+  :class:`JointState` are frozen, so :func:`overlap` and :func:`tensor` take
+  their inputs as normalized.
 
 Two state families are provided: the x-z Bloch-plane pair (u, v) with the
 companion state vbar orthogonal to v inside span{u, v}, and the pair (u, v)
@@ -44,14 +47,7 @@ class PureState:
     def __post_init__(self):
         object.__setattr__(self, "amp_plus", complex(self.amp_plus))
         object.__setattr__(self, "amp_minus", complex(self.amp_minus))
-        _check_normalized(self.norm_sq(), "PureState")
-
-    def norm_sq(self) -> float:
-        return abs(self.amp_plus) ** 2 + abs(self.amp_minus) ** 2
-
-    @property
-    def vector(self) -> np.ndarray:
-        return np.array([self.amp_plus, self.amp_minus], dtype=complex)
+        _check_normalized(abs(self.amp_plus) ** 2 + abs(self.amp_minus) ** 2, "PureState")
 
     def to_json(self) -> list[list[float]]:
         """Amplitudes as [re, im] pairs at full double precision."""
@@ -120,10 +116,6 @@ def _check_normalized(norm_sq: float, what: str) -> None:
 
 def overlap(u: PureState, v: PureState) -> complex:
     """Inner product ⟨u|v⟩ = conj(u)·v."""
-    for name, s in (("u", u), ("v", v)):
-        ns = s.norm_sq()
-        if abs(ns - 1.0) > NORM_ATOL:
-            raise ValidationError(f"state {name} is not normalized: |amps|^2 = {ns!r}")
     return (
         u.amp_plus.conjugate() * v.amp_plus + u.amp_minus.conjugate() * v.amp_minus
     )
@@ -165,10 +157,6 @@ def build_pair_soc(p: OverlapParams) -> tuple[PureState, PureState, PureState]:
 
 def tensor(a: PureState, b: PureState) -> JointState:
     """Product state a ⊗ b in the fixed (++, +−, −+, −−) order."""
-    for name, s in (("a", a), ("b", b)):
-        ns = s.norm_sq()
-        if abs(ns - 1.0) > NORM_ATOL:
-            raise ValidationError(f"state {name} is not normalized: |amps|^2 = {ns!r}")
     return JointState(
         (
             a.amp_plus * b.amp_plus,

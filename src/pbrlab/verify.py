@@ -46,7 +46,6 @@ from .protocol import (
     analytic_spectrum,
     born_probabilities,
     default_couplings,
-    forbidden_rate,
     make_protocol,
     numeric_pairing,
     orthogonality_residuals,
@@ -328,27 +327,25 @@ def check_simulation_stats(seed: int, n_runs: int = 200_000, n_workers: int = 1)
         for p, o in clean.forbidden
     )
     born = born_probabilities(inst.preparation("u*u"), inst.spectrum)
-    row = clean.counts[clean.prep_labels.index("u*u")]
-    n_uu = sum(row)
+    n_uu = sum(clean.counts[clean.prep_labels.index("u*u")])
     born_ok = True
-    for k, p in enumerate(born):
+    for outcome, p in zip(clean.outcome_labels, born):
         sigma = math.sqrt(p * (1.0 - p) / n_uu) if 0.0 < p < 1.0 else 0.0
-        if abs(row[k] / n_uu - p) > max(3.0 * sigma, 1e-12):
+        if abs(clean.frequency("u*u", outcome) - p) > max(3.0 * sigma, 1e-12):
             born_ok = False
     next_seed = (seed + 1) & (2**64 - 1)  # wraps, so the maximum seed stays valid
     noisy = simulate(inst, n_runs, seed=next_seed, noise_eps=0.04, prep_policy="roundrobin", n_workers=n_workers)
-    rates = forbidden_rate(noisy)
     expected = 0.04 / 4.0
     sigma = math.sqrt(expected * (1.0 - expected) / (n_runs / 4.0))
-    noise_ok = all(abs(rate - expected) <= 3.0 * sigma for _, rate in rates.per_preparation)
-    bound = overlap_bound(rates.eps_hat)
+    noise_ok = all(abs(rate - expected) <= 3.0 * sigma for _, rate in noisy.forbidden_rates)
+    bound = overlap_bound(noisy.eps_hat)
     bound_ok = abs(bound - 0.04) <= 12.0 * sigma
     ok = forbidden_hits == 0 and born_ok and noise_ok and bound_ok
     return CheckResult(
         "simulation-statistics",
         ok,
         f"{n_runs} clean runs: forbidden hits {forbidden_hits}; Born within 3 sigma: {born_ok}; "
-        f"noise 0.04 -> eps_hat {rates.eps_hat:.5f}, bound {bound:.5f}",
+        f"noise 0.04 -> eps_hat {noisy.eps_hat:.5f}, bound {bound:.5f}",
     )
 
 

@@ -4,6 +4,7 @@ import bisect
 import math
 import os
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -20,7 +21,6 @@ from pbrlab import (
     Variant,
     born_probabilities,
     evolve,
-    forbidden_rate,
     make_protocol,
     orthogonality_residuals,
     simulate,
@@ -122,6 +122,16 @@ class TestDefaultCouplings:
         assert (first, couplings.b) == (0.5, 0.8)
         inst = make_protocol(Variant.SOC, OverlapParams(theta), couplings)
         assert inst.constraint_residual <= 1e-12
+
+
+class TestUnknownVariant:
+    def test_make_protocol(self):
+        with pytest.raises(ValidationError, match="unknown Variant 'bad' \\(accepted: xyz, soc\\)"):
+            make_protocol("bad", OverlapParams(0.5), XYZ_COUPLINGS)
+
+    def test_default_couplings(self):
+        with pytest.raises(ValidationError, match="unknown Variant 'bad' \\(accepted: xyz, soc\\)"):
+            default_couplings("bad", 1.0)
 
 
 class TestBornProbabilities:
@@ -346,9 +356,8 @@ class TestSimulate:
     def test_noise_puts_eps_over_4_on_forbidden(self):
         inst = xyz_instance()
         table = simulate(inst, 400_000, seed=12, noise_eps=0.04, prep_policy="roundrobin")
-        rates = forbidden_rate(table)
         sigma = math.sqrt(0.01 * 0.99 / 100_000)
-        for _, rate in rates.per_preparation:
+        for _, rate in table.forbidden_rates:
             assert abs(rate - 0.01) <= 3 * sigma
 
     def test_identical_inputs_identical_tables(self):
@@ -383,9 +392,20 @@ class TestSimulate:
             ({"n_runs": 10, "seed": -1}, "seed"),
             ({"n_runs": 10, "noise_eps": 1.5}, "noise_eps"),
             ({"n_runs": 10, "n_workers": 0}, "n_workers"),
+            ({"n_runs": 10.5}, "n_runs must be an integer, got float"),
+            ({"n_runs": True}, "n_runs must be an integer, got bool"),
+            ({"n_runs": 10, "n_workers": 2.5}, "n_workers must be an integer, got float"),
+            ({"n_runs": 10, "n_workers": True}, "n_workers must be an integer, got bool"),
+            (
+                {"n_runs": 10, "prep_policy": "bad"},
+                re.escape("unknown PrepPolicy 'bad' (accepted: uniform, roundrobin)"),
+            ),
         ],
     )
-    def test_input_validation(self, kwargs, match):
+    def test_input_validation(self, monkeypatch, kwargs, match):
+        # With 8 CPUs a float worker count would reach range() in the chunk
+        # plan; the checks come first, so no pool is built for any case.
+        monkeypatch.setattr(protocol.os, "cpu_count", lambda: 8)
         inst = xyz_instance()
         kwargs.setdefault("seed", 1)
         with pytest.raises(ValidationError, match=match):
@@ -425,9 +445,11 @@ class TestTallyTableAndRates:
             (2500, 5000, 0, 2500),
             (0, 2500, 2500, 5000),
         )
-        rates = forbidden_rate(self._table(counts, 40_000))
-        assert dict(rates.per_preparation)["u*u"] == pytest.approx(0.01)
-        assert rates.eps_hat == pytest.approx(0.01)
+        table = self._table(counts, 40_000)
+        assert table.forbidden_rates == (
+            ("u*u", 100 / 10_000), ("u*vbar", 0.0), ("v*u", 0.0), ("v*vbar", 0.0)
+        )
+        assert table.eps_hat == pytest.approx(0.01)
 
     def test_all_zero_forbidden_counts(self):
         counts = tuple(tuple([10, 10, 10, 0]) for _ in range(4))
@@ -440,12 +462,23 @@ class TestTallyTableAndRates:
             ),
             120,
         )
-        assert forbidden_rate(table).eps_hat == 0.0
+        assert table.eps_hat == 0.0
 
     def test_empty_table_rejected(self):
-        empty = self._table(tuple(tuple([0] * 4) for _ in range(4)), 0)
         with pytest.raises(ValidationError, match="no counts"):
-            forbidden_rate(empty)
+            self._table(tuple(tuple([0] * 4) for _ in range(4)), 0)
+
+    @pytest.mark.parametrize(
+        "prep,outcome,named",
+        [
+            ("x", "e1", "'x' (labels: u*u, u*vbar, v*u, v*vbar)"),
+            ("u*u", "e9", "'e9' (labels: e1, e2, e3, e4)"),
+        ],
+    )
+    def test_unknown_label_is_named(self, prep, outcome, named):
+        table = self._table(tuple(tuple([1, 0, 0, 0]) for _ in range(4)), 4)
+        with pytest.raises(ValidationError, match=re.escape(f"unknown tally label {named}")):
+            table.frequency(prep, outcome)
 
     def test_csv_rows_cover_the_grid(self):
         inst = xyz_instance()
