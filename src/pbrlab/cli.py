@@ -47,6 +47,7 @@ from .ontology import (
 )
 from .protocol import (
     ORTHO_ATOL,
+    PrepPolicy,
     Variant,
     analytic_spectrum,
     default_couplings,
@@ -342,7 +343,7 @@ _OPTIONS: dict[str, dict] = {
     "b": {"type": float},
     "c": {"type": float},
     "d": {"type": float},
-    "variant": {"choices": ["xyz", "soc"]},
+    "variant": {"choices": [v.value for v in Variant]},
     "split": {"type": float, "help": "a - c, must be nonzero"},
     "method": {"choices": ["closed-form", "bisection"], "default": "closed-form"},
     "gap_tol": {"type": float, "default": GAP_TOL},
@@ -350,7 +351,7 @@ _OPTIONS: dict[str, dict] = {
     "runs": {"type": int},
     "seed": {"type": int},
     "noise": {"type": float, "default": 0.0, "help": "outcome-flip probability in [0, 1]"},
-    "policy": {"choices": ["uniform", "roundrobin"], "default": "uniform"},
+    "policy": {"choices": [p.value for p in PrepPolicy], "default": "uniform"},
     "workers": {"type": int, "default": 1},
     "format": {"choices": ["json", "csv"], "default": "csv"},
     "overlap": {"choices": ["a", "b", "both"]},

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 from .errors import DegeneracyError, DomainError, LogicError, NonFiniteError, SolverError
 from .hamiltonian import GAP_TOL, CouplingSet, analytic_spectrum_soc, mixing_angle
+from .qstate import OverlapParams
 
 CLOSED_FORM_RESIDUAL_TOL = 1e-12
 ROOT_RESIDUAL_TOL = 1e-10
@@ -57,8 +58,7 @@ class SolverResult:
 
 
 def _validate_inputs(theta: float, d: float, split: float) -> None:
-    if not 0.0 < theta < math.pi / 2.0:
-        raise DomainError(f"theta must lie strictly inside (0, pi/2), got {theta!r}")
+    OverlapParams(theta)  # the pair's theta rule: strictly inside (0, pi/2)
     if not d > 0.0:
         raise DomainError(
             f"d must be positive, got {d!r}: with d <= 0 the principal-branch "

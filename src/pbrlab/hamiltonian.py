@@ -254,7 +254,7 @@ def evolve(s: JointState, spec: Spectrum, t: float) -> JointState:
     for energy, eigvec in zip(spec.eigenvalues, spec.eigenvectors):
         e = eigvec.vector
         out += cmath.exp(-1j * energy * t) * np.vdot(e, vec) * e
-    return JointState.from_vector(out)
+    return JointState(out)
 
 
 def pair_spectra(

@@ -168,7 +168,10 @@ class ProtocolInstance:
     couplings: CouplingSet
     spectrum: Spectrum
     preparations: tuple[tuple[str, JointState], ...]
-    forbidden: tuple[tuple[str, str], ...]
+
+    @property
+    def forbidden(self) -> tuple[tuple[str, str], ...]:
+        return _FORBIDDEN[self.variant]
 
     @property
     def prep_labels(self) -> tuple[str, ...]:
@@ -228,7 +231,7 @@ def _assemble(
         ("v*u", tensor(v, u)),
         (f"v*{other}", tensor(v, w)),
     )
-    return ProtocolInstance(variant, params, couplings, spectrum, preparations, _FORBIDDEN[variant])
+    return ProtocolInstance(variant, params, couplings, spectrum, preparations)
 
 
 def orthogonality_residuals(
@@ -282,22 +285,20 @@ class TallyTable:
     prep_labels: tuple[str, ...]
     outcome_labels: tuple[str, ...]
     counts: tuple[tuple[int, ...], ...]
-    n_runs: int
     seed: int
     noise_eps: float
     policy: str
     forbidden: tuple[tuple[str, str], ...]
 
     def __post_init__(self):
-        if self.n_runs < 1:
-            raise ValidationError(f"tally table has no counts: n_runs = {self.n_runs}")
-        total = sum(sum(row) for row in self.counts)
-        if total != self.n_runs:
-            raise ValidationError(
-                f"tally counts sum to {total}, expected n_runs = {self.n_runs}"
-            )
         if any(c < 0 for row in self.counts for c in row):
             raise ValidationError("tally counts must be nonnegative")
+        if self.n_runs < 1:
+            raise ValidationError(f"tally table has no counts: n_runs = {self.n_runs}")
+
+    @property
+    def n_runs(self) -> int:
+        return sum(sum(row) for row in self.counts)
 
     def frequency(self, prep_label: str, outcome_label: str) -> float:
         """Share of ``prep_label``'s runs that gave ``outcome_label``; 0 if it had none."""
@@ -310,8 +311,12 @@ class TallyTable:
 
     @property
     def forbidden_rates(self) -> tuple[tuple[str, float], ...]:
-        """(preparation, frequency of its forbidden outcome), in ``forbidden`` order."""
-        return tuple((prep, self.frequency(prep, out)) for prep, out in self.forbidden)
+        """(preparation, frequency of its forbidden outcome), in ``forbidden`` order; each needs a run."""
+        rates = tuple((prep, self.frequency(prep, out)) for prep, out in self.forbidden)
+        unrun = [prep for prep, _ in self.forbidden if not any(self.counts[self.prep_labels.index(prep)])]
+        if unrun:
+            raise ValidationError(f"no runs prepared {', '.join(unrun)}: a forbidden-outcome rate needs one")
+        return rates
 
     @property
     def eps_hat(self) -> float:
@@ -459,7 +464,6 @@ def simulate(
         prep_labels=inst.prep_labels,
         outcome_labels=inst.outcome_labels,
         counts=tuple(tuple(int(x) for x in row) for row in total),
-        n_runs=n_runs,
         seed=seed,
         noise_eps=float(noise_eps),
         policy=policy.value,

@@ -11,8 +11,8 @@ Conventions used throughout the package:
 - States carry their constructed global phase (the u states carry e^{-i phi});
   physical comparisons use |overlap|², which ignores it.
 - A state's norm is checked once, when it is built: :class:`PureState` and
-  :class:`JointState` are frozen, so :func:`overlap` and :func:`tensor` take
-  their inputs as normalized.
+  :class:`JointState` (one read-only complex (4,) vector, copied then) are
+  frozen, so :func:`overlap` and :func:`tensor` take their inputs as normalized.
 
 Two state families are provided: the x-z Bloch-plane pair (u, v) with the
 companion state vbar orthogonal to v inside span{u, v}, and the pair (u, v)
@@ -25,7 +25,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -54,31 +53,19 @@ class PureState:
         return [[z.real, z.imag] for z in (self.amp_plus, self.amp_minus)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointState:
     """A normalized two-qubit state over (|++⟩, |+−⟩, |−+⟩, |−−⟩)."""
 
-    amps: tuple[complex, complex, complex, complex]
+    vector: np.ndarray
 
     def __post_init__(self):
-        if len(self.amps) != 4:
-            raise ValidationError(f"JointState needs 4 amplitudes, got {len(self.amps)}")
-        object.__setattr__(self, "amps", tuple(complex(a) for a in self.amps))
-        _check_normalized(self.norm_sq(), "JointState")
-
-    def norm_sq(self) -> float:
-        return float(sum(abs(a) ** 2 for a in self.amps))
-
-    @cached_property
-    def vector(self) -> np.ndarray:
-        """The amplitudes as a read-only array, built on first access."""
-        vec = np.array(self.amps, dtype=complex)
+        vec = np.array(self.vector, dtype=complex)
+        if vec.shape != (4,):
+            raise ValidationError(f"JointState needs 4 amplitudes, got shape {vec.shape}")
         vec.setflags(write=False)
-        return vec
-
-    @classmethod
-    def from_vector(cls, vec: np.ndarray) -> "JointState":
-        return cls(tuple(complex(z) for z in np.asarray(vec, dtype=complex).reshape(4)))
+        object.__setattr__(self, "vector", vec)
+        _check_normalized(float(np.vdot(vec, vec).real), "JointState")
 
 
 @dataclass(frozen=True)
@@ -107,10 +94,10 @@ class OverlapParams:
         object.__setattr__(self, "phi", phi % TWO_PI)
 
 
-def _check_normalized(norm_sq: float, what: str) -> None:
-    if not math.isfinite(norm_sq) or abs(norm_sq - 1.0) > NORM_ATOL:
+def _check_normalized(squared_norm: float, what: str) -> None:
+    if not math.isfinite(squared_norm) or abs(squared_norm - 1.0) > NORM_ATOL:
         raise ValidationError(
-            f"{what} is not normalized: |amps|^2 = {norm_sq!r} (tolerance {NORM_ATOL})"
+            f"{what} is not normalized: squared norm {squared_norm!r} (tolerance {NORM_ATOL})"
         )
 
 

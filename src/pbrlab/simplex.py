@@ -28,6 +28,9 @@ _PIVOT_TOL = 1e-10
 #: artificial sum.
 _FEASIBILITY_TOL = 1e-9
 
+#: Pivot budget of one phase-1 solve.
+_MAX_ITER = 10_000
+
 
 @dataclass(frozen=True)
 class Phase1Result:
@@ -37,7 +40,7 @@ class Phase1Result:
     iterations: int
 
 
-def phase1_feasible(a, b, *, max_iter: int = 10_000, exact: bool = False) -> Phase1Result:
+def phase1_feasible(a, b, *, exact: bool = False) -> Phase1Result:
     """Decide feasibility of A x = b, x >= 0 via a phase-1 simplex."""
     a = np.array(a, dtype=float)
     b = np.array(b, dtype=float)
@@ -59,7 +62,7 @@ def phase1_feasible(a, b, *, max_iter: int = 10_000, exact: bool = False) -> Pha
         rows.append(row + [num(sign * rhs)])
     basis = list(range(n, n + m))
 
-    for iteration in range(max_iter):
+    for iteration in range(_MAX_ITER):
         art_rows = [rows[i] for i in range(m) if basis[i] >= n]
         value = sum((row[-1] for row in art_rows), zero)
         entering = -1
@@ -96,4 +99,4 @@ def phase1_feasible(a, b, *, max_iter: int = 10_000, exact: bool = False) -> Pha
             if i != leave_row and factor != zero:
                 rows[i] = [v - factor * w for v, w in zip(rows[i], rows[leave_row])]
         basis[leave_row] = entering
-    raise ConvergenceError(f"phase-1 simplex exceeded {max_iter} iterations")
+    raise ConvergenceError(f"phase-1 simplex exceeded {_MAX_ITER} iterations")

@@ -59,15 +59,15 @@ def test_criterion_2_soc_spectrum_oracle():
 
 def test_criterion_3_xyz_orthogonality():
     """Forbidden-outcome overlaps vanish on a 63x8 = 504-point (theta, phi) grid."""
-    report("criterion 3 (exchange orthogonality)", verify.check_xyz_orthogonality(303, n=63))
+    report("criterion 3 (exchange orthogonality)", verify.check_xyz_orthogonality(n=63))
 
 
 def test_criterion_4_soc_orthogonality_with_negative_control():
     """Constraint couplings annihilate the overlaps; off-constraint ones do not."""
     report(
         "criterion 4 (spin-orbit orthogonality)",
-        verify.check_soc_orthogonality(404, n=500),
-        verify.check_soc_negative_control(404, n=50),
+        verify.check_soc_orthogonality(n=500),
+        verify.check_soc_negative_control(n=50),
     )
 
 
@@ -80,14 +80,14 @@ def test_criterion_6_exclusion_argument():
     """Both-overlap infeasible, single overlaps feasible; simplex equals oracle."""
     report(
         "criterion 6 (exclusion argument)",
-        verify.check_exclusion_feasibility(606, n=100),
+        verify.check_exclusion_feasibility(n=100),
         verify.check_simplex_oracle(606, n=1000),
     )
 
 
 def test_criterion_7_special_case_verdicts():
     """Exact logical outputs at theta = pi/4 and theta = pi/3."""
-    report("criterion 7 (special-case verdict)", verify.check_special_case_verdicts(42))
+    report("criterion 7 (special-case verdict)", verify.check_special_case_verdicts())
 
 
 def test_criterion_8_simulation_statistics():
@@ -100,7 +100,7 @@ def test_criterion_8_simulation_statistics():
 
 def test_criterion_9_cross_protocol_consistency():
     """The spin-orbit verdict at theta = pi/4 implies the exchange disjunction."""
-    report("criterion 9 (cross-protocol consistency)", verify.check_cross_protocol(42))
+    report("criterion 9 (cross-protocol consistency)", verify.check_cross_protocol())
 
 
 def test_criterion_10_determinism():

@@ -206,7 +206,7 @@ class TestExitCodes:
             ["spectrum", "--variant", "xyz", "--a=1e-300", "--b=2e-300", "--c=3e-300", "--gap-tol", "0"],
             ["solve", "--method", "bisection", "--theta", "1e-4", "--d", "1", "--split", "2"],
             ["run", "--variant", "xyz", "--theta", "1", "--a", "1", "--b", "1", "--c", "1",
-             "--runs", "10", "--seed", "1", "--gap-tol", "0"],
+             "--runs", "10", "--seed", "1", "--gap-tol", "0", "--policy", "roundrobin"],
         ],
         ids=["spectrum-tiny-couplings", "solve-bisection-small-theta", "run-gap-tol-zero-skips-the-check"],
     )
@@ -214,6 +214,21 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, *argv)
         assert code == 0
         assert out and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv, unrun",
+        [
+            (["run", "--variant", "xyz", "--theta", "1.0", "--runs", "3", "--seed", "1", "--noise", "1",
+              "--format", "json"], "u*u, v*vbar"),
+            (["verify-all", "--runs", "1"], "u*vbar, v*u, v*vbar"),
+            (["verify-all", "--runs", "3"], "v*vbar"),
+        ],
+        ids=["run", "verify-all-1-run", "verify-all-3-runs"],
+    )
+    def test_preparation_without_runs_is_two(self, capsys, argv, unrun):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == "" and f"error: no runs prepared {unrun}:" in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "argv, want",

@@ -422,21 +422,16 @@ class TestSimulate:
 
 
 class TestTallyTableAndRates:
-    def _table(self, counts, n_runs):
+    def _table(self, counts):
         return TallyTable(
             prep_labels=("u*u", "u*vbar", "v*u", "v*vbar"),
             outcome_labels=("e1", "e2", "e3", "e4"),
             counts=counts,
-            n_runs=n_runs,
             seed=0,
             noise_eps=0.0,
             policy="roundrobin",
             forbidden=xyz_instance().forbidden,
         )
-
-    def test_count_total_must_match_runs(self):
-        with pytest.raises(ValidationError, match="sum to"):
-            self._table(tuple(tuple([1, 0, 0, 0]) for _ in range(4)), 5)
 
     def test_forbidden_rate_arithmetic(self):
         counts = (
@@ -445,28 +440,38 @@ class TestTallyTableAndRates:
             (2500, 5000, 0, 2500),
             (0, 2500, 2500, 5000),
         )
-        table = self._table(counts, 40_000)
+        table = self._table(counts)
+        assert table.n_runs == 40_000
         assert table.forbidden_rates == (
             ("u*u", 100 / 10_000), ("u*vbar", 0.0), ("v*u", 0.0), ("v*vbar", 0.0)
         )
         assert table.eps_hat == pytest.approx(0.01)
 
     def test_all_zero_forbidden_counts(self):
-        counts = tuple(tuple([10, 10, 10, 0]) for _ in range(4))
         table = self._table(
             (
                 (10, 10, 10, 0),
                 (10, 0, 10, 10),
                 (10, 10, 0, 10),
                 (0, 10, 10, 10),
-            ),
-            120,
+            )
         )
         assert table.eps_hat == 0.0
 
     def test_empty_table_rejected(self):
         with pytest.raises(ValidationError, match="no counts"):
-            self._table(tuple(tuple([0] * 4) for _ in range(4)), 0)
+            self._table(tuple(tuple([0] * 4) for _ in range(4)))
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValidationError, match="nonnegative"):
+            self._table(((5, -1, 0, 0), (1, 0, 0, 0), (1, 0, 0, 0), (1, 0, 0, 0)))
+
+    def test_unrun_preparations_have_no_rate(self):
+        table = self._table(((3, 0, 0, 0), (0, 0, 0, 0), (2, 1, 0, 0), (0, 0, 0, 0)))
+        assert table.frequency("u*vbar", "e2") == 0.0  # a cell of the CSV grid, not a rate
+        for read in ("forbidden_rates", "eps_hat"):
+            with pytest.raises(ValidationError, match=re.escape("no runs prepared u*vbar, v*vbar:")):
+                getattr(table, read)
 
     @pytest.mark.parametrize(
         "prep,outcome,named",
@@ -476,7 +481,7 @@ class TestTallyTableAndRates:
         ],
     )
     def test_unknown_label_is_named(self, prep, outcome, named):
-        table = self._table(tuple(tuple([1, 0, 0, 0]) for _ in range(4)), 4)
+        table = self._table(tuple(tuple([1, 0, 0, 0]) for _ in range(4)))
         with pytest.raises(ValidationError, match=re.escape(f"unknown tally label {named}")):
             table.frequency(prep, outcome)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from pbrlab import ConvergenceError, ValidationError
+from pbrlab import ConvergenceError, ValidationError, simplex
 from pbrlab.simplex import phase1_feasible
 
 
@@ -38,10 +38,10 @@ class TestSmallSystems:
         with pytest.raises(ValidationError, match="finite"):
             phase1_feasible([[np.inf, 1.0]], [1.0])
 
-    def test_iteration_budget(self):
-        a = np.eye(3)
-        with pytest.raises(ConvergenceError):
-            phase1_feasible(a, np.ones(3), max_iter=1)
+    def test_iteration_budget(self, monkeypatch):
+        monkeypatch.setattr(simplex, "_MAX_ITER", 1)
+        with pytest.raises(ConvergenceError, match="exceeded 1 iterations"):
+            phase1_feasible(np.eye(3), np.ones(3))
 
 
 class TestAgainstLibrarySolver:

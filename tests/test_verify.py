@@ -46,8 +46,8 @@ def reference_soc(seed: int, n: int) -> CheckResult:
     for c, spec in verify._random_couplings(seed, 20, n, Variant.SOC):
         de, infid = per_matrix_agreement(spec, hamiltonian_stack(Variant.SOC, [c])[0])
         max_de, max_infid = max(max_de, de), max(max_infid, infid)
-        exact_fixed = exact_fixed and spec.eigenvectors[0].amps == bells[1].amps
-        exact_fixed = exact_fixed and spec.eigenvectors[1].amps == bells[2].amps
+        exact_fixed = exact_fixed and np.array_equal(spec.eigenvectors[0].vector, bells[1].vector)
+        exact_fixed = exact_fixed and np.array_equal(spec.eigenvectors[1].vector, bells[2].vector)
         cross = abs(np.vdot(spec.eigenvectors[2].vector, spec.eigenvectors[3].vector))
         max_cross = max(max_cross, float(cross))
     return CheckResult(
@@ -68,4 +68,16 @@ def test_stacked_spectrum_checks_equal_the_per_matrix_loop(seed, n):
 def test_sampled_spectra_are_the_analytic_ones():
     for variant in Variant:
         for c, spec in verify._random_couplings(5, 10, 20, variant):
-            assert spec == verify.analytic_spectrum(variant, c, verify._SAMPLE_MIN_GAP)
+            again = verify.analytic_spectrum(variant, c, verify._SAMPLE_MIN_GAP)
+            assert spec.labels == again.labels
+            assert spec.eigenvalues == again.eigenvalues
+            assert spec.alpha == again.alpha
+            for x, y in zip(spec.eigenvectors, again.eigenvectors, strict=True):
+                assert np.array_equal(x.vector, y.vector)
+
+
+@pytest.mark.parametrize("cpus", [1, 8])
+def test_report_does_not_depend_on_the_cpu_count(monkeypatch, cpus):
+    reference = verify.run_all(seed=42)
+    monkeypatch.setattr("os.cpu_count", lambda: cpus)
+    assert verify.run_all(seed=42) == reference
