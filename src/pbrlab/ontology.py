@@ -190,24 +190,25 @@ def lp_feasible(prob: FeasibilityProblem, *, exact: bool = False) -> Feasibility
     labels = prob.outcome_labels
     forbidder = {out: prep for prep, out in prob.forbidden}
     result = _decide(sum(1 << labels.index(out) for out in forbidder), bool(exact))
-    method = "phase1-simplex-exact" if exact else "phase1-simplex"
-
+    witness = certificate = None
     if result.feasible:
         live = [lab for lab in labels if lab not in forbidder]
         witness = tuple((lab, 1.0 / len(live)) for lab in live)
-        return FeasibilityDecision(
-            feasible=True, witness=witness, certificate=None, problem=prob, method=method
+    else:
+        certificate = tuple(
+            f"p({lab}) = 0  (forbidden outcome of preparation {forbidder[lab]}, "
+            "whose support contains the shared state)"
+            for lab in prob.zeroed
+        ) + (
+            "p(" + ") + p(".join(labels) + ") = 1  (some outcome occurs in every run)",
+            "summing the zero equalities over all four outcomes gives 0 = 1",
         )
-    certificate = tuple(
-        f"p({lab}) = 0  (forbidden outcome of preparation {forbidder[lab]}, "
-        "whose support contains the shared state)"
-        for lab in prob.zeroed
-    ) + (
-        "p(" + ") + p(".join(labels) + ") = 1  (some outcome occurs in every run)",
-        "summing the zero equalities over all four outcomes gives 0 = 1",
-    )
     return FeasibilityDecision(
-        feasible=False, witness=None, certificate=certificate, problem=prob, method=method
+        feasible=result.feasible,
+        witness=witness,
+        certificate=certificate,
+        problem=prob,
+        method="phase1-simplex-exact" if exact else "phase1-simplex",
     )
 
 
@@ -227,7 +228,7 @@ def _decide(mask: int, exact: bool) -> Phase1Result:
 def problem_from_zeroed(
     inst: ProtocolInstance, zeroed: tuple[str, ...]
 ) -> FeasibilityProblem:
-    """Problem with an arbitrary zeroed set (for randomized solver checks).
+    """Problem with an arbitrary zeroed set, such as each of the 16 the simplex oracle checks.
 
     The supporting preparations are the ones whose forbidden outcome is in
     ``zeroed``, so degenerate sets (empty, partial, full) stay self-consistent.
@@ -283,29 +284,12 @@ def deduce(inst: ProtocolInstance, both_overlap: FeasibilityDecision) -> list[Ve
             "that impossible for a valid instance"
         )
     theta = inst.params.theta
+    pairs, relation = (("u", "v"), ("u", companion(inst.variant))), Relation.AT_LEAST_ONE_DISJOINT
+    note = "backed by the shared-support infeasibility certificate"
     if inst.variant is Variant.SOC and abs(theta - math.pi / 4.0) <= SPECIAL_CASE_ATOL:
-        return [
-            Verdict(
-                pairs=(("u", "v"),),
-                relation=Relation.DISJOINT,
-                variant=inst.variant.value,
-                theta=theta,
-                note=(
-                    "w coincides with v at this overlap (|<u|v>|^2 = 1/2), so the "
-                    "disjunction collapses; backed by the shared-support "
-                    "infeasibility certificate"
-                ),
-            )
-        ]
-    return [
-        Verdict(
-            pairs=(("u", "v"), ("u", companion(inst.variant))),
-            relation=Relation.AT_LEAST_ONE_DISJOINT,
-            variant=inst.variant.value,
-            theta=theta,
-            note="backed by the shared-support infeasibility certificate",
-        )
-    ]
+        pairs, relation = (("u", "v"),), Relation.DISJOINT
+        note = "w coincides with v at this overlap (|<u|v>|^2 = 1/2), so the disjunction collapses; " + note
+    return [Verdict(pairs=pairs, relation=relation, variant=inst.variant.value, theta=theta, note=note)]
 
 
 def overlap_bound(eps_hat: float) -> float:

@@ -15,10 +15,9 @@ the feasibility decision exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .errors import ConvergenceError, ValidationError
 
@@ -42,13 +41,17 @@ class Phase1Result:
 
 def phase1_feasible(a, b, *, exact: bool = False) -> Phase1Result:
     """Decide feasibility of A x = b, x >= 0 via a phase-1 simplex."""
-    a = np.array(a, dtype=float)
-    b = np.array(b, dtype=float)
-    if a.ndim != 2 or b.ndim != 1 or a.shape[0] != b.shape[0]:
-        raise ValidationError(f"incompatible LP shapes A{a.shape}, b{b.shape}")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+    try:
+        a = [[float(v) for v in row] for row in a]
+        b = [float(v) for v in b]
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"LP data must be rows of numbers and a vector of numbers: {exc}") from None
+    widths = sorted({len(row) for row in a})
+    if len(widths) != 1 or widths[0] == 0 or len(b) != len(a):
+        raise ValidationError(f"incompatible LP shapes: A rows of lengths {widths}, b of length {len(b)}")
+    if not all(math.isfinite(v) for row in [*a, b] for v in row):
         raise ValidationError("LP data must be finite")
-    m, n = a.shape
+    m, n = len(a), widths[0]
     num = Fraction if exact else float
     zero = num(0)
     tol, pivot_tol = (zero, zero) if exact else (_FEASIBILITY_TOL, _PIVOT_TOL)
@@ -56,7 +59,7 @@ def phase1_feasible(a, b, *, exact: bool = False) -> Phase1Result:
     # Tableau rows [A | I_m | rhs], each negated where rhs < 0, with the
     # artificial columns n..n+m-1 as the starting basis.
     rows = []
-    for i, (a_row, rhs) in enumerate(zip(a.tolist(), b.tolist())):
+    for i, (a_row, rhs) in enumerate(zip(a, b)):
         sign = -1.0 if rhs < 0.0 else 1.0
         row = [num(sign * v) for v in a_row] + [num(float(i == j)) for j in range(m)]
         rows.append(row + [num(sign * rhs)])

@@ -2,19 +2,21 @@
 
 Runs every protocol invariant over fixed grids and seeded random draws,
 printing one PASS/FAIL line per check.  Only the checks that draw take the
-seed: both spectra, solver agreement, the simplex oracle, simulation
-statistics and determinism.  Their draws come from the counter streams in
-:mod:`pbrlab.rng`, so the report text is a pure function of (seed, n_runs):
-byte-identical across repeats, platforms, CPU counts and worker counts.
+seed: both spectra, solver agreement, simulation statistics and determinism.
+Their draws come from the counter streams in :mod:`pbrlab.rng`, so the report
+text is a pure function of (seed, n_runs): byte-identical across repeats,
+platforms, CPU counts and worker counts.
 
 These checks are the only implementation of each invariant: the acceptance
-suite (``tests/test_acceptance.py``) calls them at larger sizes.  The sampled
-checks take ``n`` draws and the grid checks an ``n``-point theta grid; the
-defaults are the sizes ``verify-all`` reports.
+suite (``tests/test_acceptance.py``) calls them at larger sizes.  The spectrum
+and solver checks take ``n`` draws, and the orthogonality checks and the
+negative control an ``n``-point theta grid; the defaults are the sizes
+``verify-all`` reports.  The LP checks are exhaustive and take no size.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -226,52 +228,40 @@ def _instance(variant: Variant, theta: float):
     return make_protocol(variant, OverlapParams(theta), default_couplings(variant, theta))
 
 
-def _instances_for_grid(n: int):
-    for theta in _theta_grid(n):
-        for variant in Variant:
-            yield _instance(variant, theta)
-
-
-def check_exclusion_feasibility(n: int = 12) -> CheckResult:
-    checked = 0
-    for inst in _instances_for_grid(n):
-        both = lp_feasible(build_problem(inst, SupportProfile(True, True)))
-        if both.feasible:
-            return CheckResult("exclusion-feasibility", False, f"both-overlap feasible for {inst.variant}")
+def check_exclusion_feasibility() -> CheckResult:
+    # The problems depend on the variant's forbidden map, not on theta, so one
+    # instance per variant poses every question the check asks.
+    for variant in Variant:
+        inst = _instance(variant, math.pi / 3.0)
+        if lp_feasible(build_problem(inst, SupportProfile(True, True))).feasible:
+            return CheckResult("exclusion-feasibility", False, f"both-overlap feasible for {variant}")
         for prof in (SupportProfile(True, False), SupportProfile(False, True)):
             for branch in single_overlap_branches(inst, prof):
-                single = lp_feasible(build_problem(inst, prof, branch=branch))
-                if not single.feasible:
-                    return CheckResult(
-                        "exclusion-feasibility",
-                        False,
-                        f"single-overlap problem infeasible ({inst.variant}, branch {branch})",
-                    )
-        checked += 1
+                if not lp_feasible(build_problem(inst, prof, branch=branch)).feasible:
+                    detail = f"single-overlap problem infeasible ({variant}, branch {branch})"
+                    return CheckResult("exclusion-feasibility", False, detail)
     return CheckResult(
         "exclusion-feasibility",
         True,
-        f"{checked} instances: both-overlap infeasible, all single-overlap branches feasible",
+        f"{len(Variant)} variants x 5 support problems: both-overlap infeasible, "
+        "all single-overlap branches feasible",
     )
 
 
-def check_simplex_oracle(seed: int, n: int = 200) -> CheckResult:
+def check_simplex_oracle() -> CheckResult:
     inst = _instance(Variant.XYZ, math.pi / 3.0)
-    # Each draw picks one of the 16 zeroed sets uniformly, so 200 draws miss
-    # one with probability ~4e-5.  lp_feasible runs the simplex once per set
-    # and reuses its decision, so this checks each set's decision, not each draw.
-    rows = _draws(seed, 40, n, 4)
-    agreements = 0
-    for row in rows:
-        zeroed = tuple(
-            lab for lab, x in zip(inst.outcome_labels, row) if x < 0.5
-        )
-        prob = problem_from_zeroed(inst, zeroed)
-        if lp_feasible(prob).feasible == subset_rule_feasible(prob):
-            agreements += 1
-    ok = agreements == n
+    subsets = [z for k in range(5) for z in itertools.combinations(inst.outcome_labels, k)]
+    problems = [problem_from_zeroed(inst, zeroed) for zeroed in subsets]
+    agreements = sum(
+        lp_feasible(prob, exact=exact).feasible == subset_rule_feasible(prob)
+        for prob in problems
+        for exact in (False, True)
+    )
+    total = 2 * len(problems)
     return CheckResult(
-        "simplex-vs-subset-rule", ok, f"{agreements}/{n} randomized problems agree"
+        "simplex-vs-subset-rule",
+        agreements == total,
+        f"{agreements}/{total} decisions agree ({len(problems)} zeroed sets, float and exact)",
     )
 
 
@@ -368,7 +358,7 @@ def check_phi_independence() -> CheckResult:
 
 def check_evolution_invariance() -> CheckResult:
     worst = 0.0
-    for inst in _instances_for_grid(12):
+    for inst in (_instance(v, theta) for theta in _theta_grid(12) for v in Variant):
         for t in (0.0, 0.37, 2.5, -4.0):
             for _, prep in inst.preparations:
                 before = born_probabilities(prep, inst.spectrum)
@@ -407,7 +397,7 @@ def run_all(seed: int = 42, n_runs: int = 200_000, n_workers: int = 1) -> tuple[
         check_soc_negative_control(),
         check_solver_agreement(seed),
         check_exclusion_feasibility(),
-        check_simplex_oracle(seed),
+        check_simplex_oracle(),
         check_special_case_verdicts(),
         check_cross_protocol(),
         check_simulation_stats(seed, n_runs=n_runs, n_workers=n_workers),

@@ -2,9 +2,10 @@
 
 Each criterion runs the ``verify-all`` checks of :mod:`pbrlab.verify` at the
 criterion's pinned size (the sampled checks take ``n`` draws, the grid checks
-an ``n``-point theta grid), so every invariant has one implementation and the
-tolerances are the ones those checks fix.  Run with
-``pytest tests/test_acceptance.py -v -s`` to see the per-criterion lines.
+an ``n``-point theta grid, the exhaustive LP checks no size), so every
+invariant has one implementation and the tolerances are the ones those checks
+fix.  Run with ``pytest tests/test_acceptance.py -v -s`` to see the
+per-criterion lines.
 """
 
 import math
@@ -80,8 +81,8 @@ def test_criterion_6_exclusion_argument():
     """Both-overlap infeasible, single overlaps feasible; simplex equals oracle."""
     report(
         "criterion 6 (exclusion argument)",
-        verify.check_exclusion_feasibility(n=100),
-        verify.check_simplex_oracle(606, n=1000),
+        verify.check_exclusion_feasibility(),
+        verify.check_simplex_oracle(),
     )
 
 

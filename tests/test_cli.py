@@ -216,19 +216,21 @@ class TestExitCodes:
         assert out and "Traceback" not in err
 
     @pytest.mark.parametrize(
-        "argv, unrun",
+        "argv, message",
         [
             (["run", "--variant", "xyz", "--theta", "1.0", "--runs", "3", "--seed", "1", "--noise", "1",
-              "--format", "json"], "u*u, v*vbar"),
-            (["verify-all", "--runs", "1"], "u*vbar, v*u, v*vbar"),
-            (["verify-all", "--runs", "3"], "v*vbar"),
+              "--format", "json"], "no runs prepared u*u, v*vbar:"),
+            (["verify-all", "--runs", "1"], "field 'runs': must be >= 4"),
+            (["verify-all", "--runs", "3"], "field 'runs': must be >= 4"),
         ],
         ids=["run", "verify-all-1-run", "verify-all-3-runs"],
     )
-    def test_preparation_without_runs_is_two(self, capsys, argv, unrun):
+    def test_preparation_without_runs_is_two(self, capsys, monkeypatch, argv, message):
+        sweeps = []
+        monkeypatch.setattr(cli, "run_all", lambda **kwargs: sweeps.append(kwargs))
         code, out, err = run_cli(capsys, *argv)
-        assert code == 2
-        assert out == "" and f"error: no runs prepared {unrun}:" in err and "Traceback" not in err
+        assert code == 2 and sweeps == []
+        assert out == "" and f"error: {message}" in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "argv, want",

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pbrlab import ontology
+from pbrlab import ontology, verify
 from pbrlab import (
     CouplingSet,
     FeasibilityDecision,
@@ -222,6 +222,23 @@ class TestLpFeasible:
             floating = lp_feasible(prob)
             assert exact.feasible == floating.feasible
             assert exact.method == "phase1-simplex-exact"
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_support_problems_do_not_depend_on_theta(variant):
+    # Why verify's exclusion check decides one instance per variant: the five
+    # support problems keep the same labels and forbidden pairs at every theta.
+    def support_problems(theta):
+        inst = verify._instance(variant, theta)
+        problems = [build_problem(inst, SupportProfile(True, True))]
+        for prof in (SupportProfile(True, False), SupportProfile(False, True)):
+            problems += [build_problem(inst, prof, branch=b) for b in ontology.single_overlap_branches(inst, prof)]
+        return [(prob.outcome_labels, prob.forbidden) for prob in problems]
+
+    reference = support_problems(math.pi / 3)
+    assert len(reference) == 5
+    for theta in [*verify._theta_grid(100), math.pi / 4]:
+        assert support_problems(theta) == reference
 
 
 class TestDeduce:

@@ -82,6 +82,16 @@ class TestMakeProtocol:
             abs(math.cos(math.pi / 4 + math.pi / 3)), abs=1e-12
         )
 
+    def test_overlap_above_ortho_atol_is_a_constraint_error(self):
+        # Within CONSTRAINT_ATOL of the constraint (|cos| = 4.1e-12), so only the
+        # forbidden-overlap gate can reject these couplings.
+        c = default_couplings(Variant.SOC, 1.0)
+        bad = CouplingSet(c.a + 1e-11, c.b, c.c + 1e-11, c.d)
+        with pytest.raises(ConstraintError, match=r"⟨e'4\|u\*w⟩ = 2\.92\d*e-12 exceeds 1e-12") as exc:
+            make_protocol(Variant.SOC, OverlapParams(1.0), bad)
+        assert exc.value.residual == pytest.approx(2.92e-12, rel=1e-2)
+        assert make_protocol(Variant.SOC, OverlapParams(1.0), bad, ortho_atol=1e-11).variant is Variant.SOC
+
     def test_degeneracy_propagates(self):
         with pytest.raises(DegeneracyError):
             make_protocol(Variant.XYZ, OverlapParams(1.0), CouplingSet(1, 1, 0))

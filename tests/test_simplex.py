@@ -34,6 +34,14 @@ class TestSmallSystems:
         with pytest.raises(ValidationError, match="shapes"):
             phase1_feasible([[1.0, 2.0]], [1.0, 2.0])
 
+    def test_ragged_rows_are_a_shape_error(self):
+        with pytest.raises(ValidationError, match="shapes"):
+            phase1_feasible([[1, 2], [3]], [1, 2])
+
+    def test_non_numeric_entries_are_a_validation_error(self):
+        with pytest.raises(ValidationError, match="numbers"):
+            phase1_feasible([["a"]], [1])
+
     def test_nonfinite_rejected(self):
         with pytest.raises(ValidationError, match="finite"):
             phase1_feasible([[np.inf, 1.0]], [1.0])

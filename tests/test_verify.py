@@ -8,7 +8,7 @@ checks must report the same text, digit for digit.
 import numpy as np
 import pytest
 
-from pbrlab import bell_states, verify
+from pbrlab import ValidationError, bell_states, ontology, verify
 from pbrlab.protocol import Variant, hamiltonian_stack
 from pbrlab.verify import CheckResult
 
@@ -81,3 +81,25 @@ def test_report_does_not_depend_on_the_cpu_count(monkeypatch, cpus):
     reference = verify.run_all(seed=42)
     monkeypatch.setattr("os.cpu_count", lambda: cpus)
     assert verify.run_all(seed=42) == reference
+
+
+def test_lp_checks_ask_each_question_once(monkeypatch):
+    ontology._decide.cache_clear()
+    assert verify.check_simplex_oracle().ok
+    info = ontology._decide.cache_info()
+    assert (info.misses, info.hits) == (32, 0)  # 16 zeroed sets x float and exact
+
+    asked = []
+
+    def recording(prob, **kwargs):
+        asked.append(prob)
+        return ontology.lp_feasible(prob, **kwargs)
+
+    monkeypatch.setattr(verify, "lp_feasible", recording)
+    assert verify.check_exclusion_feasibility().ok
+    assert len(asked) == 10  # 2 variants x (both-overlap + 4 single-overlap branches)
+
+
+def test_too_few_runs_leave_a_preparation_unrun():
+    with pytest.raises(ValidationError, match=r"no runs prepared v\*vbar"):
+        verify.run_all(n_runs=3)
