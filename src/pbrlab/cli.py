@@ -328,6 +328,8 @@ def _cmd_bound(ns: argparse.Namespace) -> int:
 def _cmd_verify_all(ns: argparse.Namespace) -> int:
     if ns.runs < 4:
         raise ValidationError(f"field 'runs': must be >= 4 so every preparation gets a run, got {ns.runs}")
+    if ns.workers < 1:
+        raise ValidationError(f"field 'workers': must be >= 1, got {ns.workers}")
     report, ok = run_all(seed=ns.seed, n_runs=ns.runs, n_workers=ns.workers)
     print(report, end="")
     return EXIT_OK if ok else EXIT_VERIFY

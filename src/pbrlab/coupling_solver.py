@@ -25,7 +25,15 @@ import math
 from dataclasses import dataclass
 
 from .errors import DegeneracyError, DomainError, LogicError, NonFiniteError, SolverError
-from .hamiltonian import GAP_TOL, CouplingSet, analytic_spectrum_soc, mixing_angle
+from .hamiltonian import (
+    GAP_TOL,
+    SOC_LABELS,
+    CouplingSet,
+    _check_gaps,
+    mixing_angle,
+    soc_alpha,
+    soc_eigenvalues,
+)
 from .qstate import OverlapParams
 
 CLOSED_FORM_RESIDUAL_TOL = 1e-12
@@ -93,20 +101,21 @@ def _finish(
             f"{math.ulp(ssum)!r}, so a = c; use a larger split or a smaller d"
         )
     couplings = CouplingSet(a=a, b=b, c=c, d=d)
+    alpha = soc_alpha(couplings)
     try:
-        spectrum = analytic_spectrum_soc(couplings, gap_tol=gap_tol)
+        _check_gaps(soc_eigenvalues(couplings), SOC_LABELS, gap_tol, "")
     except DegeneracyError as exc:
         raise DegeneracyError(
             f"{exc}; supply a different b (b does not affect the constraint)",
             pairs=exc.pairs,
         ) from exc
-    residual = abs(math.cos(spectrum.alpha + theta))
+    residual = abs(math.cos(alpha + theta))
     limit = CLOSED_FORM_RESIDUAL_TOL if method == "closed-form" else ROOT_RESIDUAL_TOL
     if residual > limit:
         raise LogicError(f"{method} residual {residual!r} exceeds {limit}")
     return SolverResult(
         couplings=couplings,
-        alpha=spectrum.alpha,
+        alpha=alpha,
         residual=residual,
         theta=theta,
         method=method,

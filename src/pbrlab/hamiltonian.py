@@ -43,6 +43,9 @@ from .qstate import JointState
 #: Default minimum pairwise eigenvalue gap.
 GAP_TOL = 1e-9
 
+#: Outcome labels of the spin-orbit spectrum, in eigenvalue order of :func:`soc_eigenvalues`.
+SOC_LABELS = ("e'1", "e'2", "e'3", "e'4")
+
 _RT2 = math.sqrt(0.5)
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -190,14 +193,13 @@ def analytic_spectrum_xyz(c: CouplingSet, gap_tol: float = GAP_TOL) -> Spectrum:
 def analytic_spectrum_soc(c: CouplingSet, gap_tol: float = GAP_TOL) -> Spectrum:
     """Spin-orbit spectrum: e'1 = Φ⁻, e'2 = Ψ⁺, e'3/e'4 the alpha-mixtures."""
     alpha = soc_alpha(c)  # raises DomainError at d = 0
-    labels = ("e'1", "e'2", "e'3", "e'4")
     values = soc_eigenvalues(c)
-    _check_gaps(values, labels, gap_tol, "")
+    _check_gaps(values, SOC_LABELS, gap_tol, "")
     ca, sa = math.cos(alpha), math.sin(alpha)
     _, phi_minus, psi_plus, _ = bell_states()
     e3 = JointState((_RT2 * ca, _RT2 * sa, -_RT2 * sa, _RT2 * ca))
     e4 = JointState((-_RT2 * sa, _RT2 * ca, -_RT2 * ca, -_RT2 * sa))
-    return Spectrum(values, (phi_minus, psi_plus, e3, e4), labels, alpha=alpha)
+    return Spectrum(values, (phi_minus, psi_plus, e3, e4), SOC_LABELS, alpha=alpha)
 
 
 _NUMERIC_LABELS = ("n1", "n2", "n3", "n4")

@@ -3,9 +3,11 @@
 Runs every protocol invariant over fixed grids and seeded random draws,
 printing one PASS/FAIL line per check.  Only the checks that draw take the
 seed: both spectra, solver agreement, simulation statistics and determinism.
-Their draws come from the counter streams in :mod:`pbrlab.rng`, so the report
-text is a pure function of (seed, n_runs): byte-identical across repeats,
-platforms, CPU counts and worker counts.
+Each sampled check and each simulation reads its own counter stream of
+:mod:`pbrlab.rng`, seeded ``splitmix64(seed, purpose)`` and read from counter
+0, so no two of them share a word.  The report text is a pure function of
+(seed, n_runs): byte-identical across repeats, platforms, CPU counts and
+worker counts.
 
 These checks are the only implementation of each invariant: the acceptance
 suite (``tests/test_acceptance.py``) calls them at larger sizes.  The spectrum
@@ -31,6 +33,7 @@ from .hamiltonian import (
     Spectrum,
     bell_states,
     evolve,
+    numeric_spectrum,
     soc_alpha,
 )
 from .ontology import (
@@ -49,6 +52,7 @@ from .protocol import (
     analytic_spectrum,
     born_probabilities,
     default_couplings,
+    hamiltonian_stack,
     make_protocol,
     numeric_pairing,
     orthogonality_residuals,
@@ -75,9 +79,18 @@ def _theta_grid(n: int) -> list[float]:
     return [lo + (hi - lo) * k / (n - 1) for k in range(n)]
 
 
-def _draws(seed: int, purpose: int, count: int, width: int) -> np.ndarray:
-    # Distinct purposes get disjoint counter blocks of the same seed stream.
-    return rng.run_uniforms(seed, purpose * 1_000_000, purpose * 1_000_000 + count, width)
+def _stream(seed: int, purpose: int) -> int:
+    """Seed of the stream that ``purpose`` reads from counter 0: ``splitmix64(seed, purpose)``.
+
+    Purposes: 10 exchange spectra, 20 spin-orbit spectra, 30 solver samples,
+    40 clean and 50 noisy simulation, 60 determinism.
+    """
+    return rng.splitmix64(rng.validate_seed(seed), purpose)
+
+
+def _draws(seed: int, purpose: int, count: int, width: int, start: int = 0) -> np.ndarray:
+    """Rows [start, start + count) of ``purpose``'s stream, ``width`` uniforms each."""
+    return rng.run_uniforms(_stream(seed, purpose), start, start + count, width)
 
 
 def _random_couplings(
@@ -90,9 +103,9 @@ def _random_couplings(
     """
     soc = variant is Variant.SOC
     out = []
-    block = 0
+    start = 0
     while len(out) < n:
-        for row in _draws(seed, purpose + block, 4 * n, 4 if soc else 3):
+        for row in _draws(seed, purpose, 4 * n, 4 if soc else 3, start):
             c = CouplingSet(*(6.0 * x - 3.0 for x in row))
             if soc and abs(c.d) < 0.05:
                 continue
@@ -103,7 +116,7 @@ def _random_couplings(
             out.append((c, spectrum))
             if len(out) == n:
                 break
-        block += 1
+        start += 4 * n
     return out
 
 
@@ -195,12 +208,11 @@ def check_soc_negative_control(n: int = 12) -> CheckResult:
 
 def check_solver_agreement(seed: int, n: int = 60) -> CheckResult:
     max_gap = 0.0
-    rows = _draws(seed, 30, n, 4)
     done = 0
-    for row in rows:
+    for row in _draws(seed, 30, n, 5):
         theta = 0.1 + (math.pi / 2.0 - 0.2) * row[0]
         d = 0.1 + 2.9 * row[1]
-        split = (0.5 + 2.0 * row[2]) * (1.0 if row[3] < 0.5 else -1.0)
+        split = (0.5 + 2.0 * row[2]) * (1.0 if row[4] < 0.5 else -1.0)
         b = 0.2 + 0.6 * row[3]
         try:
             closed = solve_closed_form(theta, d, split, b=b)
@@ -312,7 +324,9 @@ def check_cross_protocol() -> CheckResult:
 
 def check_simulation_stats(seed: int, n_runs: int = 200_000, n_workers: int = 1) -> CheckResult:
     inst = _instance(Variant.XYZ, math.pi / 3.0)
-    clean = simulate(inst, n_runs, seed=seed, noise_eps=0.0, prep_policy="roundrobin", n_workers=n_workers)
+    clean = simulate(
+        inst, n_runs, seed=_stream(seed, 40), noise_eps=0.0, prep_policy="roundrobin", n_workers=n_workers
+    )
     rows = clean.to_csv_rows()
     forbidden_hits = sum(count for _, _, count, _, forbidden in rows if forbidden)
     born = born_probabilities(inst.preparation("u*u"), inst.spectrum)
@@ -322,8 +336,9 @@ def check_simulation_stats(seed: int, n_runs: int = 200_000, n_workers: int = 1)
         sigma = math.sqrt(p * (1.0 - p) / n_uu) if 0.0 < p < 1.0 else 0.0
         if abs(clean.frequency("u*u", outcome) - p) > max(3.0 * sigma, 1e-12):
             born_ok = False
-    next_seed = (seed + 1) & (2**64 - 1)  # wraps, so the maximum seed stays valid
-    noisy = simulate(inst, n_runs, seed=next_seed, noise_eps=0.04, prep_policy="roundrobin", n_workers=n_workers)
+    noisy = simulate(
+        inst, n_runs, seed=_stream(seed, 50), noise_eps=0.04, prep_policy="roundrobin", n_workers=n_workers
+    )
     expected = 0.04 / 4.0
     sigma = math.sqrt(expected * (1.0 - expected) / (n_runs / 4.0))
     noise_ok = all(abs(rate - expected) <= 3.0 * sigma for _, rate in noisy.forbidden_rates)
@@ -357,29 +372,44 @@ def check_phi_independence() -> CheckResult:
 
 
 def check_evolution_invariance() -> CheckResult:
-    worst = 0.0
-    for inst in (_instance(v, theta) for theta in _theta_grid(12) for v in Variant):
-        for t in (0.0, 0.37, 2.5, -4.0):
-            for _, prep in inst.preparations:
-                before = born_probabilities(prep, inst.spectrum)
-                after = born_probabilities(evolve(prep, inst.spectrum, t), inst.spectrum)
-                worst = max(worst, max(abs(x - y) for x, y in zip(before, after)))
-    ok = worst <= 1e-12
+    # Born weights in H's own eigenbasis stay put under any map diagonal in it,
+    # so only the evolved states, held against exp(-iHt) from eigh, show a wrong t.
+    instances = [_instance(v, theta) for theta in _theta_grid(12) for v in Variant]
+    times = (0.0, 0.37, 2.5, -4.0)
+    stack = np.concatenate([hamiltonian_stack(inst.variant, [inst.couplings]) for inst in instances])
+    values, vectors = numeric_spectrum(stack, GAP_TOL)
+    differences = []
+    worst_born = 0.0
+    for inst, energies, basis in zip(instances, values, vectors):
+        unitaries = [(basis * np.exp(-1j * energies * t)) @ basis.conj().T for t in times]
+        for _, prep in inst.preparations:
+            before = born_probabilities(prep, inst.spectrum)
+            for t, unitary in zip(times, unitaries):
+                evolved = evolve(prep, inst.spectrum, t)
+                differences.append(evolved.vector - unitary @ prep.vector)
+                after = born_probabilities(evolved, inst.spectrum)
+                worst_born = max(worst_born, max(abs(x - y) for x, y in zip(before, after)))
+    worst_state = float(np.max(np.abs(differences)))
+    ok = worst_state <= 1e-12 and worst_born <= 1e-12
     return CheckResult(
-        "evolution-invariance", ok, f"max Born shift under exp(-iHt) {worst:.3e}"
+        "evolution-invariance",
+        ok,
+        f"{len(instances)} instances x {len(times)} times, max |evolve - exp(-iHt) from eigh| "
+        f"{worst_state:.3e}, max Born shift {worst_born:.3e}",
     )
 
 
 def check_determinism(seed: int, n_runs: int = 50_000) -> CheckResult:
     inst = _instance(Variant.SOC, 1.0)
-    one = simulate(inst, n_runs, seed=seed, noise_eps=0.02, prep_policy="uniform")
-    again = simulate(inst, n_runs, seed=seed, noise_eps=0.02, prep_policy="uniform")
+    stream = _stream(seed, 60)
+    one = simulate(inst, n_runs, seed=stream, noise_eps=0.02, prep_policy="uniform")
+    again = simulate(inst, n_runs, seed=stream, noise_eps=0.02, prep_policy="uniform")
     # Three ranges with odd bounds, summed as a worker pool sums its chunks but
     # in this thread, so neither the work nor the report depends on the CPU count.
     keys = protocol._cell_keys(inst.born_matrix())
     policy = protocol.PrepPolicy.UNIFORM
     bounds = (0, n_runs // 3 + 1, 2 * n_runs // 3 + 2, n_runs)
-    ranges = [protocol._tally_chunk(lo, hi, seed, keys, 0.02, policy) for lo, hi in zip(bounds, bounds[1:])]
+    ranges = [protocol._tally_chunk(lo, hi, stream, keys, 0.02, policy) for lo, hi in zip(bounds, bounds[1:])]
     split3 = np.array_equal(sum(ranges), one.counts)
     ok = one == again and split3
     return CheckResult(

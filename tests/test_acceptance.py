@@ -104,19 +104,19 @@ def test_criterion_9_cross_protocol_consistency():
     report("criterion 9 (cross-protocol consistency)", verify.check_cross_protocol())
 
 
-def test_criterion_10_determinism():
-    """Byte-identical reports for a fixed seed; worker-count independence."""
+def test_criterion_10_determinism(package_env):
+    """Byte-identical reports for a fixed seed, in process and from the CLI; worker-count independence."""
     report_a, ok_a = verify.run_all(seed=5, n_runs=20_000)
     report_b, ok_b = verify.run_all(seed=5, n_runs=20_000)
     in_process = report_a == report_b and ok_a and ok_b
 
     cmd = [sys.executable, "-m", "pbrlab.cli", "verify-all", "--seed", "5", "--runs", "20000"]
-    first = subprocess.run(cmd, capture_output=True, timeout=300)
-    second = subprocess.run(cmd, capture_output=True, timeout=300)
+    first = subprocess.run(cmd, capture_output=True, env=package_env, timeout=300)
+    second = subprocess.run(cmd, capture_output=True, env=package_env, timeout=300)
     cli_identical = (
         first.returncode == 0
         and second.returncode == 0
-        and first.stdout == second.stdout
+        and first.stdout == second.stdout == report_a.encode()
     )
 
     inst = make_protocol(Variant.XYZ, OverlapParams(0.8), CouplingSet(1, 2, 3))

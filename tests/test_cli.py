@@ -9,12 +9,10 @@ import re
 import subprocess
 import sys
 from importlib import resources
-from pathlib import Path
 
 import jsonschema
 import pytest
 
-import pbrlab
 from pbrlab import NonFiniteError, cli
 from pbrlab.cli import main
 from pbrlab.verify import CheckResult, check_simulation_stats
@@ -24,12 +22,6 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def package_env() -> dict:
-    """The environment of a child Python that imports this pbrlab."""
-    src = str(Path(pbrlab.__file__).resolve().parent.parent)
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def load_schema(name: str) -> dict:
@@ -222,8 +214,9 @@ class TestExitCodes:
               "--format", "json"], "no runs prepared u*u, v*vbar:"),
             (["verify-all", "--runs", "1"], "field 'runs': must be >= 4"),
             (["verify-all", "--runs", "3"], "field 'runs': must be >= 4"),
+            (["verify-all", "--workers", "0"], "field 'workers': must be >= 1"),
         ],
-        ids=["run", "verify-all-1-run", "verify-all-3-runs"],
+        ids=["run", "verify-all-1-run", "verify-all-3-runs", "verify-all-0-workers"],
     )
     def test_preparation_without_runs_is_two(self, capsys, monkeypatch, argv, message):
         sweeps = []
@@ -254,13 +247,13 @@ class TestExitCodes:
                 cli._json({"x": [1.0, value]})
         assert cli._json({"b": 1.5, "a": None}, indent=2) == '{\n  "a": null,\n  "b": 1.5\n}'
 
-    def test_closed_stdout_is_two_without_traceback(self):
+    def test_closed_stdout_is_two_without_traceback(self, package_env):
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
             proc = subprocess.run(
                 [sys.executable, "-m", "pbrlab.cli", "bound", "--eps", "0.01"],
-                stdout=write_end, stderr=subprocess.PIPE, env=package_env(), timeout=120,
+                stdout=write_end, stderr=subprocess.PIPE, env=package_env, timeout=120,
             )
         finally:
             os.close(write_end)
@@ -270,10 +263,10 @@ class TestExitCodes:
 
 
 class TestImport:
-    def test_cli_import_leaves_out_the_thread_pool(self):
+    def test_cli_import_leaves_out_the_thread_pool(self, package_env):
         code = "import sys, pbrlab.cli; print('concurrent.futures' in sys.modules)"
         proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=package_env(), timeout=120
+            [sys.executable, "-c", code], capture_output=True, text=True, env=package_env, timeout=120
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "False\n"
@@ -574,6 +567,12 @@ class TestVerifyAll:
         assert lines[0] == "verification sweep (seed 11)"
         assert all(line.startswith("PASS") for line in lines[1:-1])
         assert lines[-1].endswith("checks passed")
+
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    def test_seed_out_of_range_is_two_before_any_report(self, capsys, seed):
+        code, out, err = run_cli(capsys, "verify-all", "--seed", seed)
+        assert code == 2 and out == ""
+        assert "seed must fit in 64 unsigned bits" in err and "Traceback" not in err
 
     def test_max_seed_does_not_overflow(self):
         assert isinstance(check_simulation_stats(2**64 - 1, n_runs=20_000), CheckResult)

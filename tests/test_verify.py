@@ -1,16 +1,22 @@
-"""The stacked spectrum checks of ``verify-all`` against a per-matrix reference.
+"""The checks of ``verify-all``: what they draw, and what they can catch.
 
-The reference loop below is the route the checks took one matrix at a time:
-build the matrix, LAPACK ``eigh``, gauge, pair by fidelity.  The stacked
-checks must report the same text, digit for digit.
+The stacked spectrum checks are held against a per-matrix reference, the
+route they took one matrix at a time: build the matrix, LAPACK ``eigh``,
+gauge, pair by fidelity.  They must report the same text, digit for digit.
 """
+
+import itertools
 
 import numpy as np
 import pytest
 
-from pbrlab import ValidationError, bell_states, ontology, verify
+from pbrlab import CouplingSet, DegeneracyError, ValidationError, bell_states, ontology, rng, verify
 from pbrlab.protocol import Variant, hamiltonian_stack
 from pbrlab.verify import CheckResult
+
+#: Every purpose verify draws for: both spectra, solver samples, clean and
+#: noisy simulation, determinism.
+PURPOSES = (10, 20, 30, 40, 50, 60)
 
 
 def per_matrix_agreement(spectrum, matrix) -> tuple[float, float]:
@@ -103,3 +109,55 @@ def test_lp_checks_ask_each_question_once(monkeypatch):
 def test_too_few_runs_leave_a_preparation_unrun():
     with pytest.raises(ValidationError, match=r"no runs prepared v\*vbar"):
         verify.run_all(n_runs=3)
+
+
+@pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
+def test_each_purpose_reads_its_own_stream(seed):
+    streams = [verify._stream(seed, p) for p in PURPOSES]
+    assert len({seed, *streams}) == len(PURPOSES) + 1
+    # Counter c of stream s is mix64(s + (c + 1) * gamma), and mix64 is a
+    # bijection, so streams s and s' share a word only at counters c' - c = k
+    # with k * gamma = s - s' (mod 2^64).  None of the k lies within 2^40.
+    inverse = pow(rng._GAMMA, -1, 2**64)
+    for s, other in itertools.combinations(streams, 2):
+        k = (s - other) * inverse % 2**64
+        assert 2**40 < k < 2**64 - 2**40
+
+
+def test_a_rejected_first_block_reads_on_in_its_own_stream(monkeypatch):
+    n, seed = 5, 42
+    seen = []
+    analytic = verify.analytic_spectrum
+
+    def reject_first_block(variant, c, gap_tol):
+        seen.append(c)
+        if len(seen) <= 4 * n:
+            raise DegeneracyError("rejected")
+        return analytic(variant, c, gap_tol)
+
+    monkeypatch.setattr(verify, "analytic_spectrum", reject_first_block)
+    sampled = [c for c, _ in verify._random_couplings(seed, 10, n, Variant.XYZ)]
+    rows = rng.run_uniforms(verify._stream(seed, 10), 0, 5 * n, 3)
+    assert seen == [CouplingSet(*(6.0 * x - 3.0 for x in row)) for row in rows]
+    assert sampled == seen[4 * n:]
+
+
+@pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
+def test_solver_samples_pair_either_split_sign_with_either_b(monkeypatch, seed):
+    drawn = []
+    rooted = verify.solve_by_root_finding
+
+    def recording(theta, d, split, b):
+        drawn.append((split > 0.0, b >= 0.5))
+        return rooted(theta, d, split, b=b)
+
+    monkeypatch.setattr(verify, "solve_by_root_finding", recording)
+    assert verify.check_solver_agreement(seed).ok
+    assert set(drawn) == set(itertools.product((True, False), repeat=2))
+
+
+def test_evolution_check_fails_for_an_evolve_that_ignores_t(monkeypatch):
+    assert verify.check_evolution_invariance().ok
+    evolve = verify.evolve
+    monkeypatch.setattr(verify, "evolve", lambda state, spectrum, t: evolve(state, spectrum, 0.0))
+    assert not verify.check_evolution_invariance().ok
