@@ -367,45 +367,74 @@ def _cell_keys(born: np.ndarray) -> list[np.uint64]:
 def _tally_chunk(
     lo: int, hi: int, seed: int, keys: list[np.uint64], noise_eps: float, policy: PrepPolicy
 ) -> np.ndarray:
-    """Tally runs [lo, hi) in blocks of _BLOCK runs from raw splitmix64 words.
+    """Tally runs [lo, hi) row by row, in blocks of _BLOCK runs, from raw splitmix64 words.
 
-    Draw j of run i is the word at counter 4i + j (see :mod:`pbrlab.rng`):
+    Draw d of run i is the word at counter 4i + d (see :mod:`pbrlab.rng`):
     the preparation is z0 >> 62 (or i mod 4 under round-robin), the outcome
     word z1 >> 11, the noise flip (z2 >> 11) < ceil(eps·2^53) and the
     replacement outcome z3 >> 62 — the integer forms of u0·4, u1, u2 < eps and
     u3·4 for u = (z >> 11)·2^-53.  Draw 0 is computed only under the uniform
     policy, draw 2 only with noise on, and draw 3 only for runs that flip.
+
+    Under round-robin the runs i = 4j + p of preparation p read a stream of
+    their own, draw d at counter 16j + 4p + d, so each preparation is a row
+    tallied alone: its outcome words m against its keys less p·2^53.  Uniform
+    runs form one row whose keys p·2^53 + m meet all 16 cell keys.  A flipped
+    run's key is _FLIPPED_KEY, at or above every cell key.  A run is compared
+    once with each distinct key of its row strictly between 0 and the row's
+    top key: every run reaches key 0, and only the flipped runs reach the top.
     """
     flip_below = np.uint64(math.ceil(noise_eps * _WORD_END))
-    runs = np.arange(lo, lo + _BLOCK, dtype=np.uint64)
-    key, z, work = (np.empty(_BLOCK, dtype=np.uint64) for _ in range(3))
-    at_least = np.zeros(16, dtype=np.int64)  # runs whose key is >= keys[c]
-    flipped = np.zeros(16, dtype=np.int64)  # flipped runs by their new cell
-    for start in range(lo, hi, _BLOCK):
-        n = min(_BLOCK, hi - start)
-        r, k, zn, w = runs[:n], key[:n], z[:n], work[:n]
-        if policy is PrepPolicy.UNIFORM:
-            words(seed, 0, _DRAWS_PER_RUN, r, out=k, work=w)
-            k >>= np.uint64(62)
-        else:
-            np.bitwise_and(r, np.uint64(3), out=k)
-        k <<= np.uint64(53)
-        words(seed, 1, _DRAWS_PER_RUN, r, out=zn, work=w)
-        zn >>= np.uint64(11)
-        k |= zn
-        if flip_below:
-            words(seed, 2, _DRAWS_PER_RUN, r, out=zn, work=w)
-            zn >>= np.uint64(11)
-            flips = np.flatnonzero(zn < flip_below)
-            replaced = words(seed, 3, _DRAWS_PER_RUN, r[flips]) >> np.uint64(62)
-            cells = (k[flips] >> np.uint64(53) << np.uint64(2)) | replaced
-            flipped += np.bincount(cells.astype(np.intp), minlength=16)
-            k[flips] = _FLIPPED_KEY
-        for c, threshold in enumerate(keys):
-            at_least[c] += np.count_nonzero(k >= threshold)
-        runs += np.uint64(_BLOCK)
-    # Unflipped runs in cell c lie at or above keys[c - 1] and below keys[c].
-    return (flipped - np.diff(at_least, prepend=hi - lo)).reshape(4, 4)
+    if policy is PrepPolicy.UNIFORM:
+        stride, rows = _DRAWS_PER_RUN, [(0, lo, hi, keys)]
+    else:
+        # Row p holds runs 4j + p in [lo, hi): j in [ceil((lo - p) / 4), ceil((hi - p) / 4)).
+        stride = 4 * _DRAWS_PER_RUN
+        rows = [
+            (p, (lo + 3 - p) // 4, (hi + 3 - p) // 4,
+             [k - np.uint64(p * _WORD_END) for k in keys[4 * p : 4 * p + 4]])
+            for p in range(4)
+        ]
+    # No buffer is longer than the range; runs keeps one entry for runs[0] below.
+    size = max(1, min(_BLOCK, hi - lo))
+    runs = np.arange(size, dtype=np.uint64)
+    key, z, work = (np.empty(size, dtype=np.uint64) for _ in range(3))
+    counts = np.zeros(16, dtype=np.int64)
+    for p, first, end, row_keys in rows:
+        top, counter = row_keys[-1], _DRAWS_PER_RUN * p
+        at_least = dict.fromkeys({t for t in row_keys if 0 < t < top}, 0)  # runs whose key is >= t
+        flipped = np.zeros(len(row_keys), dtype=np.int64)  # flipped runs by their new cell
+        runs -= runs[0]
+        runs += np.uint64(first)
+        for start in range(first, end, _BLOCK):
+            n = min(_BLOCK, end - start)
+            r, k, zn, w = runs[:n], key[:n], z[:n], work[:n]
+            if policy is PrepPolicy.UNIFORM:
+                words(seed, 0, stride, r, out=k, work=w)
+                k >>= np.uint64(62)
+                k <<= np.uint64(53)
+                words(seed, 1, stride, r, out=zn, work=w)
+                zn >>= np.uint64(11)
+                k |= zn
+            else:
+                words(seed, counter + 1, stride, r, out=k, work=w)
+                k >>= np.uint64(11)
+            if flip_below:
+                words(seed, counter + 2, stride, r, out=zn, work=w)
+                zn >>= np.uint64(11)
+                flips = np.flatnonzero(zn < flip_below)
+                replaced = words(seed, counter + 3, stride, r[flips]) >> np.uint64(62)
+                cells = (k[flips] >> np.uint64(53) << np.uint64(2)) | replaced
+                flipped += np.bincount(cells.astype(np.intp), minlength=len(row_keys))
+                k[flips] = _FLIPPED_KEY
+            for threshold in at_least:
+                at_least[threshold] += np.count_nonzero(k >= threshold)
+            runs += np.uint64(_BLOCK)
+        n_row = end - first
+        reached = [n_row if t == 0 else flipped.sum() if t == top else at_least[t] for t in row_keys]
+        # Unflipped runs in cell c lie at or above row_keys[c - 1] and below row_keys[c].
+        counts[4 * p : 4 * p + len(row_keys)] = flipped - np.diff(reached, prepend=n_row)
+    return counts.reshape(4, 4)
 
 
 def _check_count(name: str, value: int) -> None:

@@ -404,13 +404,17 @@ def check_determinism(seed: int, n_runs: int = 50_000) -> CheckResult:
     stream = _stream(seed, 60)
     one = simulate(inst, n_runs, seed=stream, noise_eps=0.02, prep_policy="uniform")
     again = simulate(inst, n_runs, seed=stream, noise_eps=0.02, prep_policy="uniform")
+    round_robin = simulate(inst, n_runs, seed=stream, noise_eps=0.02, prep_policy="roundrobin")
     # Three ranges with odd bounds, summed as a worker pool sums its chunks but
     # in this thread, so neither the work nor the report depends on the CPU count.
+    # Under round-robin the bounds also test where each preparation's row starts.
     keys = protocol._cell_keys(inst.born_matrix())
-    policy = protocol.PrepPolicy.UNIFORM
     bounds = (0, n_runs // 3 + 1, 2 * n_runs // 3 + 2, n_runs)
-    ranges = [protocol._tally_chunk(lo, hi, stream, keys, 0.02, policy) for lo, hi in zip(bounds, bounds[1:])]
-    split3 = np.array_equal(sum(ranges), one.counts)
+    split3 = True
+    for table in (one, round_robin):
+        policy = protocol.PrepPolicy(table.policy)
+        ranges = [protocol._tally_chunk(lo, hi, stream, keys, 0.02, policy) for lo, hi in zip(bounds, bounds[1:])]
+        split3 = split3 and np.array_equal(sum(ranges), table.counts)
     ok = one == again and split3
     return CheckResult(
         "determinism", ok, f"{n_runs} runs: repeat identical {one == again}, 3 run ranges identical {split3}"

@@ -309,12 +309,33 @@ class TestSimulate:
             flipped.append(table.counts[2] != clean[2])
         assert flipped == [False, True]
 
-    @pytest.mark.parametrize("policy, noise", [("uniform", 0.04), ("roundrobin", 1.0)])
+    @pytest.mark.parametrize("instance", ["xyz", "rows"])
+    @pytest.mark.parametrize("policy", ["uniform", "roundrobin"])
+    @pytest.mark.parametrize("noise", [0.0, 0.3])
+    def test_small_blocks_match_scalar_reference(self, monkeypatch, instance, policy, noise):
+        # With 8-run blocks a round-robin row crosses a block edge every 32
+        # runs, so ranges of ~330 runs cross about 40 edges, from every start
+        # residue mod 4.
+        monkeypatch.setattr(protocol, "_BLOCK", 8)
+        inst = kernel_instance(instance)
+        keys = protocol._cell_keys(inst.born_matrix())
+        starts, ends = range(8), range(325, 333)
+        expected = reference_tallies(inst, {*starts, *ends}, 2**64 - 1, noise, policy)
+        for lo in starts:
+            for hi in ends:
+                got = protocol._tally_chunk(lo, hi, 2**64 - 1, keys, noise, PrepPolicy(policy))
+                assert np.array_equal(got, np.subtract(expected[hi], expected[lo])), (lo, hi)
+
+    @pytest.mark.parametrize(
+        "policy, noise", [("uniform", 0.04), ("roundrobin", 0.0), ("roundrobin", 0.04), ("roundrobin", 1.0)]
+    )
     def test_two_run_ranges_sum_to_one_call(self, policy, noise):
+        # A round-robin row crosses its first block edge at run 4 * BLOCK.
         keys = protocol._cell_keys(BornRows().born_matrix())
-        lo, hi = 3, 2 * BLOCK + 3
+        lo, hi = 3, 4 * BLOCK + 7
         whole = protocol._tally_chunk(lo, hi, 2**64 - 5, keys, noise, PrepPolicy(policy))
-        for mid in (4, BLOCK - 1, BLOCK + 5, hi - 1):
+        # Split points at every residue mod 4, one past the round-robin edge.
+        for mid in (4, BLOCK - 1, BLOCK + 5, 4 * BLOCK + 2, hi - 1):
             left = protocol._tally_chunk(lo, mid, 2**64 - 5, keys, noise, PrepPolicy(policy))
             right = protocol._tally_chunk(mid, hi, 2**64 - 5, keys, noise, PrepPolicy(policy))
             assert np.array_equal(left + right, whole), mid
@@ -322,17 +343,18 @@ class TestSimulate:
 
     def test_memory_does_not_grow_with_n_runs(self):
         inst = xyz_instance()
-        peaks = {}
-        for n in (500_000, 2_000_000):
-            tracemalloc.start()
-            try:
-                simulate(inst, n, seed=9, noise_eps=0.04, prep_policy="uniform")
-                peaks[n] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        # Materialized float draws would be 4 * 8 B * n = 64 MB at 2e6 runs.
-        assert peaks[2_000_000] < 4 * 2**20
-        assert peaks[2_000_000] <= peaks[500_000] + 64 * 2**10
+        for policy in ("uniform", "roundrobin"):
+            peaks = {}
+            for n in (500_000, 2_000_000):
+                tracemalloc.start()
+                try:
+                    simulate(inst, n, seed=9, noise_eps=0.04, prep_policy=policy)
+                    peaks[n] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            # Materialized float draws would be 4 * 8 B * n = 64 MB at 2e6 runs.
+            assert peaks[2_000_000] < 4 * 2**20, policy
+            assert peaks[2_000_000] <= peaks[500_000] + 64 * 2**10, policy
 
     def test_no_noise_never_hits_forbidden(self):
         inst = xyz_instance()
