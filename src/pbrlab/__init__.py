@@ -5,112 +5,51 @@ interaction Hamiltonians analytically and numerically, solves the coupling
 constraint cos(alpha + theta) = 0, simulates Bell-basis measurement runs, and
 decides by linear programming whether overlapping ontic supports are
 consistent with the forbidden-outcome structure.
+
+Each export is named once, in ``_EXPORTS`` under the module that defines it.
+``import pbrlab`` loads no submodule: reading an export imports its module
+then (PEP 562), so a caller pays for numpy only when it uses a name that
+needs it.
 """
 
-from .coupling_solver import SolverResult, solve_by_root_finding, solve_closed_form
-from .errors import (
-    ConstraintError,
-    ConvergenceError,
-    DegeneracyError,
-    DomainError,
-    LogicError,
-    NonFiniteError,
-    PbrlabError,
-    SolverError,
-    ValidationError,
-)
-from .hamiltonian import (
-    GAP_TOL,
-    CouplingSet,
-    Spectrum,
-    analytic_spectrum_soc,
-    analytic_spectrum_xyz,
-    bell_states,
-    evolve,
-    numeric_spectrum,
-    pair_spectra,
-)
-from .ontology import (
-    FeasibilityDecision,
-    FeasibilityProblem,
-    Relation,
-    SupportProfile,
-    Verdict,
-    build_problem,
-    deduce,
-    lp_feasible,
-    overlap_bound,
-    problem_from_zeroed,
-    subset_rule_feasible,
-)
-from .protocol import (
-    PrepPolicy,
-    ProtocolInstance,
-    TallyTable,
-    Variant,
-    born_probabilities,
-    make_protocol,
-    orthogonality_residuals,
-    simulate,
-)
-from .qstate import (
-    JointState,
-    OverlapParams,
-    PureState,
-    build_pair_soc,
-    build_pair_xyz,
-    overlap,
-    tensor,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConstraintError",
-    "ConvergenceError",
-    "CouplingSet",
-    "DegeneracyError",
-    "DomainError",
-    "FeasibilityDecision",
-    "FeasibilityProblem",
-    "GAP_TOL",
-    "JointState",
-    "LogicError",
-    "NonFiniteError",
-    "OverlapParams",
-    "PbrlabError",
-    "PrepPolicy",
-    "ProtocolInstance",
-    "PureState",
-    "Relation",
-    "SolverError",
-    "SolverResult",
-    "Spectrum",
-    "SupportProfile",
-    "TallyTable",
-    "ValidationError",
-    "Variant",
-    "Verdict",
-    "analytic_spectrum_soc",
-    "analytic_spectrum_xyz",
-    "bell_states",
-    "born_probabilities",
-    "build_pair_soc",
-    "build_pair_xyz",
-    "build_problem",
-    "deduce",
-    "evolve",
-    "lp_feasible",
-    "make_protocol",
-    "numeric_spectrum",
-    "orthogonality_residuals",
-    "overlap",
-    "overlap_bound",
-    "pair_spectra",
-    "problem_from_zeroed",
-    "simulate",
-    "solve_by_root_finding",
-    "solve_closed_form",
-    "subset_rule_feasible",
-    "tensor",
-]
+#: Module -> the names the package exports from it.
+_EXPORTS = {
+    "coupling_solver": ("SolverResult", "solve_by_root_finding", "solve_closed_form"),
+    "errors": (
+        "ConstraintError", "ConvergenceError", "DegeneracyError", "DomainError", "LogicError",
+        "NonFiniteError", "PbrlabError", "SolverError", "ValidationError",
+    ),
+    "hamiltonian": (
+        "Spectrum", "analytic_spectrum_soc", "analytic_spectrum_xyz", "bell_states", "evolve",
+        "numeric_spectrum", "pair_spectra",
+    ),
+    "ontology": (
+        "FeasibilityDecision", "FeasibilityProblem", "Relation", "SupportProfile", "Verdict",
+        "build_problem", "deduce", "lp_feasible", "problem_from_zeroed", "subset_rule_feasible",
+    ),
+    "params": ("GAP_TOL", "CouplingSet", "OverlapParams", "PrepPolicy", "Variant", "overlap_bound"),
+    "protocol": (
+        "ProtocolInstance", "TallyTable", "born_probabilities", "make_protocol",
+        "orthogonality_residuals", "simulate",
+    ),
+    "qstate": ("JointState", "PureState", "build_pair_soc", "build_pair_xyz", "overlap", "tensor"),
+}
+
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    """The export ``name``, read from its module (imported now if it is not yet)."""
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -11,7 +11,8 @@ failure (degeneracy, a violated coupling constraint, a result or a coupling
 sum a + c that overflows), 1 for a logic error.  JSON output is strict: it
 never holds NaN or Infinity.  States, spectra, Hamiltonian stacks and default
 couplings come from :mod:`pbrlab.protocol`, the one module that knows how the
-variants differ.
+variants differ.  Each handler imports the modules it calls, so ``solve`` and
+``bound`` never load numpy, and only ``verify-all`` loads :mod:`pbrlab.verify`.
 
 Angles are radians unless ``--deg`` is given.  ``--config FILE`` reads a flat
 ``key = value`` file of the subcommand's long options (``gap_tol`` or
@@ -34,30 +35,8 @@ import os
 import sys
 from pathlib import Path
 
-from .coupling_solver import solve_by_root_finding, solve_closed_form
 from .errors import DegeneracyError, LogicError, NonFiniteError, PbrlabError, ValidationError
-from .hamiltonian import GAP_TOL, CouplingSet, Spectrum
-from .ontology import (
-    SupportProfile,
-    build_problem,
-    deduce,
-    lp_feasible,
-    overlap_bound,
-    single_overlap_branches,
-)
-from .protocol import (
-    ORTHO_ATOL,
-    PrepPolicy,
-    Variant,
-    analytic_spectrum,
-    default_couplings,
-    make_protocol,
-    numeric_pairing,
-    simulate,
-    state_family,
-)
-from .qstate import OverlapParams, overlap
-from .verify import run_all
+from .params import GAP_TOL, ORTHO_ATOL, CouplingSet, OverlapParams, PrepPolicy, Variant, overlap_bound
 
 EXIT_OK = 0
 EXIT_VERIFY = LogicError.exit_code
@@ -132,6 +111,8 @@ def _params(ns: argparse.Namespace) -> OverlapParams:
 def _couplings(ns: argparse.Namespace, variant: Variant, theta: float | None) -> CouplingSet:
     """The couplings given, or the variant's defaults at theta when none are."""
     if all(getattr(ns, k) is None for k in ("a", "b", "c", "d")):
+        from .protocol import default_couplings
+
         return default_couplings(variant, theta)
     for k in ("a", "b", "c"):
         if getattr(ns, k) is None:
@@ -169,6 +150,9 @@ def _complex_pair(z: complex) -> list[float]:
 
 
 def _cmd_states(ns: argparse.Namespace) -> int:
+    from .protocol import state_family
+    from .qstate import overlap
+
     variant = Variant(ns.variant)
     params = _params(ns)
     states = state_family(variant, params)
@@ -193,8 +177,8 @@ def _cmd_states(ns: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _unpaired(analytic: Spectrum, gap_tol: float) -> DegeneracyError:
-    """A degeneracy error naming the closest label pairs of ``analytic``."""
+def _unpaired(analytic, gap_tol: float) -> DegeneracyError:
+    """A degeneracy error naming the closest label pairs of the ``analytic`` spectrum."""
     e, labels = analytic.eigenvalues, analytic.labels
     gaps = {(labels[i], labels[j]): abs(e[i] - e[j]) for i, j in itertools.combinations(range(4), 2)}
     closest = min(gaps.values())
@@ -207,6 +191,8 @@ def _unpaired(analytic: Spectrum, gap_tol: float) -> DegeneracyError:
 
 
 def _cmd_spectrum(ns: argparse.Namespace) -> int:
+    from .protocol import analytic_spectrum, numeric_pairing
+
     variant = Variant(ns.variant)
     gap_tol = _tolerance(ns, "gap_tol")
     couplings = _couplings(ns, variant, None)  # a, b and c are required: no defaults
@@ -237,6 +223,8 @@ def _cmd_spectrum(ns: argparse.Namespace) -> int:
 
 
 def _cmd_solve(ns: argparse.Namespace) -> int:
+    from .coupling_solver import solve_by_root_finding, solve_closed_form
+
     solver = solve_closed_form if ns.method == "closed-form" else solve_by_root_finding
     result = solver(
         _angle(ns.theta, ns.deg), ns.d, ns.split, b=ns.b, gap_tol=_tolerance(ns, "gap_tol")
@@ -274,6 +262,8 @@ def _run_summary(inst, table, n_workers: int) -> dict:
 
 
 def _cmd_run(ns: argparse.Namespace) -> int:
+    from .protocol import make_protocol, simulate
+
     variant = Variant(ns.variant)
     params = _params(ns)
     couplings = _couplings(ns, variant, params.theta)
@@ -299,6 +289,9 @@ def _cmd_run(ns: argparse.Namespace) -> int:
 
 
 def _cmd_feasibility(ns: argparse.Namespace) -> int:
+    from .ontology import SupportProfile, build_problem, deduce, lp_feasible, single_overlap_branches
+    from .protocol import make_protocol
+
     variant = Variant(ns.variant)
     params = OverlapParams(_angle(ns.theta, ns.deg))
     inst = make_protocol(variant, params, _couplings(ns, variant, params.theta))
@@ -330,7 +323,9 @@ def _cmd_verify_all(ns: argparse.Namespace) -> int:
         raise ValidationError(f"field 'runs': must be >= 4 so every preparation gets a run, got {ns.runs}")
     if ns.workers < 1:
         raise ValidationError(f"field 'workers': must be >= 1, got {ns.workers}")
-    report, ok = run_all(seed=ns.seed, n_runs=ns.runs, n_workers=ns.workers)
+    from . import verify
+
+    report, ok = verify.run_all(seed=ns.seed, n_runs=ns.runs, n_workers=ns.workers)
     print(report, end="")
     return EXIT_OK if ok else EXIT_VERIFY
 

@@ -25,16 +25,16 @@ import math
 from dataclasses import dataclass
 
 from .errors import DegeneracyError, DomainError, LogicError, NonFiniteError, SolverError
-from .hamiltonian import (
+from .params import (
     GAP_TOL,
     SOC_LABELS,
     CouplingSet,
+    OverlapParams,
     _check_gaps,
     mixing_angle,
     soc_alpha,
     soc_eigenvalues,
 )
-from .qstate import OverlapParams
 
 CLOSED_FORM_RESIDUAL_TOL = 1e-12
 ROOT_RESIDUAL_TOL = 1e-10

@@ -30,21 +30,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConvergenceError,
-    DegeneracyError,
-    DomainError,
-    LogicError,
-    NonFiniteError,
-    ValidationError,
+from .errors import ConvergenceError, DomainError, LogicError, ValidationError
+from .params import (  # noqa: F401  (mixing_angle is re-exported)
+    GAP_TOL,
+    SOC_LABELS,
+    CouplingSet,
+    _check_gaps,
+    mixing_angle,
+    soc_alpha,
+    soc_eigenvalues,
+    xyz_eigenvalues,
 )
 from .qstate import JointState
-
-#: Default minimum pairwise eigenvalue gap.
-GAP_TOL = 1e-9
-
-#: Outcome labels of the spin-orbit spectrum, in eigenvalue order of :func:`soc_eigenvalues`.
-SOC_LABELS = ("e'1", "e'2", "e'3", "e'4")
 
 _RT2 = math.sqrt(0.5)
 
@@ -73,30 +70,6 @@ def bell_states() -> tuple[JointState, JointState, JointState, JointState]:
 
 
 @dataclass(frozen=True)
-class CouplingSet:
-    """Real, dimensionless coupling strengths; d is the spin-orbit term."""
-
-    a: float
-    b: float
-    c: float
-    d: float | None = None
-
-    def __post_init__(self):
-        for name in ("a", "b", "c", "d"):
-            value = getattr(self, name)
-            if value is None:
-                continue
-            value = float(value)
-            if not math.isfinite(value):
-                raise DomainError(f"coupling {name} must be finite, got {value!r}")
-            object.__setattr__(self, name, value)
-
-    @property
-    def d_or_zero(self) -> float:
-        return 0.0 if self.d is None else self.d
-
-
-@dataclass(frozen=True)
 class Spectrum:
     """Four (eigenvalue, eigenvector) pairs plus the mixing angle when defined."""
 
@@ -114,70 +87,6 @@ def hamiltonian_entries(a, b, c, d):
     """
     exchange = a * _XX + b * _YY + c * _ZZ
     return exchange if d is None else exchange + d * _XZ_MINUS_ZX
-
-
-def xyz_eigenvalues(c: CouplingSet) -> tuple[float, float, float, float]:
-    return (
-        c.a - c.b + c.c,
-        -c.a + c.b + c.c,
-        c.a + c.b - c.c,
-        -(c.a + c.b + c.c),
-    )
-
-
-def soc_eigenvalues(c: CouplingSet) -> tuple[float, float, float, float]:
-    root = math.hypot(c.a + c.c, 2.0 * c.d_or_zero)
-    return (-c.a + c.b + c.c, c.a + c.b - c.c, -c.b - root, -c.b + root)
-
-
-def mixing_angle(s: float, d: float) -> float:
-    """atan((s + sqrt(s² + 4d²)) / 2d) for s = a + c and d ≠ 0.
-
-    For s < 0 the numerator cancels, so the equal 2d / (sqrt(s² + 4d²) − s)
-    is used there; near alpha = 0 the cancelling form loses every digit.  The
-    ratio is scale-free, so a sum that overflows is redone at a quarter scale
-    (exact: a power of two).
-    """
-    root = math.hypot(s, 2.0 * d)
-    total = s + root if s >= 0.0 else root - s
-    if math.isinf(total) and math.isfinite(s) and math.isfinite(d):
-        return mixing_angle(0.25 * s, 0.25 * d)
-    return math.atan(total / (2.0 * d) if s >= 0.0 else 2.0 * d / total)
-
-
-def soc_alpha(c: CouplingSet) -> float:
-    """Mixing angle of the Φ⁺/Ψ⁻ block, principal branch of the arctangent."""
-    d = c.d_or_zero
-    if d == 0.0:
-        raise DomainError("mixing angle is undefined at d = 0")
-    return mixing_angle(c.a + c.c, d)
-
-
-def _check_gaps(values, labels, gap_tol: float, where: str) -> None:
-    """Raise unless the four values are finite and pairwise ``gap_tol`` apart.
-
-    ``where`` prefixes the message (empty, or the matrix of a stack).
-    """
-    overflowing = [f"{lab} = {val!r}" for lab, val in zip(labels, values) if not math.isfinite(val)]
-    if overflowing:
-        raise NonFiniteError(f"{where}spectrum overflows: {', '.join(overflowing)}")
-    if gap_tol <= 0.0:
-        return
-    colliding = [
-        (labels[i], labels[j])
-        for i in range(4)
-        for j in range(i + 1, 4)
-        if abs(values[i] - values[j]) < gap_tol
-    ]
-    if colliding:
-        detail = ", ".join(
-            f"{li} = {values[labels.index(li)]!r} vs {lj} = {values[labels.index(lj)]!r}"
-            for li, lj in colliding
-        )
-        raise DegeneracyError(
-            f"{where}degenerate spectrum (gap_tol={gap_tol}): {detail}",
-            pairs=tuple(colliding),
-        )
 
 
 def analytic_spectrum_xyz(c: CouplingSet, gap_tol: float = GAP_TOL) -> Spectrum:

@@ -40,6 +40,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from .errors import LogicError, ValidationError
+from .params import overlap_bound  # noqa: F401  (re-exported)
 from .protocol import ProtocolInstance, Variant, companion
 from .simplex import Phase1Result, phase1_feasible
 
@@ -290,17 +291,3 @@ def deduce(inst: ProtocolInstance, both_overlap: FeasibilityDecision) -> list[Ve
         pairs, relation = (("u", "v"),), Relation.DISJOINT
         note = "w coincides with v at this overlap (|<u|v>|^2 = 1/2), so the disjunction collapses; " + note
     return [Verdict(pairs=pairs, relation=relation, variant=inst.variant.value, theta=theta, note=note)]
-
-
-def overlap_bound(eps_hat: float) -> float:
-    """Upper bound 4*eps_hat on the joint shared weight q_a * q_b.
-
-    Derivation: for the shared state class, the forbidden map being a
-    bijection makes the four forbidden-outcome probabilities sum to
-    sum_k p(k | shared) = 1.  Averaging over ontic states, each preparation's
-    observed forbidden frequency is at least q_a * q_b times its share, so
-    q_a * q_b <= sum over preparations of P(forbidden | prep) <= 4 * eps_hat.
-    """
-    if not 0.0 <= eps_hat <= 1.0:
-        raise ValidationError(f"eps_hat must lie in [0, 1], got {eps_hat}")
-    return 4.0 * eps_hat

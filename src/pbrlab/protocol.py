@@ -28,7 +28,6 @@ out by its ``frequency`` method.
 from __future__ import annotations
 
 import contextlib
-import enum
 import math
 import os
 from collections.abc import Sequence
@@ -39,8 +38,6 @@ import numpy as np
 from .coupling_solver import solve_closed_form
 from .errors import ConstraintError, DegeneracyError, ValidationError
 from .hamiltonian import (
-    GAP_TOL,
-    CouplingSet,
     Spectrum,
     analytic_spectrum_soc,
     analytic_spectrum_xyz,
@@ -48,9 +45,9 @@ from .hamiltonian import (
     numeric_spectrum,
     pair_spectra,
 )
+from .params import GAP_TOL, ORTHO_ATOL, CouplingSet, OverlapParams, PrepPolicy, Variant
 from .qstate import (
     JointState,
-    OverlapParams,
     PureState,
     build_pair_soc,
     build_pair_xyz,
@@ -60,9 +57,6 @@ from .qstate import (
 # run_uniforms is unused here; perfbench's tracer test asserts this binding.
 from .rng import run_uniforms, validate_seed, words  # noqa: F401
 
-#: Instance-level bound on |⟨forbidden outcome|preparation⟩|.
-ORTHO_ATOL = 1e-12
-
 #: Advertised tolerance on |cos(alpha + theta)| for spin-orbit couplings.
 CONSTRAINT_ATOL = 1e-10
 
@@ -71,26 +65,6 @@ CONSTRAINT_ATOL = 1e-10
 DEFAULT_B_CANDIDATES = (0.5, 0.8, 1.3)
 
 _DRAWS_PER_RUN = 4
-
-
-class _Choice(str, enum.Enum):
-    """A named string choice; an unknown value is a ValidationError listing the known ones."""
-
-    @classmethod
-    def _missing_(cls, value):
-        raise ValidationError(
-            f"unknown {cls.__name__} {value!r} (accepted: {', '.join(m.value for m in cls)})"
-        )
-
-
-class Variant(_Choice):
-    XYZ = "xyz"
-    SOC = "soc"
-
-
-class PrepPolicy(_Choice):
-    UNIFORM = "uniform"
-    ROUND_ROBIN = "roundrobin"
 
 
 _FORBIDDEN = {

@@ -28,12 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import ValidationError
+from .params import OverlapParams
 
 #: Absolute tolerance for normalization and orthogonality checks.
 NORM_ATOL = 1e-12
-
-TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -66,32 +65,6 @@ class JointState:
         vec.setflags(write=False)
         object.__setattr__(self, "vector", vec)
         _check_normalized(float(np.vdot(vec, vec).real), "JointState")
-
-
-@dataclass(frozen=True)
-class OverlapParams:
-    """Overlap parameters of a distinct, non-orthogonal state pair.
-
-    theta must lie strictly inside (0, π/2): theta = 0 would make the pair
-    identical and theta = π/2 orthogonal, and orthogonal pairs are already
-    settled (they never share an ontic state).  phi must be finite and is
-    reduced mod 2π.
-    """
-
-    theta: float
-    phi: float = 0.0
-
-    def __post_init__(self):
-        theta = float(self.theta)
-        if not 0.0 < theta < math.pi / 2.0:
-            raise DomainError(
-                f"theta must lie strictly inside (0, pi/2), got {theta!r}"
-            )
-        phi = float(self.phi)
-        if not math.isfinite(phi):
-            raise DomainError(f"phi must be finite, got {phi!r}")
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "phi", phi % TWO_PI)
 
 
 def _check_normalized(squared_norm: float, what: str) -> None:

@@ -13,7 +13,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from pbrlab import NonFiniteError, cli
+from pbrlab import NonFiniteError, cli, verify
 from pbrlab.cli import main
 from pbrlab.verify import CheckResult, check_simulation_stats
 
@@ -220,10 +220,26 @@ class TestExitCodes:
     )
     def test_preparation_without_runs_is_two(self, capsys, monkeypatch, argv, message):
         sweeps = []
-        monkeypatch.setattr(cli, "run_all", lambda **kwargs: sweeps.append(kwargs))
+        monkeypatch.setattr(verify, "run_all", lambda **kwargs: sweeps.append(kwargs))
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and sweeps == []
         assert out == "" and f"error: {message}" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["solve", "--theta=5e-324", "--d=5e-324", "--split=3.0", "--b=-1", "--method=bisection",
+              "--gap-tol=5e-324"], "no upper bracket"),
+            (["feasibility", "--theta=0.5", "--a=1e-320", "--b=5e-324", "--c=1e308", "--d=5e-324",
+              "--variant=soc", "--overlap=a"], "degenerate spectrum"),
+        ],
+        ids=["solve-bisection", "feasibility-soc"],
+    )
+    def test_mixing_angle_of_a_vanishing_d_is_three(self, capsys, argv, message):
+        # Both reach mixing_angle with d = 5e-324, which its quarter-scale retry rounds to 0.
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3 and out == ""
+        assert f"error: {message}" in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "argv, want",
@@ -270,6 +286,37 @@ class TestImport:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "False\n"
+
+    #: Run in a fresh child: import pbrlab, call cli.main on the arguments (if
+    #: any) and write the loaded module names to stderr.
+    LOADED = (
+        "import sys, pbrlab\n"
+        "if sys.argv[1:]:\n"
+        "    from pbrlab.cli import main; main(sys.argv[1:])\n"
+        "print(*sys.modules, file=sys.stderr)"
+    )
+
+    @pytest.mark.parametrize(
+        "argv, left_out",
+        [
+            ([], "numpy"),
+            (["solve", "--theta", "0.7", "--d", "1", "--split", "2"], "numpy"),
+            (["solve", "--theta", "0.7", "--d", "1", "--split", "2", "--method", "bisection"], "numpy"),
+            (["bound", "--eps", "0.01"], "numpy"),
+            (["states", "--variant", "soc", "--theta", "0.6"], "pbrlab.verify"),
+            (["spectrum", "--variant", "xyz", "--a", "1", "--b", "2", "--c", "3"], "pbrlab.verify"),
+            (["run", "--variant", "xyz", "--theta", "1", "--runs", "100", "--seed", "1"], "pbrlab.verify"),
+        ],
+        ids=["import", "solve-closed-form", "solve-bisection", "bound", "states", "spectrum", "run"],
+    )
+    def test_subcommand_loads_only_what_it_runs(self, package_env, argv, left_out):
+        proc = subprocess.run(
+            [sys.executable, "-c", self.LOADED, *argv],
+            capture_output=True, text=True, env=package_env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = proc.stderr.split()
+        assert "pbrlab" in loaded and left_out not in loaded
 
 
 class TestSolve:

@@ -1,13 +1,17 @@
 """CLI stdout pinned byte for byte against recorded golden files.
 
 Each case runs ``pbrlab.cli.main`` in process and compares its standard
-output with ``tests/golden/<name>.out``.  A refactor that claims the same
-behaviour must reproduce them exactly; re-record a file only for a change
-that means to alter that output.
+output with ``tests/golden/<name>.out``; one case per subcommand also runs as
+``python -m pbrlab.cli`` in a fresh child, where only the modules its handler
+imports are loaded.  A refactor that claims the same behaviour must
+reproduce them exactly; re-record a file only for a change that means to
+alter that output.
 """
 
 import csv
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -55,6 +59,20 @@ def test_stdout_matches_golden(name, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out.encode("utf-8") == (GOLDEN / f"{name}.out").read_bytes()
+
+
+#: One case per subcommand, run again in a fresh child.
+FRESH_CASES = ["bound", "feasibility_a_exact", "run_csv", "solve_bisection", "spectrum_soc_json",
+               "states_xyz_csv", "verify_all_seed0"]
+
+
+@pytest.mark.parametrize("name", FRESH_CASES)
+def test_fresh_process_matches_golden(name, package_env):
+    proc = subprocess.run(
+        [sys.executable, "-m", "pbrlab.cli", *CASES[name]], capture_output=True, env=package_env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / f"{name}.out").read_bytes()
 
 
 def _config_text(options: list[str]) -> str:

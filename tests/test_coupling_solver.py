@@ -168,6 +168,14 @@ class TestOverflow:
         assert alpha == mixing_angle(s * 2.0**-600, d * 2.0**-600)
         assert 0.0 <= alpha <= math.pi / 2
 
+    @pytest.mark.parametrize(
+        "s, d, want", [(1e308, 5e-324, math.pi / 2), (1e308, -5e-324, -math.pi / 2), (-1.7e308, 5e-324, 0.0)]
+    )
+    def test_mixing_angle_whose_rescale_underflows_d_is_its_limit(self, s, d, want):
+        # The quarter-scale retry rounds |d| = 5e-324 to zero: for s >= 0 the
+        # ratio (s + root) / 2d is past the float range, for s < 0 it is 2d / (root - s) -> 0.
+        assert mixing_angle(s, d) == want
+
     @pytest.mark.parametrize("solver", [solve_closed_form, solve_by_root_finding])
     def test_near_overflow_couplings_meet_the_constraint(self, solver):
         r = solver(0.7, 8e307, 1e300)

@@ -19,3 +19,7 @@ def test_star_import_succeeds():
     namespace = {}
     exec("from pbrlab import *", namespace)
     assert set(pbrlab.__all__) <= namespace.keys()
+
+
+def test_dir_lists_every_exported_name():
+    assert set(pbrlab.__all__) <= set(dir(pbrlab))
