@@ -35,7 +35,7 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import DegeneracyError, LogicError, NonFiniteError, PbrlabError, ValidationError
+from .errors import LogicError, NonFiniteError, PbrlabError, ValidationError
 from .params import GAP_TOL, ORTHO_ATOL, CouplingSet, OverlapParams, PrepPolicy, Variant, overlap_bound
 
 EXIT_OK = 0
@@ -177,19 +177,6 @@ def _cmd_states(ns: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _unpaired(analytic, gap_tol: float) -> DegeneracyError:
-    """A degeneracy error naming the closest label pairs of the ``analytic`` spectrum."""
-    e, labels = analytic.eigenvalues, analytic.labels
-    gaps = {(labels[i], labels[j]): abs(e[i] - e[j]) for i, j in itertools.combinations(range(4), 2)}
-    closest = min(gaps.values())
-    tied = tuple(pair for pair, gap in gaps.items() if gap == closest)
-    return DegeneracyError(
-        f"degenerate spectrum (gap_tol={gap_tol}): {', '.join(f'{i} and {j}' for i, j in tied)} "
-        f"lie {closest!r} apart, too close to pair their eigenvectors",
-        pairs=tied,
-    )
-
-
 def _cmd_spectrum(ns: argparse.Namespace) -> int:
     from .protocol import analytic_spectrum, numeric_pairing
 
@@ -197,10 +184,7 @@ def _cmd_spectrum(ns: argparse.Namespace) -> int:
     gap_tol = _tolerance(ns, "gap_tol")
     couplings = _couplings(ns, variant, None)  # a, b and c are required: no defaults
     analytic = analytic_spectrum(variant, couplings, gap_tol)
-    try:
-        numeric, fidelity = numeric_pairing(variant, [(couplings, analytic)], gap_tol)
-    except LogicError:  # only eigenvalues too close for eigh to resolve, let through by gap_tol
-        raise _unpaired(analytic, gap_tol) from None
+    numeric, fidelity = numeric_pairing(variant, [(couplings, analytic)], gap_tol)
     rows = zip(analytic.labels, analytic.eigenvalues, numeric[0].tolist(), fidelity[0].tolist())
     if ns.format == "json":
         _print_json(
@@ -295,20 +279,21 @@ def _cmd_feasibility(ns: argparse.Namespace) -> int:
     variant = Variant(ns.variant)
     params = OverlapParams(_angle(ns.theta, ns.deg))
     inst = make_protocol(variant, params, _couplings(ns, variant, params.theta))
-    out = {"variant": variant.value, "theta": params.theta, "overlap": ns.overlap, "problems": []}
-    if ns.overlap == "both":
-        decision = lp_feasible(build_problem(inst, SupportProfile(True, True)), exact=ns.exact)
-        out["problems"].append({"branch": None, **decision.to_json()})
-        out["feasible"] = decision.feasible
-        out["verdicts"] = [v.to_json() for v in deduce(inst, decision)]
+    prof = SupportProfile(ns.overlap != "b", ns.overlap != "a")
+    if ns.overlap == "both":  # one problem, with no branch
+        problems = {None: build_problem(inst, prof)}
     else:
-        prof = SupportProfile(ns.overlap == "a", ns.overlap == "b")
-        decisions = []
-        for branch in single_overlap_branches(inst, prof):
-            decision = lp_feasible(build_problem(inst, prof, branch=branch), exact=ns.exact)
-            decisions.append(decision)
-            out["problems"].append({"branch": branch, **decision.to_json()})
-        out["feasible"] = all(d.feasible for d in decisions)
+        problems = {b: build_problem(inst, prof, branch=b) for b in single_overlap_branches(inst, prof)}
+    decisions = {branch: lp_feasible(prob, exact=ns.exact) for branch, prob in problems.items()}
+    out = {
+        "variant": variant.value,
+        "theta": params.theta,
+        "overlap": ns.overlap,
+        "problems": [{"branch": branch, **d.to_json()} for branch, d in decisions.items()],
+        "feasible": all(d.feasible for d in decisions.values()),
+    }
+    if None in decisions:
+        out["verdicts"] = [v.to_json() for v in deduce(inst, decisions[None])]
     _print_json(out)
     return EXIT_OK
 

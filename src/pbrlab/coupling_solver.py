@@ -112,6 +112,11 @@ def _finish(
     residual = abs(math.cos(alpha + theta))
     limit = CLOSED_FORM_RESIDUAL_TOL if method == "closed-form" else ROOT_RESIDUAL_TOL
     if residual > limit:
+        if a + c != ssum:
+            raise SolverError(
+                f"split = {split!r} swamps a + c = {ssum!r}: a and c round so that a + c = {a + c!r}; "
+                "use a smaller split or a larger d"
+            )
         raise LogicError(f"{method} residual {residual!r} exceeds {limit}")
     return SolverResult(
         couplings=couplings,

@@ -60,7 +60,7 @@ class NonFiniteError(PbrlabError):
 
 
 class SolverError(PbrlabError):
-    """A coupling solver failed (no bracket found, or the split lost in rounding)."""
+    """A coupling solver failed (no bracket found, or rounding lost the split or the sum a + c)."""
 
     exit_code = 3
 

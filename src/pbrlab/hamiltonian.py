@@ -31,12 +31,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, LogicError, ValidationError
-from .params import (  # noqa: F401  (mixing_angle is re-exported)
+from .params import (
     GAP_TOL,
     SOC_LABELS,
     CouplingSet,
     _check_gaps,
-    mixing_angle,
     soc_alpha,
     soc_eigenvalues,
     xyz_eigenvalues,

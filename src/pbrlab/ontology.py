@@ -28,7 +28,7 @@ A noise-robust form: if every preparation shows its forbidden outcome with
 frequency at most eps_hat, then for the shared state class of joint weight
 q_a * q_b the total forbidden probability across the four preparations equals
 sum_k p(k | shared) = 1, so q_a * q_b <= sum over preparations of
-P(forbidden | prep) <= 4 * eps_hat.
+P(forbidden | prep) <= 4 * eps_hat (:func:`pbrlab.params.overlap_bound`).
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from .errors import LogicError, ValidationError
-from .params import overlap_bound  # noqa: F401  (re-exported)
-from .protocol import ProtocolInstance, Variant, companion
+from .params import Variant
+from .protocol import ProtocolInstance, companion
 from .simplex import Phase1Result, phase1_feasible
 
 #: theta window in which the spin-orbit states v and w are treated as equal.

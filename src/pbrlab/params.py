@@ -4,9 +4,8 @@ The pair's overlap parameters, the coupling set, the closed-form eigenvalues
 and mixing angle with their gap check, the variant and preparation-policy
 choices, and the noise-robust overlap bound.  Everything here is plain
 Python, so the coupling solver, the CLI's option table, ``solve`` and
-``bound`` never import numpy.  The modules they came from import them from
-here, so ``pbrlab.qstate.OverlapParams``, ``pbrlab.hamiltonian.CouplingSet``
-and the like still resolve.
+``bound`` never import numpy.  Every module that uses one of these names
+imports it from here, not through another module.
 """
 
 from __future__ import annotations

@@ -28,6 +28,7 @@ out by its ``frequency`` method.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 import os
 from collections.abc import Sequence
@@ -36,9 +37,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coupling_solver import solve_closed_form
-from .errors import ConstraintError, DegeneracyError, ValidationError
+from .errors import ConstraintError, DegeneracyError, LogicError, ValidationError
 from .hamiltonian import (
     Spectrum,
+    _which,
     analytic_spectrum_soc,
     analytic_spectrum_xyz,
     hamiltonian_entries,
@@ -110,13 +112,38 @@ def numeric_pairing(
     ``sampled`` pairs coupling sets with their analytic spectra; column i of
     both results belongs to analytic label i.  One stacked
     :func:`numeric_spectrum` and one :func:`pair_spectra` do the work.
+    Eigenvalues that ``gap_tol`` lets through but ``eigh`` cannot resolve
+    leave eigenvectors unpaired: that raises :class:`DegeneracyError` naming
+    the first such matrix (for a stack of more than one) and the closest
+    labels of its analytic spectrum.
     """
     values, vectors = numeric_spectrum(hamiltonian_stack(variant, [c for c, _ in sampled]), gap_tol)
     analytic_vectors = np.array(
         [[v.vector for v in spec.eigenvectors] for _, spec in sampled], dtype=complex
     ).reshape(-1, 4, 4)
-    assignment, fidelity = pair_spectra(analytic_vectors, vectors)
+    try:
+        assignment, fidelity = pair_spectra(analytic_vectors, vectors)
+    except LogicError:
+        for k, (_, spectrum) in enumerate(sampled):
+            try:
+                pair_spectra(analytic_vectors[k : k + 1], vectors[k : k + 1])
+            except LogicError:
+                raise _unpaired(spectrum, gap_tol, _which(k, len(sampled))) from None
+        raise  # no matrix fails alone: not a degeneracy
     return np.take_along_axis(values, assignment, axis=1), fidelity
+
+
+def _unpaired(spectrum: Spectrum, gap_tol: float, where: str) -> DegeneracyError:
+    """A degeneracy error naming the closest label pairs of an analytic ``spectrum``."""
+    e, labels = spectrum.eigenvalues, spectrum.labels
+    gaps = {(labels[i], labels[j]): abs(e[i] - e[j]) for i, j in itertools.combinations(range(4), 2)}
+    closest = min(gaps.values())
+    tied = tuple(pair for pair, gap in gaps.items() if gap == closest)
+    return DegeneracyError(
+        f"{where}degenerate spectrum (gap_tol={gap_tol}): {', '.join(f'{i} and {j}' for i, j in tied)} "
+        f"lie {closest!r} apart, too close to pair their eigenvectors",
+        pairs=tied,
+    )
 
 
 def default_couplings(variant: Variant, theta: float) -> CouplingSet:
@@ -339,10 +366,11 @@ def _cell_keys(born: np.ndarray) -> list[np.uint64]:
 
 
 def _tally_chunk(
-    lo: int, hi: int, seed: int, keys: list[np.uint64], noise_eps: float, policy: PrepPolicy
+    lo: int, hi: int, seed: int, born: np.ndarray, noise_eps: float, policy: PrepPolicy
 ) -> np.ndarray:
     """Tally runs [lo, hi) row by row, in blocks of _BLOCK runs, from raw splitmix64 words.
 
+    The thresholds are the :func:`_cell_keys` of ``born``, the (4, 4) Born matrix.
     Draw d of run i is the word at counter 4i + d (see :mod:`pbrlab.rng`):
     the preparation is z0 >> 62 (or i mod 4 under round-robin), the outcome
     word z1 >> 11, the noise flip (z2 >> 11) < ceil(eps·2^53) and the
@@ -358,6 +386,7 @@ def _tally_chunk(
     once with each distinct key of its row strictly between 0 and the row's
     top key: every run reaches key 0, and only the flipped runs reach the top.
     """
+    keys = _cell_keys(born)
     flip_below = np.uint64(math.ceil(noise_eps * _WORD_END))
     if policy is PrepPolicy.UNIFORM:
         stride, rows = _DRAWS_PER_RUN, [(0, lo, hi, keys)]
@@ -449,16 +478,16 @@ def simulate(
     policy = PrepPolicy(prep_policy)
     chunks = _chunk_plan(n_runs, n_workers)
 
-    keys = _cell_keys(inst.born_matrix())
+    born = inst.born_matrix()
     if len(chunks) == 1:
-        total = _tally_chunk(*chunks[0], seed, keys, noise_eps, policy)
+        total = _tally_chunk(*chunks[0], seed, born, noise_eps, policy)
     else:
         import concurrent.futures  # here, not at module top: it pulls in logging
 
         total = np.zeros((4, 4), dtype=np.int64)
         with concurrent.futures.ThreadPoolExecutor(max_workers=len(chunks)) as pool:
             futures = [
-                pool.submit(_tally_chunk, lo, hi, seed, keys, noise_eps, policy)
+                pool.submit(_tally_chunk, lo, hi, seed, born, noise_eps, policy)
                 for lo, hi in chunks
             ]
             for fut in futures:

@@ -27,28 +27,19 @@ import numpy as np
 from . import protocol, rng
 from .coupling_solver import solve_by_root_finding, solve_closed_form
 from .errors import DegeneracyError, PbrlabError
-from .hamiltonian import (
-    GAP_TOL,
-    CouplingSet,
-    Spectrum,
-    bell_states,
-    evolve,
-    numeric_spectrum,
-    soc_alpha,
-)
+from .hamiltonian import Spectrum, bell_states, evolve, numeric_spectrum
 from .ontology import (
     Relation,
     SupportProfile,
     build_problem,
     deduce,
     lp_feasible,
-    overlap_bound,
     problem_from_zeroed,
     single_overlap_branches,
     subset_rule_feasible,
 )
+from .params import GAP_TOL, CouplingSet, OverlapParams, PrepPolicy, Variant, overlap_bound, soc_alpha
 from .protocol import (
-    Variant,
     analytic_spectrum,
     born_probabilities,
     default_couplings,
@@ -58,7 +49,6 @@ from .protocol import (
     orthogonality_residuals,
     simulate,
 )
-from .qstate import OverlapParams
 
 #: Minimum eigenvalue gap of the randomly drawn couplings in the spectrum checks.
 _SAMPLE_MIN_GAP = 1e-3
@@ -160,14 +150,19 @@ def check_soc_spectrum(seed: int, n: int = 250) -> CheckResult:
     )
 
 
-def check_xyz_orthogonality(n: int = 24) -> CheckResult:
+def _worst_residual(variant: Variant, n: int, phis: tuple[float, ...]) -> float:
+    """The largest orthogonality residual over an n-point theta grid x ``phis``, default couplings."""
     worst = 0.0
-    phis = [2.0 * math.pi * k / 8.0 for k in range(8)]
     for theta in _theta_grid(n):
-        couplings = default_couplings(Variant.XYZ, theta)
+        couplings = default_couplings(variant, theta)
         for phi in phis:
-            res = orthogonality_residuals(Variant.XYZ, OverlapParams(theta, phi), couplings)
+            res = orthogonality_residuals(variant, OverlapParams(theta, phi), couplings)
             worst = max(worst, max(res.values()))
+    return worst
+
+
+def check_xyz_orthogonality(n: int = 24) -> CheckResult:
+    worst = _worst_residual(Variant.XYZ, n, tuple(2.0 * math.pi * k / 8.0 for k in range(8)))
     ok = worst <= 1e-12
     return CheckResult(
         "xyz-orthogonality", ok, f"{n}x8 (theta, phi) grid, max residual {worst:.3e}"
@@ -175,11 +170,7 @@ def check_xyz_orthogonality(n: int = 24) -> CheckResult:
 
 
 def check_soc_orthogonality(n: int = 24) -> CheckResult:
-    worst = 0.0
-    for theta in _theta_grid(n):
-        couplings = default_couplings(Variant.SOC, theta)
-        res = orthogonality_residuals(Variant.SOC, OverlapParams(theta), couplings)
-        worst = max(worst, max(res.values()))
+    worst = _worst_residual(Variant.SOC, n, (0.0,))
     ok = worst <= 1e-12
     return CheckResult(
         "soc-orthogonality", ok, f"{n} theta grid, constraint couplings, max residual {worst:.3e}"
@@ -408,12 +399,12 @@ def check_determinism(seed: int, n_runs: int = 50_000) -> CheckResult:
     # Three ranges with odd bounds, summed as a worker pool sums its chunks but
     # in this thread, so neither the work nor the report depends on the CPU count.
     # Under round-robin the bounds also test where each preparation's row starts.
-    keys = protocol._cell_keys(inst.born_matrix())
+    born = inst.born_matrix()
     bounds = (0, n_runs // 3 + 1, 2 * n_runs // 3 + 2, n_runs)
     split3 = True
     for table in (one, round_robin):
-        policy = protocol.PrepPolicy(table.policy)
-        ranges = [protocol._tally_chunk(lo, hi, stream, keys, 0.02, policy) for lo, hi in zip(bounds, bounds[1:])]
+        policy = PrepPolicy(table.policy)
+        ranges = [protocol._tally_chunk(lo, hi, stream, born, 0.02, policy) for lo, hi in zip(bounds, bounds[1:])]
         split3 = split3 and np.array_equal(sum(ranges), table.counts)
     ok = one == again and split3
     return CheckResult(

@@ -183,6 +183,16 @@ class TestExitCodes:
         assert code == 3
         assert out == "" and "split" in err and "ulp" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("method", ["closed-form", "bisection"])
+    @pytest.mark.parametrize(
+        "argv", [["--theta", "0.99999", "--d", "0.99999", "--split=-4.3301048706151896e16"],
+                 ["--theta", "0.7", "--d", "1.9", "--split=1e308"]]
+    )
+    def test_split_that_swamps_the_sum_is_three(self, capsys, argv, method):
+        code, out, err = run_cli(capsys, "solve", *argv, "--method", method)
+        assert code == 3
+        assert out == "" and err.startswith("error: split = ") and "swamps a + c" in err
+
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_overflowing_spectrum_is_three(self, capsys, fmt):
         code, out, err = run_cli(

@@ -3,21 +3,27 @@
 Hypothesis builds argv for the six subcommands other than ``verify-all`` from
 the CLI's own option table, with extreme, non-finite and boundary values, and
 runs ``pbrlab.cli.main`` in process.  Every call must return an exit code in
-{0, 1, 2, 3} without raising or printing a traceback.  A success prints
-strict JSON (checked against the packaged schema where there is one) or, for
-the CSV formats, a rectangular CSV table; a failure prints nothing on
-standard output.  ``--runs`` stays at or below 1000 and ``--workers`` is
-never passed, so the whole test takes a few seconds.
+{0, 2, 3} without raising or printing a traceback: none of the six runs a
+verification, so exit 1 (a bug) never fits.  A success prints strict JSON
+(checked against the packaged schema where there is one) or, for the CSV
+formats, a rectangular CSV table; a failure prints nothing on standard
+output.  ``--runs`` stays at or below 1000 and ``--workers`` is never passed,
+so the whole test takes a few seconds.
+
+``verify-all`` is fuzzed apart, at small ``--runs`` and any seed, with some
+flags out of range: it must exit 0 exactly when every check passes, 1 when
+one fails, and 2 with nothing on standard output for a bad flag.
 """
 
 import contextlib
 import csv
 import io
 import json
+import re
 from importlib import resources
 
 import jsonschema
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from pbrlab import cli
@@ -124,7 +130,7 @@ def test_any_argv_exits_cleanly_with_well_formed_output(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
     out, err = out.getvalue(), err.getvalue()
-    assert code in (0, 1, 2, 3)
+    assert code in (0, 2, 3)
     assert "Traceback" not in err
     if code != 0:
         assert out == "" and err
@@ -137,3 +143,48 @@ def test_any_argv_exits_cleanly_with_well_formed_output(argv):
     assert len(rows) >= 2 and len({len(row) for row in rows}) == 1
     if command == "run":  # the CSV tally puts the JSON summary on stderr
         _check_schema(_strict_json(err.splitlines()[-1]), command)
+
+
+#: verify-all flag -> (in-range, out-of-range) value strategies; --runs is always given.
+VERIFY_ALL_FLAGS = {
+    "--runs": (st.integers(4, 1000).map(str), st.sampled_from(["3", "0", "-1", "1.5", "x"])),
+    "--seed": (st.integers(0, 2**64 - 1).map(str), st.sampled_from(["-1", str(2**64), "x"])),
+    "--workers": (st.sampled_from(["1", "2"]), st.sampled_from(["0", "-1", "x"])),
+}
+
+
+@st.composite
+def verify_all_argvs(draw) -> tuple[list[str], bool]:
+    """verify-all argv, and whether a flag in it is out of range (one value in five is)."""
+    argv, bad = ["verify-all"], False
+    for flag, (ordinary, extreme) in VERIFY_ALL_FLAGS.items():
+        if flag != "--runs" and draw(st.booleans()):
+            continue
+        out_of_range = draw(st.integers(0, 4)) == 0
+        bad = bad or out_of_range
+        argv.append(f"{flag}={draw(extreme if out_of_range else ordinary)}")
+    return argv, bad
+
+
+@seed(20120229)
+@settings(max_examples=20, deadline=None)
+@given(verify_all_argvs())
+@example((["verify-all", "--runs=4", f"--seed={2**64 - 1}"], False))
+@example((["verify-all", "--runs=1000", f"--seed={2**64}"], True))  # argparse takes it; the sweep rejects it
+def test_verify_all_at_small_runs_reports_every_check(case):
+    argv, bad = case
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert "Traceback" not in err
+    if bad:
+        assert code == 2 and out == "" and err
+        return
+    lines = out.splitlines()
+    seed_value = next((arg.split("=")[1] for arg in argv if arg.startswith("--seed=")), "42")
+    assert lines[0] == f"verification sweep (seed {seed_value})"
+    assert len(lines) == 16 and all(re.match(r"^(PASS|FAIL) [a-z-]+: ", line) for line in lines[1:15])
+    passed = sum(line.startswith("PASS") for line in lines[1:15])
+    assert lines[-1] == f"{passed}/14 checks passed"
+    assert code == (0 if lines[-1] == "14/14 checks passed" else 1)

@@ -1,6 +1,7 @@
 """Closed-form coupling solution against the bisection oracle."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from pbrlab import (
     solve_closed_form,
 )
 from pbrlab.coupling_solver import CLOSED_FORM_RESIDUAL_TOL, _constraint
-from pbrlab.hamiltonian import CouplingSet, mixing_angle
+from pbrlab.params import CouplingSet, mixing_angle
 
 
 class TestClosedForm:
@@ -187,6 +188,14 @@ class TestOverflow:
         # a + c ~ 2.8e307 has ulp ~5e291, so a = (s + 2)/2 and c = (s - 2)/2 round equal.
         with pytest.raises(SolverError, match=r"split = 2\.0 is lost in rounding.*ulp"):
             solver(0.7, 8e307, 2.0)
+
+    @pytest.mark.parametrize("solver", [solve_closed_form, solve_by_root_finding])
+    @pytest.mark.parametrize("theta, d, split", [(0.99999, 0.99999, -4.3301048706151896e16), (0.7, 1.9, 1e308)])
+    def test_split_that_swamps_the_sum_is_named(self, solver, theta, d, split):
+        # |a + c| < 1 while a and c lie near ±split/2: their sum rounds to 0.
+        message = rf"^split = {re.escape(repr(split))} swamps a \+ c = \S+: a and c round so that a \+ c = 0\.0; "
+        with pytest.raises(SolverError, match=message):
+            solver(theta, d, split)
 
 
 class TestScalingInvariance:

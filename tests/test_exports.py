@@ -1,8 +1,13 @@
-"""The package's export list names real objects, each once."""
+"""The package's export list names real objects, each once, and each module
+imports a name from the module that defines it."""
 
+import ast
 import collections
+from pathlib import Path
 
 import pbrlab
+
+PACKAGE_DIR = Path(pbrlab.__file__).parent
 
 
 def test_every_exported_name_resolves():
@@ -23,3 +28,51 @@ def test_star_import_succeeds():
 
 def test_dir_lists_every_exported_name():
     assert set(pbrlab.__all__) <= set(dir(pbrlab))
+
+
+#: Relatively imported names that their module binds but never reads.
+UNREAD_IMPORTS = {("protocol", "run_uniforms")}  # perfbench's tracer test reads this binding
+
+
+def _package_sources() -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE_DIR.glob("*.py")}
+
+
+def _defined(tree: ast.Module) -> set[str]:
+    """Names a module defines at its top level: functions, classes and assignment targets."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return names
+
+
+def _relative_imports(tree: ast.Module):
+    """(module, name) of each ``from .module import name`` anywhere in ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+            for alias in node.names:
+                yield node.module, alias.name
+
+
+def test_each_relative_import_names_its_home_module():
+    sources = _package_sources()
+    defined = {module: _defined(tree) for module, tree in sources.items()}
+    strays = [
+        f"{importer}: from .{module} import {name}"
+        for importer, tree in sources.items()
+        for module, name in _relative_imports(tree)
+        if name not in defined[module]
+    ]
+    assert strays == []
+
+
+def test_each_relative_import_is_read():
+    unread = set()
+    for importer, tree in _package_sources().items():
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unread |= {(importer, name) for _, name in _relative_imports(tree) if name not in read}
+    assert unread == UNREAD_IMPORTS

@@ -377,6 +377,14 @@ class TestPairSpectra:
         assert numeric.shape == fidelity.shape == (1, 4)
         assert numeric[0].tolist() == pytest.approx([2.0, 4.0, 0.0, -6.0], abs=1e-12)
 
+    @pytest.mark.parametrize("stack, where", [(1, ""), (2, "matrix 1 of 2: ")])
+    def test_unpairable_spectrum_with_gap_check_off_is_a_degeneracy(self, stack, where):
+        sampled = [(c, analytic_spectrum_xyz(c, gap_tol=0.0)) for c in [CouplingSet(1, 2, 3), CouplingSet(1, 1, 0)]]
+        message = rf"^{where}degenerate spectrum \(gap_tol=0\.0\): e1 and e2 lie 0\.0 apart, too close to pair"
+        with pytest.raises(DegeneracyError, match=message) as caught:
+            numeric_pairing(Variant.XYZ, sampled[-stack:], 0.0)
+        assert caught.value.pairs == (("e1", "e2"),)
+
     def test_non_bijective_match_is_named(self):
         bells = np.array([v.vector for v in bell_states()])
         analytic = np.stack([bells, bells[[0, 0, 2, 3]]])

@@ -318,12 +318,12 @@ class TestSimulate:
         # residue mod 4.
         monkeypatch.setattr(protocol, "_BLOCK", 8)
         inst = kernel_instance(instance)
-        keys = protocol._cell_keys(inst.born_matrix())
+        born = inst.born_matrix()
         starts, ends = range(8), range(325, 333)
         expected = reference_tallies(inst, {*starts, *ends}, 2**64 - 1, noise, policy)
         for lo in starts:
             for hi in ends:
-                got = protocol._tally_chunk(lo, hi, 2**64 - 1, keys, noise, PrepPolicy(policy))
+                got = protocol._tally_chunk(lo, hi, 2**64 - 1, born, noise, PrepPolicy(policy))
                 assert np.array_equal(got, np.subtract(expected[hi], expected[lo])), (lo, hi)
 
     @pytest.mark.parametrize(
@@ -331,13 +331,13 @@ class TestSimulate:
     )
     def test_two_run_ranges_sum_to_one_call(self, policy, noise):
         # A round-robin row crosses its first block edge at run 4 * BLOCK.
-        keys = protocol._cell_keys(BornRows().born_matrix())
+        born = BornRows().born_matrix()
         lo, hi = 3, 4 * BLOCK + 7
-        whole = protocol._tally_chunk(lo, hi, 2**64 - 5, keys, noise, PrepPolicy(policy))
+        whole = protocol._tally_chunk(lo, hi, 2**64 - 5, born, noise, PrepPolicy(policy))
         # Split points at every residue mod 4, one past the round-robin edge.
         for mid in (4, BLOCK - 1, BLOCK + 5, 4 * BLOCK + 2, hi - 1):
-            left = protocol._tally_chunk(lo, mid, 2**64 - 5, keys, noise, PrepPolicy(policy))
-            right = protocol._tally_chunk(mid, hi, 2**64 - 5, keys, noise, PrepPolicy(policy))
+            left = protocol._tally_chunk(lo, mid, 2**64 - 5, born, noise, PrepPolicy(policy))
+            right = protocol._tally_chunk(mid, hi, 2**64 - 5, born, noise, PrepPolicy(policy))
             assert np.array_equal(left + right, whole), mid
         assert whole.sum() == hi - lo
 
