@@ -337,7 +337,7 @@ _OPTIONS: dict[str, dict] = {
     "workers": {"type": int, "default": 1},
     "format": {"choices": ["json", "csv"], "default": "csv"},
     "overlap": {"choices": ["a", "b", "both"]},
-    "exact": {"action": "store_true", "help": "decide the LP over exact rationals instead of floats"},
+    "exact": {"action": "store_true", "help": "name the method phase1-simplex-exact (LPs are always exact)"},
     "eps": {"type": float, "help": "measured max forbidden frequency"},
 }
 

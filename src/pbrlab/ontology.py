@@ -19,10 +19,10 @@ those pairs, so they cannot disagree.
 With overlaps on both sides the four forbidden outcomes cover all four
 outcomes (the forbidden map is a bijection) and the system is infeasible:
 some outcome always occurs, so the two overlaps cannot coexist.  The decision
-is made by a general phase-1 simplex; the trivial subset rule ("infeasible
-iff every outcome is zeroed") is kept alongside purely as an oracle.  The rows
-depend only on which outcomes are zeroed, so the simplex decides each zeroed
-set once per process and mode: at most 16 x 2 = 32 cached results.
+is made by a general phase-1 simplex over exact rationals; the trivial subset
+rule ("infeasible iff every outcome is zeroed") is kept alongside purely as an
+oracle.  The rows depend only on which outcomes are zeroed, so the simplex
+decides each zeroed set once per process: at most 16 cached results.
 
 A noise-robust form: if every preparation shows its forbidden outcome with
 frequency at most eps_hat, then for the shared state class of joint weight
@@ -183,14 +183,15 @@ def lp_feasible(prob: FeasibilityProblem, *, exact: bool = False) -> Feasibility
     reported with the uniform witness over the outcomes not forced to zero;
     an infeasible one with the textual contradiction certificate, which names
     the support preparation forbidding each zeroed outcome.
-    ``exact=True`` pivots over rationals instead of floats.  The simplex runs
-    once per zeroed set and mode in a process (at most 32 cached results);
-    later calls with the same set reuse its decision, whatever the label
-    order or repetition.
+    The simplex always pivots over exact rationals; ``exact`` selects no
+    arithmetic and only names the method the decision reports
+    (``phase1-simplex-exact`` or ``phase1-simplex``).  The simplex runs once
+    per zeroed set in a process (at most 16 cached results); later calls with
+    the same set reuse its decision, whatever the label order or repetition.
     """
     labels = prob.outcome_labels
     forbidder = {out: prep for prep, out in prob.forbidden}
-    result = _decide(sum(1 << labels.index(out) for out in forbidder), bool(exact))
+    result = _decide(sum(1 << labels.index(out) for out in forbidder))
     witness = certificate = None
     if result.feasible:
         live = [lab for lab in labels if lab not in forbidder]
@@ -214,16 +215,16 @@ def lp_feasible(prob: FeasibilityProblem, *, exact: bool = False) -> Feasibility
 
 
 @functools.lru_cache
-def _decide(mask: int, exact: bool) -> Phase1Result:
+def _decide(mask: int) -> Phase1Result:
     """Phase-1 decision of the LP whose zeroed outcomes are the set bits of ``mask``.
 
     Rows go in ascending outcome index, then the normalization.  The key space
-    (16 masks x 2 modes) bounds the cache; ``Phase1Result`` is frozen, so
-    callers can share a cached one.
+    (16 masks) bounds the cache; ``Phase1Result`` is frozen, so callers can
+    share a cached one.
     """
     rows = [[float(j == k) for j in range(4)] for k in range(4) if mask >> k & 1]
     rows.append([1.0] * 4)
-    return phase1_feasible(rows, [0.0] * (len(rows) - 1) + [1.0], exact=exact)
+    return phase1_feasible(rows, [0.0] * (len(rows) - 1) + [1.0])
 
 
 def problem_from_zeroed(

@@ -62,9 +62,11 @@ from .rng import run_uniforms, validate_seed, words  # noqa: F401
 #: Advertised tolerance on |cos(alpha + theta)| for spin-orbit couplings.
 CONSTRAINT_ATOL = 1e-10
 
-#: b values tried in turn when building default spin-orbit couplings; a fixed
-#: (theta, d, split) can make any single b degenerate.
-DEFAULT_B_CANDIDATES = (0.5, 0.8, 1.3)
+#: b values tried in turn when building default spin-orbit couplings.  With
+#: d = 1 and split = 2 a b in (0, 2) can only make e'2 = e'4, where
+#: hypot(a + c, 2) = 2 b + 2: at 3 for 0.5 and at 3.6 for 0.8, so at most one
+#: of the two is degenerate at any theta.
+DEFAULT_B_CANDIDATES = (0.5, 0.8)
 
 _DRAWS_PER_RUN = 4
 

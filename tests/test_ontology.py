@@ -132,15 +132,14 @@ class TestLpFeasible:
         prob = problem_from_zeroed(xyz_instance(), tuple(zeroed))
         assert lp_feasible(prob).feasible == subset_rule_feasible(prob)
 
-    @pytest.mark.parametrize("exact", [False, True])
-    def test_four_variable_lp_over_every_zeroed_subset(self, exact, monkeypatch):
+    def test_four_variable_lp_over_every_zeroed_subset(self, monkeypatch):
         # lp_feasible has no rows for p <= 1; nonnegativity and the
         # normalization must imply them on every zeroed set.
         systems = []
 
-        def recording(a, b, **kwargs):
-            result = phase1_feasible(a, b, **kwargs)
-            systems.append((np.array(a), kwargs, result))
+        def recording(a, b):
+            result = phase1_feasible(a, b)
+            systems.append((np.array(a), result))
             return result
 
         monkeypatch.setattr(ontology, "phase1_feasible", recording)
@@ -149,10 +148,9 @@ class TestLpFeasible:
         for r in range(5):
             for combo in itertools.combinations(inst.outcome_labels, r):
                 prob = problem_from_zeroed(inst, combo)
-                decision = lp_feasible(prob, exact=exact)
-                a, kwargs, result = systems[-1]
+                decision = lp_feasible(prob)
+                a, result = systems[-1]
                 assert a.shape == (r + 1, 4)
-                assert kwargs == {"exact": exact}
                 assert result.feasible == decision.feasible == subset_rule_feasible(prob)
                 if result.feasible:
                     x = np.array(result.x)
@@ -162,23 +160,37 @@ class TestLpFeasible:
                     assert all(x[labels.index(out)] == 0.0 for _, out in prob.forbidden)
         assert len(systems) == 16
 
-    def test_each_zeroed_set_and_mode_is_decided_once_by_the_simplex(self, monkeypatch):
-        modes = []
+    def test_each_zeroed_set_is_decided_once_by_the_simplex(self, monkeypatch):
+        calls = []
 
-        def recording(a, b, **kwargs):
-            modes.append(kwargs["exact"])
-            return phase1_feasible(a, b, **kwargs)
+        def recording(a, b):
+            calls.append(len(a))
+            return phase1_feasible(a, b)
 
         monkeypatch.setattr(ontology, "phase1_feasible", recording)
         ontology._decide.cache_clear()
         for _ in range(2):
-            for exact in (False, True):
-                for mask in range(16):
-                    rows = [[float(j == k) for j in range(4)] for k in range(4) if mask >> k & 1]
-                    rows.append([1.0] * 4)
-                    fresh = phase1_feasible(rows, [0.0] * (len(rows) - 1) + [1.0], exact=exact)
-                    assert ontology._decide(mask, exact) == fresh
-        assert sorted(modes) == [False] * 16 + [True] * 16
+            for mask in range(16):
+                rows = [[float(j == k) for j in range(4)] for k in range(4) if mask >> k & 1]
+                rows.append([1.0] * 4)
+                assert ontology._decide(mask) == phase1_feasible(rows, [0.0] * (len(rows) - 1) + [1.0])
+        assert sorted(calls) == sorted(mask.bit_count() + 1 for mask in range(16))
+
+    def test_every_zeroed_set_decision_is_pinned(self):
+        # The 16 decisions as (feasible, x, iterations).  Bland's rule pivots
+        # each zeroed outcome in, then the lowest-index free one, which is the
+        # vertex; with all four zeroed the artificial sum stays at 1.
+        e = [tuple(float(i == k) for i in range(4)) for k in range(4)]
+        table = {
+            0: (True, e[0], 1), 1: (True, e[1], 2), 2: (True, e[0], 2), 3: (True, e[2], 3),
+            4: (True, e[0], 2), 5: (True, e[1], 3), 6: (True, e[0], 3), 7: (True, e[3], 4),
+            8: (True, e[0], 2), 9: (True, e[1], 3), 10: (True, e[0], 3), 11: (True, e[2], 4),
+            12: (True, e[0], 3), 13: (True, e[1], 4), 14: (True, e[0], 4), 15: (False, None, 4),
+        }
+        ontology._decide.cache_clear()
+        decided = {mask: ontology._decide(mask) for mask in range(16)}
+        assert {m: (r.feasible, r.x, r.iterations) for m, r in decided.items()} == table
+        assert decided[15].artificial_sum == 1.0
 
     def test_cache_is_bounded_by_the_zeroed_sets(self):
         inst = xyz_instance()
@@ -199,7 +211,7 @@ class TestLpFeasible:
             for exact in (False, True):
                 decision = lp_feasible(prob, exact=exact)
                 assert decision.feasible == subset_rule_feasible(prob)
-        assert ontology._decide.cache_info().currsize <= 32
+        assert ontology._decide.cache_info().currsize <= 16
 
     def test_unknown_zeroed_label_is_a_validation_error(self):
         with pytest.raises(ValidationError, match="'zz'"):
@@ -214,14 +226,16 @@ class TestLpFeasible:
                 outcome_labels=("e1", "e2", "e2", "e4"), forbidden=(), variant="xyz", theta=0.5
             )
 
-    def test_exact_rational_mode_agrees(self):
+    def test_exact_only_names_the_method(self):
         inst = xyz_instance()
         for combo in (("e1",), ("e1", "e2", "e3", "e4"), ()):
             prob = problem_from_zeroed(inst, combo)
             exact = lp_feasible(prob, exact=True)
-            floating = lp_feasible(prob)
-            assert exact.feasible == floating.feasible
-            assert exact.method == "phase1-simplex-exact"
+            plain = lp_feasible(prob)
+            assert (exact.feasible, exact.witness, exact.certificate) == (
+                plain.feasible, plain.witness, plain.certificate
+            )
+            assert (exact.method, plain.method) == ("phase1-simplex-exact", "phase1-simplex")
 
 
 @pytest.mark.parametrize("variant", list(Variant))

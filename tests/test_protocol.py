@@ -133,6 +133,15 @@ class TestDefaultCouplings:
         inst = make_protocol(Variant.SOC, OverlapParams(theta), couplings)
         assert inst.constraint_residual <= 1e-12
 
+    @pytest.mark.parametrize(
+        "theta", [0.5 * math.asin(5 / 9), math.pi / 2 - 0.5 * math.asin(5 / 9)]
+    )
+    def test_spin_orbit_keeps_the_first_b_where_the_second_is_degenerate(self, theta):
+        # root = 2 / sin(2 theta) = 3.6 here, so b = 0.8 makes e'2 = b + 2 equal e'4 = root - b.
+        with pytest.raises(DegeneracyError, match="e'2.*e'4"):
+            solve_closed_form(theta, d=1.0, split=2.0, b=DEFAULT_B_CANDIDATES[1])
+        assert default_couplings(Variant.SOC, theta).b == DEFAULT_B_CANDIDATES[0] == 0.5
+
 
 class TestUnknownVariant:
     def test_make_protocol(self):

@@ -1,5 +1,7 @@
 """Phase-1 simplex against library and construction oracles."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -52,30 +54,37 @@ class TestSmallSystems:
             phase1_feasible(np.eye(3), np.ones(3))
 
 
-class TestAgainstLibrarySolver:
-    def _oracle(self, a, b) -> bool:
-        res = linprog(
-            c=np.zeros(a.shape[1]),
-            A_eq=a,
-            b_eq=b,
-            bounds=[(0, None)] * a.shape[1],
-            method="highs",
-        )
-        assert res.status in (0, 2), res.message
-        return res.status == 0
+def _linprog_feasible(a, b) -> bool:
+    res = linprog(
+        c=np.zeros(a.shape[1]),
+        A_eq=a,
+        b_eq=b,
+        bounds=[(0, None)] * a.shape[1],
+        method="highs",
+    )
+    assert res.status in (0, 2), res.message
+    return res.status == 0
 
+
+class TestAgainstLibrarySolver:
     def test_random_feasible_by_construction(self):
+        # Integer a and x0 make b = a @ x0 exact, so every system is feasible,
+        # also the ones with more rows than columns.  The vertex found is
+        # rational with a denominator dividing the determinant of a basis of at
+        # most 4 columns with entries in [-2, 2], so at most 4^4 = 256 (Hadamard).
+        # The float x read back as the nearest rational with a denominator up
+        # to 10^6 is therefore that vertex, and it must solve a x = b exactly.
         rng = np.random.default_rng(404)
         for _ in range(60):
             m, n = rng.integers(1, 5), rng.integers(2, 7)
-            a = rng.uniform(-2, 2, size=(m, n))
-            x0 = rng.uniform(0, 3, size=n)
+            a = rng.integers(-2, 3, size=(m, n))
+            x0 = rng.integers(0, 4, size=n)
             b = a @ x0
             r = phase1_feasible(a, b)
             assert r.feasible
-            x = np.array(r.x)
-            assert np.all(x >= -1e-9)
-            assert np.max(np.abs(a @ x - b)) <= 1e-7
+            x = [Fraction(v).limit_denominator(10**6) for v in r.x]
+            assert all(v >= 0 for v in x)
+            assert [sum(int(aij) * xj for aij, xj in zip(row, x)) for row in a] == b.tolist()
 
     def test_random_systems_match_library_decision(self):
         rng = np.random.default_rng(505)
@@ -85,23 +94,23 @@ class TestAgainstLibrarySolver:
             a = rng.uniform(-2, 2, size=(m, n))
             b = rng.uniform(-3, 3, size=m)
             mine = phase1_feasible(a, b).feasible
-            assert mine == self._oracle(a, b)
+            assert mine == _linprog_feasible(a, b)
             decisions[mine] += 1
         # the draw ranges must actually exercise both answers
         assert decisions[True] > 10 and decisions[False] > 10
 
 
-class TestExactMode:
-    def test_exact_agrees_with_float_on_random_systems(self):
+class TestExactArithmetic:
+    def test_integer_systems_match_library_decision(self):
         rng = np.random.default_rng(606)
         for _ in range(40):
             m, n = rng.integers(1, 4), rng.integers(2, 5)
             a = rng.integers(-3, 4, size=(m, n)).astype(float)
             b = rng.integers(-4, 5, size=m).astype(float)
-            assert phase1_feasible(a, b, exact=True).feasible == phase1_feasible(a, b).feasible
+            assert phase1_feasible(a, b).feasible == _linprog_feasible(a, b)
 
     def test_exact_witness_is_exact(self):
-        r = phase1_feasible([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]], [1.0, 1.0], exact=True)
+        r = phase1_feasible([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]], [1.0, 1.0])
         assert r.feasible
         x = np.array(r.x)
         assert x[0] + x[1] == 1.0
@@ -109,6 +118,6 @@ class TestExactMode:
 
     def test_exact_infeasible_has_zero_free_sum(self):
         a = [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
-        r = phase1_feasible(a, [0.0, 0.0, 1.0], exact=True)
+        r = phase1_feasible(a, [0.0, 0.0, 1.0])
         assert not r.feasible
         assert r.artificial_sum == 1.0

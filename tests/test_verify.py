@@ -5,7 +5,9 @@ route they took one matrix at a time: build the matrix, LAPACK ``eigh``,
 gauge, pair by fidelity.  They must report the same text, digit for digit.
 """
 
+import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -93,7 +95,7 @@ def test_lp_checks_ask_each_question_once(monkeypatch):
     ontology._decide.cache_clear()
     assert verify.check_simplex_oracle().ok
     info = ontology._decide.cache_info()
-    assert (info.misses, info.hits) == (32, 0)  # 16 zeroed sets x float and exact
+    assert (info.misses, info.hits) == (16, 0)  # each of the 16 zeroed sets once
 
     asked = []
 
@@ -161,3 +163,50 @@ def test_evolution_check_fails_for_an_evolve_that_ignores_t(monkeypatch):
     evolve = verify.evolve
     monkeypatch.setattr(verify, "evolve", lambda state, spectrum, t: evolve(state, spectrum, 0.0))
     assert not verify.check_evolution_invariance().ok
+
+
+def test_negative_control_fails_at_a_theta_where_the_bad_couplings_still_fit(monkeypatch):
+    # An alpha that puts the first grid theta (0.05) back on the constraint.
+    monkeypatch.setattr(verify, "soc_alpha", lambda c: math.pi / 2.0 - 0.05)
+    result = verify.check_soc_negative_control()
+    assert not result.ok
+    assert result.line() == "FAIL soc-negative-control: violation 6.123e-17 too small at theta 0.050"
+
+
+def _flipped(decision):
+    return dataclasses.replace(decision, feasible=not decision.feasible)
+
+
+@pytest.mark.parametrize(
+    "supports, detail",
+    [
+        (4, "both-overlap feasible for Variant.XYZ"),
+        (2, "single-overlap problem infeasible (Variant.XYZ, branch u)"),
+    ],
+)
+def test_exclusion_check_fails_a_flipped_support_problem(monkeypatch, supports, detail):
+    def lying(prob, **kwargs):
+        decision = ontology.lp_feasible(prob, **kwargs)
+        return _flipped(decision) if len(prob.supports) == supports else decision
+
+    monkeypatch.setattr(verify, "lp_feasible", lying)
+    assert verify.check_exclusion_feasibility().line() == f"FAIL exclusion-feasibility: {detail}"
+
+
+def test_simulation_check_fails_born_weights_the_runs_do_not_show(monkeypatch):
+    monkeypatch.setattr(verify, "born_probabilities", lambda state, spectrum: (0.25,) * 4)
+    result = verify.check_simulation_stats(42, n_runs=20_000)
+    assert not result.ok
+    assert result.line().startswith("FAIL simulation-statistics: 20000 clean runs: forbidden hits 0; ")
+    assert "Born within 3 sigma: False;" in result.line()
+
+
+def test_oracle_check_counts_a_simplex_that_flips_one_zeroed_set(monkeypatch):
+    decide = ontology._decide
+    monkeypatch.setattr(
+        ontology, "_decide", lambda mask: _flipped(decide(mask)) if mask == 5 else decide(mask)
+    )
+    result = verify.check_simplex_oracle()
+    assert result.line() == (
+        "FAIL simplex-vs-subset-rule: 15/16 decisions agree (16 zeroed sets, exact rationals)"
+    )
