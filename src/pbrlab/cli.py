@@ -11,8 +11,9 @@ failure (degeneracy, a violated coupling constraint, a result or a coupling
 sum a + c that overflows), 1 for a logic error.  JSON output is strict: it
 never holds NaN or Infinity.  States, spectra, Hamiltonian stacks and default
 couplings come from :mod:`pbrlab.protocol`, the one module that knows how the
-variants differ.  Each handler imports the modules it calls, so ``solve`` and
-``bound`` never load numpy, and only ``verify-all`` loads :mod:`pbrlab.verify`.
+variants differ.  Each handler imports the modules it calls, so ``solve``,
+``bound``, ``states`` and ``feasibility`` never load numpy, and only
+``verify-all`` loads :mod:`pbrlab.verify`.
 
 Angles are radians unless ``--deg`` is given.  ``--config FILE`` reads a flat
 ``key = value`` file of the subcommand's long options (``gap_tol`` or

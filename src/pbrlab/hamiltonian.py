@@ -15,6 +15,7 @@ code with the analytic formulas and orders eigenvalues ascending, so spectra
 from the two routes are matched by eigenvector fidelity, never by index.
 Both :func:`numeric_spectrum` and the matching, :func:`pair_spectra`, take
 (n, 4, 4) stacks, one ``eigh`` call per stack; a lone matrix is a stack of one.
+Only the functions that build or take stacks import numpy, when they run.
 
 The protocols only need four *distinguishable* outcomes, so every spectrum
 operation enforces pairwise eigenvalue gaps above ``gap_tol`` (the
@@ -25,10 +26,10 @@ sufficient for that).
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ConvergenceError, DomainError, LogicError, ValidationError
 from .params import (
@@ -40,19 +41,25 @@ from .params import (
     soc_eigenvalues,
     xyz_eigenvalues,
 )
-from .qstate import JointState
+from .qstate import JointState, joint_overlap
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _RT2 = math.sqrt(0.5)
 
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+PAULI_X = ((0j, 1 + 0j), (1 + 0j, 0j))
+PAULI_Y = ((0j, -1j), (1j, 0j))
+PAULI_Z = ((1 + 0j, 0j), (0j, -1 + 0j))
 
 
-_XX = np.kron(PAULI_X, PAULI_X)
-_YY = np.kron(PAULI_Y, PAULI_Y)
-_ZZ = np.kron(PAULI_Z, PAULI_Z)
-_XZ_MINUS_ZX = np.kron(PAULI_X, PAULI_Z) - np.kron(PAULI_Z, PAULI_X)
+@functools.cache
+def _pauli_products():
+    """XX, YY, ZZ and XZ − ZX as complex 4x4 arrays, built on first use."""
+    import numpy as np
+
+    x, y, z = (np.array(p) for p in (PAULI_X, PAULI_Y, PAULI_Z))
+    return np.kron(x, x), np.kron(y, y), np.kron(z, z), np.kron(x, z) - np.kron(z, x)
 
 # JointState is frozen, so one tuple is shared by every caller.
 _BELL_STATES = (
@@ -84,8 +91,9 @@ def hamiltonian_entries(a, b, c, d):
     The couplings are floats for one matrix or (n, 1, 1) arrays for a stack;
     both give the same bits per matrix.
     """
-    exchange = a * _XX + b * _YY + c * _ZZ
-    return exchange if d is None else exchange + d * _XZ_MINUS_ZX
+    xx, yy, zz, xz_minus_zx = _pauli_products()
+    exchange = a * xx + b * yy + c * zz
+    return exchange if d is None else exchange + d * xz_minus_zx
 
 
 def analytic_spectrum_xyz(c: CouplingSet, gap_tol: float = GAP_TOL) -> Spectrum:
@@ -111,7 +119,7 @@ def analytic_spectrum_soc(c: CouplingSet, gap_tol: float = GAP_TOL) -> Spectrum:
 
 
 _NUMERIC_LABELS = ("n1", "n2", "n3", "n4")
-_UPPER_PAIRS = np.triu_indices(4, 1)
+_UPPER_PAIRS = ([0, 0, 0, 1, 1, 2], [1, 2, 3, 2, 3, 3])  # np.triu_indices(4, 1)
 
 
 def _which(k: int, n: int) -> str:
@@ -131,6 +139,8 @@ def numeric_spectrum(entries, gap_tol: float) -> tuple[np.ndarray, np.ndarray]:
     input for the solver even though no protocol can use it).  An error names
     the first failing matrix of its kind.
     """
+    import numpy as np
+
     m = np.asarray(entries, dtype=complex)
     if m.ndim != 3 or m.shape[1:] != (4, 4):
         raise ValidationError(f"expected an (n, 4, 4) stack, got shape {m.shape}")
@@ -159,11 +169,10 @@ def evolve(s: JointState, spec: Spectrum, t: float) -> JointState:
     """Apply exp(-iHt) through the spectral decomposition of H."""
     if not math.isfinite(t):
         raise DomainError(f"t must be finite, got {t!r}")
-    vec = s.vector
-    out = np.zeros(4, dtype=complex)
+    out = [0j] * 4
     for energy, eigvec in zip(spec.eigenvalues, spec.eigenvectors):
-        e = eigvec.vector
-        out += cmath.exp(-1j * energy * t) * np.vdot(e, vec) * e
+        weight = cmath.exp(-1j * energy * t) * joint_overlap(eigvec, s)
+        out = [o + weight * e for o, e in zip(out, eigvec.vector)]
     return JointState(out)
 
 
@@ -178,6 +187,8 @@ def pair_spectra(
     with numeric ``assignment[k, i]`` at fidelity |⟨a_i|n_j⟩|².  The match of
     every matrix must be a bijection.
     """
+    import numpy as np
+
     fid = np.abs(analytic_vectors.conj() @ numeric_vectors) ** 2
     assignment = np.argmax(fid, axis=2)
     bijective = (np.sort(assignment, axis=1) == np.arange(4)).all(axis=1)

@@ -3,8 +3,8 @@
 The pair's overlap parameters, the coupling set, the closed-form eigenvalues
 and mixing angle with their gap check, the variant and preparation-policy
 choices, and the noise-robust overlap bound.  Everything here is plain
-Python, so the coupling solver, the CLI's option table, ``solve`` and
-``bound`` never import numpy.  Every module that uses one of these names
+Python, so the coupling solver and the CLI's option table never import
+numpy, nor do ``solve``, ``bound``, ``states`` and ``feasibility``.  Every module that uses one of these names
 imports it from here, not through another module.
 """
 

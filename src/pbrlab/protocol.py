@@ -12,7 +12,9 @@ Hamiltonian, and the resulting forbidden-outcome map:
 
 This module alone knows how the two variants differ (states, spectrum,
 Hamiltonian stack, default couplings, constraint residual); other modules ask
-it instead of branching on the variant.
+it instead of branching on the variant.  Importing it loads no numpy: the
+functions that build arrays (the Hamiltonian stack, the numeric pairing, the
+Born matrix, the tally kernel) import it when they run.
 
 Simulation draws each run's preparation and outcome from counter-based
 streams (see :mod:`pbrlab.rng`), so a tally table is a pure function of
@@ -33,8 +35,7 @@ import math
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .coupling_solver import solve_closed_form
 from .errors import ConstraintError, DegeneracyError, LogicError, ValidationError
@@ -58,6 +59,9 @@ from .qstate import (
 )
 # run_uniforms is unused here; perfbench's tracer test asserts this binding.
 from .rng import run_uniforms, validate_seed, words  # noqa: F401
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Advertised tolerance on |cos(alpha + theta)| for spin-orbit couplings.
 CONSTRAINT_ATOL = 1e-10
@@ -101,6 +105,8 @@ def hamiltonian_stack(variant: Variant, couplings: Sequence[CouplingSet]) -> np.
     Matrix k is :func:`hamiltonian_entries` of ``couplings[k]``, with d dropped
     (exchange) or a missing d taken as 0 (spin-orbit), in the same bits for any n.
     """
+    import numpy as np
+
     columns = np.array([(c.a, c.b, c.c, c.d_or_zero) for c in couplings], dtype=float).reshape(-1, 4).T
     a, b, c, d = columns[:, :, np.newaxis, np.newaxis]
     return hamiltonian_entries(a, b, c, None if Variant(variant) is Variant.XYZ else d)
@@ -119,6 +125,8 @@ def numeric_pairing(
     the first such matrix (for a stack of more than one) and the closest
     labels of its analytic spectrum.
     """
+    import numpy as np
+
     values, vectors = numeric_spectrum(hamiltonian_stack(variant, [c for c, _ in sampled]), gap_tol)
     analytic_vectors = np.array(
         [[v.vector for v in spec.eigenvectors] for _, spec in sampled], dtype=complex
@@ -208,7 +216,9 @@ class ProtocolInstance:
         raise ValidationError(f"unknown preparation {label!r}")
 
     def born_matrix(self) -> np.ndarray:
-        """Row p = Born probabilities of preparation p over the outcome labels."""
+        """Row p = Born probabilities of preparation p over the outcome labels, a (4, 4) array."""
+        import numpy as np
+
         return np.array(
             [born_probabilities(state, self.spectrum) for _, state in self.preparations]
         )
@@ -341,7 +351,7 @@ _BLOCK = 1 << 16
 _WORD_END = 1 << 53
 
 #: Key of a run whose outcome the noise replaced: at or above every cell key.
-_FLIPPED_KEY = np.uint64(4 * _WORD_END)
+_FLIPPED_KEY = 4 * _WORD_END
 
 
 def _cell_keys(born: np.ndarray) -> list[np.uint64]:
@@ -359,6 +369,8 @@ def _cell_keys(born: np.ndarray) -> list[np.uint64]:
     can leave cum[p, -1] a hair under 1, and such draws belong to the last
     live outcome.
     """
+    import numpy as np
+
     cum = np.minimum(np.ceil(np.cumsum(born, axis=1) * float(_WORD_END)), float(_WORD_END))
     keys = []
     for p, row in enumerate(born):
@@ -388,6 +400,8 @@ def _tally_chunk(
     once with each distinct key of its row strictly between 0 and the row's
     top key: every run reaches key 0, and only the flipped runs reach the top.
     """
+    import numpy as np
+
     keys = _cell_keys(born)
     flip_below = np.uint64(math.ceil(noise_eps * _WORD_END))
     if policy is PrepPolicy.UNIFORM:
@@ -486,14 +500,12 @@ def simulate(
     else:
         import concurrent.futures  # here, not at module top: it pulls in logging
 
-        total = np.zeros((4, 4), dtype=np.int64)
         with concurrent.futures.ThreadPoolExecutor(max_workers=len(chunks)) as pool:
             futures = [
                 pool.submit(_tally_chunk, lo, hi, seed, born, noise_eps, policy)
                 for lo, hi in chunks
             ]
-            for fut in futures:
-                total = total + fut.result()
+            total = sum(fut.result() for fut in futures)
     return TallyTable(
         prep_labels=inst.prep_labels,
         outcome_labels=inst.outcome_labels,

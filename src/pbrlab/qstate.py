@@ -11,8 +11,9 @@ Conventions used throughout the package:
 - States carry their constructed global phase (the u states carry e^{-i phi});
   physical comparisons use |overlap|², which ignores it.
 - A state's norm is checked once, when it is built: :class:`PureState` and
-  :class:`JointState` (one read-only complex (4,) vector, copied then) are
+  :class:`JointState` (a tuple of 4 Python ``complex``, copied then) are
   frozen, so :func:`overlap` and :func:`tensor` take their inputs as normalized.
+  The arithmetic is plain Python: no numpy, and no BLAS kernel in its bits.
 
 Two state families are provided: the x-z Bloch-plane pair (u, v) with the
 companion state vbar orthogonal to v inside span{u, v}, and the pair (u, v)
@@ -25,8 +26,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import ValidationError
 from .params import OverlapParams
@@ -52,19 +51,21 @@ class PureState:
         return [[z.real, z.imag] for z in (self.amp_plus, self.amp_minus)]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class JointState:
-    """A normalized two-qubit state over (|++⟩, |+−⟩, |−+⟩, |−−⟩)."""
+    """A normalized two-qubit state over (|++⟩, |+−⟩, |−+⟩, |−−⟩), from any sequence of 4 numbers."""
 
-    vector: np.ndarray
+    vector: tuple[complex, complex, complex, complex]
 
     def __post_init__(self):
-        vec = np.array(self.vector, dtype=complex)
-        if vec.shape != (4,):
-            raise ValidationError(f"JointState needs 4 amplitudes, got shape {vec.shape}")
-        vec.setflags(write=False)
+        try:
+            vec = tuple(map(complex, self.vector))
+        except (TypeError, ValueError):  # not a sequence of numbers, e.g. a (2, 2) array
+            vec = ()
+        if len(vec) != 4:
+            raise ValidationError(f"JointState needs 4 amplitudes, got {self.vector!r}")
         object.__setattr__(self, "vector", vec)
-        _check_normalized(float(np.vdot(vec, vec).real), "JointState")
+        _check_normalized(joint_overlap(self, self).real, "JointState")
 
 
 def _check_normalized(squared_norm: float, what: str) -> None:
@@ -82,8 +83,18 @@ def overlap(u: PureState, v: PureState) -> complex:
 
 
 def joint_overlap(x: JointState, y: JointState) -> complex:
-    """Inner product ⟨x|y⟩ of two-qubit states."""
-    return complex(np.vdot(x.vector, y.vector))
+    """Inner product ⟨x|y⟩ of two-qubit states, from four real dot products summed in index order.
+
+    ``by_re`` holds the sums of x.real * y.real and x.imag * y.real, ``by_im``
+    those of x.real * y.imag and x.imag * y.imag: a complex times a float
+    multiplies each part exactly once.  This is the order of OpenBLAS's zdotc
+    loop for short vectors, so on its Haswell kernel ``np.vdot`` gives the
+    same values.
+    """
+    (a0, a1, a2, a3), (b0, b1, b2, b3) = x.vector, y.vector
+    by_re = a0 * b0.real + a1 * b1.real + a2 * b2.real + a3 * b3.real
+    by_im = a0 * b0.imag + a1 * b1.imag + a2 * b2.imag + a3 * b3.imag
+    return complex(by_re.real + by_im.imag, by_im.real - by_re.imag)
 
 
 def build_pair_xyz(p: OverlapParams) -> tuple[PureState, PureState, PureState]:

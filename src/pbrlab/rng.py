@@ -7,14 +7,19 @@ runs, any partition of the run indices across workers reproduces the
 sequential result bit for bit.
 
 splitmix64 reference: state advances by the 64-bit golden-ratio constant and
-the output is the Stafford mix13 finalizer of the state.
+the output is the Stafford mix13 finalizer of the state.  The scalar path is
+plain Python; only the vectorized :func:`words` and :func:`run_uniforms`
+import numpy, when they run.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ValidationError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -67,6 +72,8 @@ def words(
     ``out`` (the result) and ``work`` (scratch) are optional uint64 buffers
     shaped like ``index``; a caller that loops passes them to reuse memory.
     """
+    import numpy as np
+
     z = np.multiply(index, np.uint64((step * _GAMMA) & _MASK), out=out)
     z += np.uint64((seed + (start + 1) * _GAMMA) & _MASK)
     tmp = np.empty_like(z) if work is None else work
@@ -84,6 +91,8 @@ def run_uniforms(seed: int, run_lo: int, run_hi: int, draws_per_run: int) -> np.
     Row k holds the draws of run run_lo + k; identical to calling
     :func:`uniform` entrywise, but vectorized.
     """
+    import numpy as np
+
     validate_seed(seed)
     if run_hi < run_lo or run_lo < 0:
         raise ValidationError(f"bad run range [{run_lo}, {run_hi})")

@@ -49,6 +49,7 @@ from .protocol import (
     orthogonality_residuals,
     simulate,
 )
+from .qstate import joint_overlap
 
 #: Minimum eigenvalue gap of the randomly drawn couplings in the spectrum checks.
 _SAMPLE_MIN_GAP = 1e-3
@@ -133,14 +134,8 @@ def check_xyz_spectrum(seed: int, n: int = 250) -> CheckResult:
 def check_soc_spectrum(seed: int, n: int = 250) -> CheckResult:
     sampled = _random_couplings(seed, 20, n, Variant.SOC)
     max_de, max_infid = _numeric_agreement(Variant.SOC, sampled)
-    max_cross = 0.0
-    bells = bell_states()
-    exact_fixed = True
-    for _, spec in sampled:
-        exact_fixed = exact_fixed and np.array_equal(spec.eigenvectors[0].vector, bells[1].vector)
-        exact_fixed = exact_fixed and np.array_equal(spec.eigenvectors[1].vector, bells[2].vector)
-        cross = abs(np.vdot(spec.eigenvectors[2].vector, spec.eigenvectors[3].vector))
-        max_cross = max(max_cross, float(cross))
+    exact_fixed = all(spec.eigenvectors[:2] == bell_states()[1:3] for _, spec in sampled)
+    max_cross = max((abs(joint_overlap(*spec.eigenvectors[2:])) for _, spec in sampled), default=0.0)
     ok = max_de <= 1e-10 and max_infid <= 1e-10 and exact_fixed and max_cross <= 1e-12
     return CheckResult(
         "soc-spectrum-agreement",
@@ -237,11 +232,11 @@ def check_exclusion_feasibility() -> CheckResult:
     for variant in Variant:
         inst = _instance(variant, math.pi / 3.0)
         if lp_feasible(build_problem(inst, SupportProfile(True, True))).feasible:
-            return CheckResult("exclusion-feasibility", False, f"both-overlap feasible for {variant}")
+            return CheckResult("exclusion-feasibility", False, f"both-overlap feasible for {variant.value}")
         for prof in (SupportProfile(True, False), SupportProfile(False, True)):
             for branch in single_overlap_branches(inst, prof):
                 if not lp_feasible(build_problem(inst, prof, branch=branch)).feasible:
-                    detail = f"single-overlap problem infeasible ({variant}, branch {branch})"
+                    detail = f"single-overlap problem infeasible ({variant.value}, branch {branch})"
                     return CheckResult("exclusion-feasibility", False, detail)
     return CheckResult(
         "exclusion-feasibility",
@@ -372,7 +367,7 @@ def check_evolution_invariance() -> CheckResult:
             before = born_probabilities(prep, inst.spectrum)
             for t, unitary in zip(times, unitaries):
                 evolved = evolve(prep, inst.spectrum, t)
-                differences.append(evolved.vector - unitary @ prep.vector)
+                differences.append(np.subtract(evolved.vector, unitary @ prep.vector))
                 after = born_probabilities(evolved, inst.spectrum)
                 worst_born = max(worst_born, max(abs(x - y) for x, y in zip(before, after)))
     worst_state = float(np.max(np.abs(differences)))

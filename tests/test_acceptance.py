@@ -45,7 +45,8 @@ def test_criterion_2_soc_spectrum_oracle():
     sampled = verify._random_couplings(202, 20, 1000, Variant.SOC)
     for (_, spec), h in zip(sampled, hamiltonian_stack(Variant.SOC, [c for c, _ in sampled])):
         for value, vec in zip(spec.eigenvalues, spec.eigenvectors):
-            max_res = max(max_res, float(np.max(np.abs(h @ vec.vector - value * vec.vector))))
+            v = np.asarray(vec.vector)
+            max_res = max(max_res, float(np.max(np.abs(h @ v - value * v))))
         ca, sa = math.cos(spec.alpha), math.sin(spec.alpha)
         rot = np.array([[ca, -sa], [sa, ca]])
         rotated = rot.T @ (pair.conj() @ h @ pair.T).real @ rot

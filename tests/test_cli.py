@@ -313,11 +313,17 @@ class TestImport:
             (["solve", "--theta", "0.7", "--d", "1", "--split", "2"], "numpy"),
             (["solve", "--theta", "0.7", "--d", "1", "--split", "2", "--method", "bisection"], "numpy"),
             (["bound", "--eps", "0.01"], "numpy"),
-            (["states", "--variant", "soc", "--theta", "0.6"], "pbrlab.verify"),
+            (["states", "--variant", "soc", "--theta", "0.6"], "numpy"),
+            (["states", "--variant", "xyz", "--theta", "0.6", "--phi", "1.1", "--format", "csv"], "numpy"),
+            (["feasibility", "--variant", "xyz", "--theta", "1", "--overlap", "a"], "numpy"),
+            (["feasibility", "--variant", "soc", "--theta", "0.7", "--overlap", "b"], "numpy"),
+            (["feasibility", "--variant", "soc", "--theta", "0.7853981634", "--overlap", "both"], "numpy"),
+            (["feasibility", "--variant", "xyz", "--theta", "1", "--overlap", "a", "--exact"], "numpy"),
             (["spectrum", "--variant", "xyz", "--a", "1", "--b", "2", "--c", "3"], "pbrlab.verify"),
             (["run", "--variant", "xyz", "--theta", "1", "--runs", "100", "--seed", "1"], "pbrlab.verify"),
         ],
-        ids=["import", "solve-closed-form", "solve-bisection", "bound", "states", "spectrum", "run"],
+        ids=["import", "solve-closed-form", "solve-bisection", "bound", "states", "states-xyz",
+             "feasibility-a", "feasibility-b", "feasibility-both", "feasibility-exact", "spectrum", "run"],
     )
     def test_subcommand_loads_only_what_it_runs(self, package_env, argv, left_out):
         proc = subprocess.run(
@@ -327,6 +333,14 @@ class TestImport:
         assert proc.returncode == 0, proc.stderr
         loaded = proc.stderr.split()
         assert "pbrlab" in loaded and left_out not in loaded
+
+    def test_protocol_and_ontology_import_without_numpy(self, package_env):
+        code = "import sys, pbrlab.protocol, pbrlab.ontology; print('numpy' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=package_env, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
 
 class TestSolve:

@@ -75,6 +75,17 @@ def test_fresh_process_matches_golden(name, package_env):
     assert proc.stdout == (GOLDEN / f"{name}.out").read_bytes()
 
 
+@pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
+def test_run_json_does_not_depend_on_the_blas_kernel(coretype, package_env):
+    """The state algebra is plain Python, so OpenBLAS's kernel choice leaves the residuals alone."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "pbrlab.cli", *CASES["run_json"]],
+        capture_output=True, env={**package_env, "OPENBLAS_CORETYPE": coretype}, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / "run_json.out").read_bytes()
+
+
 def _config_text(options: list[str]) -> str:
     """The config file standing for ``--key value`` pairs and bare ``--flag`` words."""
     lines = []

@@ -66,7 +66,7 @@ def residual(m, values, vectors) -> float:
 
 
 def analytic_residual(m, spectrum) -> float:
-    return residual(m, spectrum.eigenvalues, [v.vector for v in spectrum.eigenvectors])
+    return residual(m, spectrum.eigenvalues, [np.asarray(v.vector) for v in spectrum.eigenvectors])
 
 
 def agreement(variant, c, gap_tol=GAP_TOL):
@@ -409,15 +409,15 @@ class TestEvolve:
     def test_t_zero_is_identity(self, setup):
         spec, state = setup
         out = evolve(state, spec, 0.0)
-        assert np.max(np.abs(out.vector - state.vector)) <= 1e-12
+        assert np.max(np.abs(np.asarray(out.vector) - np.asarray(state.vector))) <= 1e-12
 
     def test_eigenvector_picks_up_a_phase(self, setup):
         spec, _ = setup
         t = 0.73
         for value, vec in zip(spec.eigenvalues, spec.eigenvectors):
             out = evolve(vec, spec, t)
-            expected = cmath.exp(-1j * value * t) * vec.vector
-            assert np.max(np.abs(out.vector - expected)) <= 1e-12
+            expected = cmath.exp(-1j * value * t) * np.asarray(vec.vector)
+            assert np.max(np.abs(np.asarray(out.vector) - expected)) <= 1e-12
 
     def test_outcome_probabilities_are_conserved(self, setup):
         spec, state = setup

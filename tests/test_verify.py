@@ -14,6 +14,7 @@ import pytest
 
 from pbrlab import CouplingSet, DegeneracyError, ValidationError, bell_states, ontology, rng, verify
 from pbrlab.protocol import Variant, hamiltonian_stack
+from pbrlab.qstate import joint_overlap
 from pbrlab.verify import CheckResult
 
 #: Every purpose verify draws for: both spectra, solver samples, clean and
@@ -56,8 +57,8 @@ def reference_soc(seed: int, n: int) -> CheckResult:
         max_de, max_infid = max(max_de, de), max(max_infid, infid)
         exact_fixed = exact_fixed and np.array_equal(spec.eigenvectors[0].vector, bells[1].vector)
         exact_fixed = exact_fixed and np.array_equal(spec.eigenvectors[1].vector, bells[2].vector)
-        cross = abs(np.vdot(spec.eigenvectors[2].vector, spec.eigenvectors[3].vector))
-        max_cross = max(max_cross, float(cross))
+        cross = abs(joint_overlap(spec.eigenvectors[2], spec.eigenvectors[3]))
+        max_cross = max(max_cross, cross)
     return CheckResult(
         "soc-spectrum-agreement",
         max_de <= 1e-10 and max_infid <= 1e-10 and exact_fixed and max_cross <= 1e-12,
@@ -180,8 +181,8 @@ def _flipped(decision):
 @pytest.mark.parametrize(
     "supports, detail",
     [
-        (4, "both-overlap feasible for Variant.XYZ"),
-        (2, "single-overlap problem infeasible (Variant.XYZ, branch u)"),
+        (4, "both-overlap feasible for xyz"),
+        (2, "single-overlap problem infeasible (xyz, branch u)"),
     ],
 )
 def test_exclusion_check_fails_a_flipped_support_problem(monkeypatch, supports, detail):
