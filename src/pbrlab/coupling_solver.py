@@ -7,7 +7,8 @@ the closed form
 
     a + c = d (cot θ − tan θ) = 2 d cot 2θ,
 
-which the bisection route re-derives numerically as an independent check.
+which the bisection route re-derives numerically as an independent check,
+walking :func:`pbrlab.params.constraint` down to its ``CONSTRAINT_ATOL``.
 The free directions of the four-parameter coupling family are d and the
 difference split = a − c (split = 0 would violate a ≠ c); b does not enter
 the constraint and defaults to 0, but some (theta, d, split) combinations
@@ -26,18 +27,18 @@ from dataclasses import dataclass
 
 from .errors import DegeneracyError, DomainError, LogicError, NonFiniteError, SolverError
 from .params import (
+    CONSTRAINT_ATOL,
     GAP_TOL,
     SOC_LABELS,
     CouplingSet,
     OverlapParams,
     _check_gaps,
-    mixing_angle,
+    constraint,
     soc_alpha,
     soc_eigenvalues,
 )
 
 CLOSED_FORM_RESIDUAL_TOL = 1e-12
-ROOT_RESIDUAL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -109,8 +110,8 @@ def _finish(
             f"{exc}; supply a different b (b does not affect the constraint)",
             pairs=exc.pairs,
         ) from exc
-    residual = abs(math.cos(alpha + theta))
-    limit = CLOSED_FORM_RESIDUAL_TOL if method == "closed-form" else ROOT_RESIDUAL_TOL
+    residual = abs(constraint(a + c, d, theta))
+    limit = CLOSED_FORM_RESIDUAL_TOL if method == "closed-form" else CONSTRAINT_ATOL
     if residual > limit:
         if a + c != ssum:
             raise SolverError(
@@ -143,10 +144,6 @@ def solve_closed_form(
     return _finish(theta, d, split, b, ssum, "closed-form", gap_tol)
 
 
-def _constraint(ssum: float, d: float, theta: float) -> float:
-    return math.cos(mixing_angle(ssum, d) + theta)
-
-
 def solve_by_root_finding(
     theta: float,
     d: float,
@@ -162,26 +159,26 @@ def solve_by_root_finding(
     # cos(alpha(s) + theta) decreases from cos(theta) > 0 toward -sin(theta) < 0,
     # so doubling each end brackets the root unless s overflows first.
     lo, hi = -d, d
-    while _constraint(lo, d, theta) <= 0.0:
+    while constraint(lo, d, theta) <= 0.0:
         lo *= 2.0
         if not math.isfinite(lo):
             raise SolverError("no lower bracket: s = a + c overflows")
-    while _constraint(hi, d, theta) >= 0.0:
+    while constraint(hi, d, theta) >= 0.0:
         hi *= 2.0
         if not math.isfinite(hi):
             raise SolverError("no upper bracket: s = a + c overflows")
     mid = 0.5 * (lo + hi)
     for _ in range(300):
         mid = 0.5 * (lo + hi)
-        f = _constraint(mid, d, theta)
+        f = constraint(mid, d, theta)
         if abs(f) <= 1e-15 or (hi - lo) <= 1e-14 * max(1.0, abs(mid)):
             break
         if f > 0.0:
             lo = mid
         else:
             hi = mid
-    if abs(_constraint(mid, d, theta)) > ROOT_RESIDUAL_TOL:
+    if abs(constraint(mid, d, theta)) > CONSTRAINT_ATOL:
         raise SolverError(
-            f"bisection stalled at s={mid!r} with |cos(alpha+theta)| > {ROOT_RESIDUAL_TOL}"
+            f"bisection stalled at s={mid!r} with |cos(alpha+theta)| > {CONSTRAINT_ATOL}"
         )
     return _finish(theta, d, split, b, mid, "bisection", gap_tol)

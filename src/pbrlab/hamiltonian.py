@@ -17,10 +17,10 @@ Both :func:`numeric_spectrum` and the matching, :func:`pair_spectra`, take
 (n, 4, 4) stacks, one ``eigh`` call per stack; a lone matrix is a stack of one.
 Only the functions that build or take stacks import numpy, when they run.
 
-The protocols only need four *distinguishable* outcomes, so every spectrum
-operation enforces pairwise eigenvalue gaps above ``gap_tol`` (the
-non-degeneracy conditions a ≠ ±b resp. a ≠ c are necessary but not
-sufficient for that).
+The protocols only need four *distinguishable* outcomes, so both routes apply
+the gap rule of :func:`pbrlab.params._check_gaps`: finite eigenvalues pairwise
+at least ``gap_tol`` apart (the non-degeneracy conditions a ≠ ±b resp. a ≠ c
+are necessary but not sufficient for that).
 """
 
 from __future__ import annotations
@@ -119,7 +119,6 @@ def analytic_spectrum_soc(c: CouplingSet, gap_tol: float = GAP_TOL) -> Spectrum:
 
 
 _NUMERIC_LABELS = ("n1", "n2", "n3", "n4")
-_UPPER_PAIRS = ([0, 0, 0, 1, 1, 2], [1, 2, 3, 2, 3, 3])  # np.triu_indices(4, 1)
 
 
 def _which(k: int, n: int) -> str:
@@ -134,10 +133,10 @@ def numeric_spectrum(entries, gap_tol: float) -> tuple[np.ndarray, np.ndarray]:
     (n, 4), ascending per matrix (labels n1..n4 in messages), and vectors
     (n, 4, 4) whose column j is the eigenvector of ``values[:, j]``, gauged so
     its largest component is real and positive.  Every matrix must be
-    Hermitian, diagonalize, and have finite eigenvalues pairwise ``gap_tol``
-    apart; ``gap_tol=0`` skips the gap check (the zero matrix is a legitimate
-    input for the solver even though no protocol can use it).  An error names
-    the first failing matrix of its kind.
+    Hermitian and diagonalize; then each row of values, in stack order, must
+    pass :func:`pbrlab.params._check_gaps` (``gap_tol=0`` skips the gap: the
+    zero matrix is a legitimate input for the solver though no protocol can
+    use it).  An error names the first failing matrix of its kind.
     """
     import numpy as np
 
@@ -153,13 +152,8 @@ def numeric_spectrum(entries, gap_tol: float) -> tuple[np.ndarray, np.ndarray]:
         values, vecs = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:  # LAPACK reports this for non-finite off-diagonals
         raise ConvergenceError(f"eigh failed: {exc}") from exc
-    failing = ~np.isfinite(values).all(axis=1)
-    if gap_tol > 0.0:
-        i, j = _UPPER_PAIRS
-        failing |= (np.abs(values[:, i] - values[:, j]) < gap_tol).any(axis=1)
-    if failing.any():
-        k = int(np.argmax(failing))
-        _check_gaps(tuple(float(x) for x in values[k]), _NUMERIC_LABELS, gap_tol, _which(k, n))
+    for k, row in enumerate(values.tolist()):
+        _check_gaps(row, _NUMERIC_LABELS, gap_tol, _which(k, n))
     rows = np.argmax(np.abs(vecs), axis=1)[:, np.newaxis, :]
     pivots = np.take_along_axis(vecs, rows, axis=1)
     return values, vecs * (np.abs(pivots) / pivots)

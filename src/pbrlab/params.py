@@ -1,11 +1,12 @@
 """Parameters and closed-form scalars that need no array library.
 
 The pair's overlap parameters, the coupling set, the closed-form eigenvalues
-and mixing angle with their gap check, the variant and preparation-policy
-choices, and the noise-robust overlap bound.  Everything here is plain
-Python, so the coupling solver and the CLI's option table never import
-numpy, nor do ``solve``, ``bound``, ``states`` and ``feasibility``.  Every module that uses one of these names
-imports it from here, not through another module.
+and mixing angle, the one gap rule, the spin-orbit constraint and its level,
+the variant and preparation-policy choices, and the noise-robust overlap
+bound.  Everything here is plain Python, so the coupling solver and the CLI's
+option table never import numpy, nor do ``solve``, ``bound``, ``states`` and
+``feasibility``.  Every module that uses one of these names imports it from
+here, not through another module.
 """
 
 from __future__ import annotations
@@ -26,6 +27,9 @@ SOC_LABELS = ("e'1", "e'2", "e'3", "e'4")
 
 #: Instance-level bound on |⟨forbidden outcome|preparation⟩|.
 ORTHO_ATOL = 1e-12
+
+#: Largest accepted |cos(alpha + theta)| of spin-orbit couplings, bisection roots included.
+CONSTRAINT_ATOL = 1e-10
 
 
 class _Choice(str, enum.Enum):
@@ -137,6 +141,11 @@ def soc_alpha(c: CouplingSet) -> float:
     if d == 0.0:
         raise DomainError("mixing angle is undefined at d = 0")
     return mixing_angle(c.a + c.c, d)
+
+
+def constraint(s: float, d: float, theta: float) -> float:
+    """cos(alpha + theta) for s = a + c: zero on the spin-orbit constraint surface."""
+    return math.cos(mixing_angle(s, d) + theta)
 
 
 def _check_gaps(values, labels, gap_tol: float, where: str) -> None:

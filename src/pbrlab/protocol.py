@@ -48,7 +48,7 @@ from .hamiltonian import (
     numeric_spectrum,
     pair_spectra,
 )
-from .params import GAP_TOL, ORTHO_ATOL, CouplingSet, OverlapParams, PrepPolicy, Variant
+from .params import CONSTRAINT_ATOL, GAP_TOL, ORTHO_ATOL, CouplingSet, OverlapParams, PrepPolicy, Variant, constraint
 from .qstate import (
     JointState,
     PureState,
@@ -62,9 +62,6 @@ from .rng import run_uniforms, validate_seed, words  # noqa: F401
 
 if TYPE_CHECKING:
     import numpy as np
-
-#: Advertised tolerance on |cos(alpha + theta)| for spin-orbit couplings.
-CONSTRAINT_ATOL = 1e-10
 
 #: b values tried in turn when building default spin-orbit couplings.  With
 #: d = 1 and split = 2 a b in (0, 2) can only make e'2 = e'4, where
@@ -197,7 +194,7 @@ class ProtocolInstance:
         """|cos(alpha + theta)| for the spin-orbit variant; None for the exchange one."""
         if self.variant is Variant.XYZ:
             return None
-        return abs(math.cos(self.spectrum.alpha + self.params.theta))
+        return abs(constraint(self.couplings.a + self.couplings.c, self.couplings.d, self.params.theta))
 
     @property
     def forbidden_residuals(self) -> dict[tuple[str, str], float]:

@@ -15,8 +15,8 @@ from pbrlab import (
     solve_by_root_finding,
     solve_closed_form,
 )
-from pbrlab.coupling_solver import CLOSED_FORM_RESIDUAL_TOL, _constraint
-from pbrlab.params import CouplingSet, mixing_angle
+from pbrlab.coupling_solver import CLOSED_FORM_RESIDUAL_TOL
+from pbrlab.params import CouplingSet, constraint, mixing_angle
 
 
 class TestClosedForm:
@@ -70,7 +70,7 @@ class TestClosedForm:
 class TestRootFinding:
     def test_constraint_is_monotone_decreasing_in_s(self):
         for d in (0.2, 1.0, 3.0):
-            values = [_constraint(s, d, 0.8) for s in np.linspace(-50 * d, 50 * d, 400)]
+            values = [constraint(s, d, 0.8) for s in np.linspace(-50 * d, 50 * d, 400)]
             assert all(x > y for x, y in zip(values, values[1:]))
 
     @pytest.mark.parametrize(

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from pbrlab import (
     GAP_TOL,
@@ -26,6 +28,7 @@ from pbrlab import (
     tensor,
 )
 from pbrlab.hamiltonian import PAULI_X, PAULI_Y, PAULI_Z, hamiltonian_entries
+from pbrlab.params import _check_gaps
 from pbrlab.protocol import Variant, analytic_spectrum, hamiltonian_stack, numeric_pairing
 
 
@@ -343,6 +346,36 @@ class TestNumericSpectrumStacks:
     def test_gap_tol_zero_skips_the_gap_check(self):
         values, _ = numeric_spectrum(np.zeros((2, 4, 4)), 0.0)
         assert not values.any()
+
+    #: Diagonal entries with exact ties and gaps just below, at and above 1e-9 and 0.5.
+    GRID = (-1.0, 0.0, 5e-10, 1e-9, 2e-9, 0.25, 0.5, 0.75, 1.0)
+
+    @seed(20120229)
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.lists(st.sampled_from(GRID), min_size=4, max_size=4), min_size=1, max_size=6),
+        st.sampled_from([0.0, 1e-9, 0.5]),
+    )
+    def test_gap_rule_is_the_params_rule_per_matrix(self, diagonals, gap_tol):
+        # A diagonal matrix's ascending eigenvalues are its sorted diagonal, exactly.
+        # The grid is finite, so the rule can only fail on a gap.
+        n = len(diagonals)
+        expected = None
+        for k, diagonal in enumerate(diagonals):
+            where = f"matrix {k} of {n}: " if n > 1 else ""
+            try:
+                _check_gaps(sorted(diagonal), ("n1", "n2", "n3", "n4"), gap_tol, where)
+            except DegeneracyError as exc:
+                expected = exc
+                break
+        stack = np.array([np.diag(diagonal) for diagonal in diagonals])
+        if expected is None:
+            values, _ = numeric_spectrum(stack, gap_tol)
+            assert values.tolist() == [sorted(diagonal) for diagonal in diagonals]
+        else:
+            with pytest.raises(DegeneracyError) as raised:
+                numeric_spectrum(stack, gap_tol)
+            assert str(raised.value) == str(expected) and raised.value.pairs == expected.pairs
 
 
 class TestPairSpectra:

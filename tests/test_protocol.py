@@ -27,11 +27,8 @@ from pbrlab import (
     solve_closed_form,
 )
 from pbrlab import protocol
-from pbrlab.protocol import (
-    DEFAULT_B_CANDIDATES,
-    CONSTRAINT_ATOL,
-    default_couplings,
-)
+from pbrlab.params import CONSTRAINT_ATOL
+from pbrlab.protocol import DEFAULT_B_CANDIDATES, default_couplings
 from pbrlab.rng import splitmix64, uniform
 
 XYZ_COUPLINGS = CouplingSet(1, 2, 3)

@@ -168,7 +168,7 @@ def test_evolution_check_fails_for_an_evolve_that_ignores_t(monkeypatch):
 
 def test_negative_control_fails_at_a_theta_where_the_bad_couplings_still_fit(monkeypatch):
     # An alpha that puts the first grid theta (0.05) back on the constraint.
-    monkeypatch.setattr(verify, "soc_alpha", lambda c: math.pi / 2.0 - 0.05)
+    monkeypatch.setattr(verify, "constraint", lambda s, d, theta: math.cos(math.pi / 2.0 - 0.05 + theta))
     result = verify.check_soc_negative_control()
     assert not result.ok
     assert result.line() == "FAIL soc-negative-control: violation 6.123e-17 too small at theta 0.050"
