@@ -2,6 +2,8 @@
 
 Subcommands: states, spectrum, solve, run, feasibility, bound, verify-all.
 Results go to standard out (JSON or CSV), diagnostics to standard error.
+Every JSON document is shaped here, from the values the library returns;
+no other module of the package renders JSON or imports :mod:`json`.
 
 Exit codes: 0 success; 1 verification failure; 2 usage or configuration
 error, including a standard output closed before the result was written; a
@@ -37,7 +39,9 @@ import sys
 from pathlib import Path
 
 from .errors import LogicError, NonFiniteError, PbrlabError, ValidationError
-from .params import GAP_TOL, ORTHO_ATOL, CouplingSet, OverlapParams, PrepPolicy, Variant, overlap_bound
+from .params import (
+    GAP_TOL, ORTHO_ATOL, VERIFY_RUNS, VERIFY_SEED, CouplingSet, OverlapParams, PrepPolicy, Variant, overlap_bound
+)
 
 EXIT_OK = 0
 EXIT_VERIFY = LogicError.exit_code
@@ -168,7 +172,9 @@ def _cmd_states(ns: argparse.Namespace) -> int:
                 "variant": variant.value,
                 "theta": params.theta,
                 "phi": params.phi,
-                "states": {label: s.to_json() for label, s in states.items()},
+                "states": {
+                    label: [_complex_pair(s.amp_plus), _complex_pair(s.amp_minus)] for label, s in states.items()
+                },
                 "overlaps": {
                     f"{x}|{y}": _complex_pair(overlap(states[x], states[y]))
                     for x, y in itertools.combinations(states, 2)
@@ -202,8 +208,7 @@ def _cmd_spectrum(ns: argparse.Namespace) -> int:
     else:
         writer = _csv_writer()
         writer.writerow(["label", "analytic_E", "numeric_E", "abs_diff"])
-        for label, e, n, _ in rows:
-            writer.writerow([label, e, n, abs(e - n)])
+        writer.writerows([label, e, n, abs(e - n)] for label, e, n, _ in rows)
     return EXIT_OK
 
 
@@ -214,7 +219,9 @@ def _cmd_solve(ns: argparse.Namespace) -> int:
     result = solver(
         _angle(ns.theta, ns.deg), ns.d, ns.split, b=ns.b, gap_tol=_tolerance(ns, "gap_tol")
     )
-    _print_json(result.to_json())
+    out = dataclasses.asdict(result)
+    couplings = out.pop("couplings")  # flattened: a, b, c, d beside the result's own fields
+    _print_json({**couplings, "sum_ac": couplings["a"] + couplings["c"], **out})
     return EXIT_OK
 
 
@@ -267,10 +274,21 @@ def _cmd_run(ns: argparse.Namespace) -> int:
         summary_line = _json(summary)
         writer = _csv_writer()
         writer.writerow(["preparation", "outcome", "count", "frequency", "is_forbidden"])
-        for row in table.to_csv_rows():
-            writer.writerow(row)
+        writer.writerows(table.to_csv_rows())
         print(summary_line, file=sys.stderr)
     return EXIT_OK
+
+
+def _decision_json(d, instance: dict) -> dict:
+    """A feasibility decision, with its witness if feasible and its certificate if not."""
+    p = d.problem
+    problem = {"outcome_labels": p.outcome_labels, "zeroed": p.zeroed, "supports": p.supports, **instance}
+    out = {"feasible": d.feasible, "method": d.method, "problem": problem}
+    if d.witness is not None:
+        out["witness"] = dict(d.witness)
+    if d.certificate is not None:
+        out["certificate"] = d.certificate
+    return out
 
 
 def _cmd_feasibility(ns: argparse.Namespace) -> int:
@@ -286,15 +304,15 @@ def _cmd_feasibility(ns: argparse.Namespace) -> int:
     else:
         problems = {b: build_problem(inst, prof, branch=b) for b in single_overlap_branches(inst, prof)}
     decisions = {branch: lp_feasible(prob, exact=ns.exact) for branch, prob in problems.items()}
+    instance = {"variant": variant.value, "theta": params.theta}
     out = {
-        "variant": variant.value,
-        "theta": params.theta,
+        **instance,
         "overlap": ns.overlap,
-        "problems": [{"branch": branch, **d.to_json()} for branch, d in decisions.items()],
+        "problems": [{"branch": branch, **_decision_json(d, instance)} for branch, d in decisions.items()],
         "feasible": all(d.feasible for d in decisions.values()),
     }
     if None in decisions:
-        out["verdicts"] = [v.to_json() for v in deduce(inst, decisions[None])]
+        out["verdicts"] = [{**dataclasses.asdict(v), **instance} for v in deduce(inst, decisions[None])]
     _print_json(out)
     return EXIT_OK
 
@@ -382,8 +400,8 @@ _COMMANDS = {
     "verify-all": (
         _cmd_verify_all, "run the full verification sweep",
         ("seed", "runs", "workers"),
-        {"seed": {"default": 42},
-         "runs": {"default": 200_000, "help": "simulation runs per statistics check"}},
+        {"seed": {"default": VERIFY_SEED},
+         "runs": {"default": VERIFY_RUNS, "help": "simulation runs per statistics check"}},
     ),
 }
 

@@ -51,20 +51,6 @@ class SolverResult:
     theta: float
     method: str
 
-    def to_json(self) -> dict:
-        c = self.couplings
-        return {
-            "a": c.a,
-            "b": c.b,
-            "c": c.c,
-            "d": c.d,
-            "sum_ac": c.a + c.c,
-            "alpha": self.alpha,
-            "residual": self.residual,
-            "theta": self.theta,
-            "method": self.method,
-        }
-
 
 def _validate_inputs(theta: float, d: float, split: float) -> None:
     OverlapParams(theta)  # the pair's theta rule: strictly inside (0, pi/2)

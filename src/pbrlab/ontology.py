@@ -67,15 +67,14 @@ class FeasibilityProblem:
 
     ``forbidden`` holds the (support preparation, forbidden outcome) pairs kept
     from the instance: each support contains the shared state, so its outcome
-    gets probability zero.  ``supports`` and ``zeroed`` are read off the pairs.
-    Construction raises ``ValidationError`` unless the four outcome labels are
-    distinct and every forbidden outcome is one of them.
+    gets probability zero.  ``supports`` and ``zeroed`` are read off the pairs;
+    the instance's variant and theta are not copied.  Construction raises
+    ``ValidationError`` unless the four outcome labels are distinct and every
+    forbidden outcome is one of them.
     """
 
     outcome_labels: tuple[str, ...]
     forbidden: tuple[tuple[str, str], ...]
-    variant: str
-    theta: float
 
     def __post_init__(self):
         labels = self.outcome_labels
@@ -97,15 +96,6 @@ class FeasibilityProblem:
         outs = {out for _, out in self.forbidden}
         return tuple(lab for lab in self.outcome_labels if lab in outs)
 
-    def to_json(self) -> dict:
-        return {
-            "outcome_labels": list(self.outcome_labels),
-            "zeroed": list(self.zeroed),
-            "supports": list(self.supports),
-            "variant": self.variant,
-            "theta": self.theta,
-        }
-
 
 @dataclass(frozen=True)
 class FeasibilityDecision:
@@ -114,18 +104,6 @@ class FeasibilityDecision:
     certificate: tuple[str, ...] | None
     problem: FeasibilityProblem
     method: str = "phase1-simplex"
-
-    def to_json(self) -> dict:
-        out = {
-            "feasible": self.feasible,
-            "method": self.method,
-            "problem": self.problem.to_json(),
-        }
-        if self.witness is not None:
-            out["witness"] = {label: p for label, p in self.witness}
-        if self.certificate is not None:
-            out["certificate"] = list(self.certificate)
-        return out
 
 
 def _definite_party(prof: SupportProfile) -> int:
@@ -169,8 +147,6 @@ def _problem(inst: ProtocolInstance, keep: Callable[[str, str], bool]) -> Feasib
     return FeasibilityProblem(
         outcome_labels=inst.outcome_labels,
         forbidden=tuple(pair for pair in inst.forbidden if keep(*pair)),
-        variant=inst.variant.value,
-        theta=inst.params.theta,
     )
 
 
@@ -251,23 +227,13 @@ class Verdict:
     """What the exclusion argument concludes about state pairs.
 
     ``pairs`` holds one pair for a definite relation, or the two pairs of a
-    disjunction for AT_LEAST_ONE_DISJOINT.
+    disjunction for AT_LEAST_ONE_DISJOINT; the variant and theta are those of
+    the instance given to :func:`deduce`, not copied here.
     """
 
     pairs: tuple[tuple[str, str], ...]
     relation: Relation
-    variant: str
-    theta: float
     note: str
-
-    def to_json(self) -> dict:
-        return {
-            "pairs": [list(p) for p in self.pairs],
-            "relation": self.relation.value,
-            "variant": self.variant,
-            "theta": self.theta,
-            "note": self.note,
-        }
 
 
 def deduce(inst: ProtocolInstance, both_overlap: FeasibilityDecision) -> list[Verdict]:
@@ -285,10 +251,9 @@ def deduce(inst: ProtocolInstance, both_overlap: FeasibilityDecision) -> list[Ve
             "both-overlap problem reported feasible; the forbidden bijection makes "
             "that impossible for a valid instance"
         )
-    theta = inst.params.theta
     pairs, relation = (("u", "v"), ("u", companion(inst.variant))), Relation.AT_LEAST_ONE_DISJOINT
     note = "backed by the shared-support infeasibility certificate"
-    if inst.variant is Variant.SOC and abs(theta - math.pi / 4.0) <= SPECIAL_CASE_ATOL:
+    if inst.variant is Variant.SOC and abs(inst.params.theta - math.pi / 4.0) <= SPECIAL_CASE_ATOL:
         pairs, relation = (("u", "v"),), Relation.DISJOINT
         note = "w coincides with v at this overlap (|<u|v>|^2 = 1/2), so the disjunction collapses; " + note
-    return [Verdict(pairs=pairs, relation=relation, variant=inst.variant.value, theta=theta, note=note)]
+    return [Verdict(pairs=pairs, relation=relation, note=note)]

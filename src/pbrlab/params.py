@@ -2,11 +2,11 @@
 
 The pair's overlap parameters, the coupling set, the closed-form eigenvalues
 and mixing angle, the one gap rule, the spin-orbit constraint and its level,
-the variant and preparation-policy choices, and the noise-robust overlap
-bound.  Everything here is plain Python, so the coupling solver and the CLI's
-option table never import numpy, nor do ``solve``, ``bound``, ``states`` and
-``feasibility``.  Every module that uses one of these names imports it from
-here, not through another module.
+the variant and preparation-policy choices, the noise-robust overlap bound
+and the verify-all defaults.  Everything here is plain Python, so the coupling
+solver and the CLI's option table never import numpy, nor do ``solve``,
+``bound``, ``states`` and ``feasibility``.  Every module that uses one of
+these names imports it from here, not through another module.
 """
 
 from __future__ import annotations
@@ -30,6 +30,10 @@ ORTHO_ATOL = 1e-12
 
 #: Largest accepted |cos(alpha + theta)| of spin-orbit couplings, bisection roots included.
 CONSTRAINT_ATOL = 1e-10
+
+#: Defaults of the verification sweep: its seed and the runs of its statistics check.
+VERIFY_SEED = 42
+VERIFY_RUNS = 200_000
 
 
 class _Choice(str, enum.Enum):
@@ -151,8 +155,13 @@ def constraint(s: float, d: float, theta: float) -> float:
 def _check_gaps(values, labels, gap_tol: float, where: str) -> None:
     """Raise unless the four values are finite and pairwise ``gap_tol`` apart.
 
-    ``where`` prefixes the message (empty, or the matrix of a stack).
+    ``where`` prefixes the message (empty, or the matrix of a stack).  A
+    passing set is let through before any message is built.
     """
+    w, x, y, z = values
+    finite = math.isfinite(w) and math.isfinite(x) and math.isfinite(y) and math.isfinite(z)
+    if finite and min(abs(w - x), abs(w - y), abs(w - z), abs(x - y), abs(x - z), abs(y - z)) >= gap_tol:
+        return
     overflowing = [f"{lab} = {val!r}" for lab, val in zip(labels, values) if not math.isfinite(val)]
     if overflowing:
         raise NonFiniteError(f"{where}spectrum overflows: {', '.join(overflowing)}")

@@ -46,10 +46,6 @@ class PureState:
         object.__setattr__(self, "amp_minus", complex(self.amp_minus))
         _check_normalized(abs(self.amp_plus) ** 2 + abs(self.amp_minus) ** 2, "PureState")
 
-    def to_json(self) -> list[list[float]]:
-        """Amplitudes as [re, im] pairs at full double precision."""
-        return [[z.real, z.imag] for z in (self.amp_plus, self.amp_minus)]
-
 
 @dataclass(frozen=True)
 class JointState:

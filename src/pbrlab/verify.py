@@ -40,7 +40,9 @@ from .ontology import (
     single_overlap_branches,
     subset_rule_feasible,
 )
-from .params import GAP_TOL, CouplingSet, OverlapParams, PrepPolicy, Variant, constraint, overlap_bound
+from .params import (
+    GAP_TOL, VERIFY_RUNS, VERIFY_SEED, CouplingSet, OverlapParams, PrepPolicy, Variant, constraint, overlap_bound
+)
 from .protocol import (
     analytic_spectrum,
     born_probabilities,
@@ -305,7 +307,7 @@ def check_cross_protocol() -> CheckResult:
     )
 
 
-def check_simulation_stats(seed: int, n_runs: int = 200_000, n_workers: int = 1) -> CheckResult:
+def check_simulation_stats(seed: int, n_runs: int = VERIFY_RUNS, n_workers: int = 1) -> CheckResult:
     inst = _instance(Variant.XYZ, math.pi / 3.0)
     clean = simulate(
         inst, n_runs, seed=_stream(seed, 40), noise_eps=0.0, prep_policy="roundrobin", n_workers=n_workers
@@ -404,7 +406,7 @@ def check_determinism(seed: int, n_runs: int = 50_000) -> CheckResult:
     )
 
 
-def run_all(seed: int = 42, n_runs: int = 200_000, n_workers: int = 1) -> tuple[str, bool]:
+def run_all(seed: int = VERIFY_SEED, n_runs: int = VERIFY_RUNS, n_workers: int = 1) -> tuple[str, bool]:
     """Execute every check; returns (report text, all passed)."""
     checks = [
         check_xyz_spectrum(seed),

@@ -44,6 +44,7 @@ CASES = {
     "feasibility_a_exact": [
         "feasibility", "--variant", "xyz", "--theta", "1.0471975512", "--overlap", "a", "--exact",
     ],
+    "feasibility_b": ["feasibility", "--variant", "soc", "--theta", "0.7", "--overlap", "b"],
     "bound": ["bound", "--eps", "0.01"],
     "run_csv": XYZ_RUN,
     "run_json": [*XYZ_RUN, "--format", "json"],

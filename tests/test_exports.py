@@ -76,3 +76,25 @@ def test_each_relative_import_is_read():
         read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
         unread |= {(importer, name) for _, name in _relative_imports(tree) if name not in read}
     assert unread == UNREAD_IMPORTS
+
+
+def _imports_json(tree: ast.Module) -> bool:
+    return any(
+        isinstance(node, ast.Import) and any(alias.name.split(".")[0] == "json" for alias in node.names)
+        or isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == "json"
+        for node in ast.walk(tree)
+    )
+
+
+def test_cli_is_the_one_json_renderer():
+    """Only cli.py shapes JSON documents: no other module defines ``to_json`` or imports json."""
+    sources = _package_sources()
+    renderers = sorted(
+        f"{module}.py:{node.lineno}"
+        for module, tree in sources.items()
+        if module != "cli"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "to_json"
+    )
+    assert renderers == []
+    assert sorted(module for module, tree in sources.items() if _imports_json(tree)) == ["cli"]

@@ -217,13 +217,12 @@ class TestLpFeasible:
         with pytest.raises(ValidationError, match="'zz'"):
             ontology.FeasibilityProblem(
                 outcome_labels=("e1", "e2", "e3", "e4"), forbidden=(("u*u", "zz"),),
-                variant="xyz", theta=0.5,
             )
 
     def test_repeated_outcome_label_is_a_validation_error(self):
         with pytest.raises(ValidationError, match="4 distinct outcome labels"):
             ontology.FeasibilityProblem(
-                outcome_labels=("e1", "e2", "e2", "e4"), forbidden=(), variant="xyz", theta=0.5
+                outcome_labels=("e1", "e2", "e2", "e4"), forbidden=()
             )
 
     def test_exact_only_names_the_method(self):
