@@ -2,8 +2,9 @@
 
 Subcommands: states, spectrum, solve, run, feasibility, bound, verify-all.
 Results go to standard out (JSON or CSV), diagnostics to standard error.
-Every JSON document is shaped here, from the values the library returns;
-no other module of the package renders JSON or imports :mod:`json`.
+Every JSON document and every CSV table is shaped here, from the values the
+library returns (the ``run`` table from the tally's counts); no other module
+of the package renders JSON or CSV, or imports :mod:`json`.
 
 Exit codes: 0 success; 1 verification failure; 2 usage or configuration
 error, including a standard output closed before the result was written; a
@@ -274,7 +275,11 @@ def _cmd_run(ns: argparse.Namespace) -> int:
         summary_line = _json(summary)
         writer = _csv_writer()
         writer.writerow(["preparation", "outcome", "count", "frequency", "is_forbidden"])
-        writer.writerows(table.to_csv_rows())
+        writer.writerows(
+            [prep, out, count, table.frequency(prep, out), (prep, out) in table.forbidden]
+            for prep, row in zip(table.prep_labels, table.counts)
+            for out, count in zip(table.outcome_labels, row)
+        )
         print(summary_line, file=sys.stderr)
     return EXIT_OK
 

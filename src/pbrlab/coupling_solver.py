@@ -90,7 +90,7 @@ def _finish(
     couplings = CouplingSet(a=a, b=b, c=c, d=d)
     alpha = soc_alpha(couplings)
     try:
-        _check_gaps(soc_eigenvalues(couplings), SOC_LABELS, gap_tol, "")
+        _check_gaps(soc_eigenvalues(couplings), SOC_LABELS, gap_tol)
     except DegeneracyError as exc:
         raise DegeneracyError(
             f"{exc}; supply a different b (b does not affect the constraint)",

@@ -20,7 +20,9 @@ Only the functions that build or take stacks import numpy, when they run.
 The protocols only need four *distinguishable* outcomes, so both routes apply
 the gap rule of :func:`pbrlab.params._check_gaps`: finite eigenvalues pairwise
 at least ``gap_tol`` apart (the non-degeneracy conditions a ≠ ±b resp. a ≠ c
-are necessary but not sufficient for that).
+are necessary but not sufficient for that).  That rule's messages, and the
+``matrix k of n:`` prefix of every error about one matrix of a stack, are
+worded in :mod:`pbrlab.params`.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .params import (
     SOC_LABELS,
     CouplingSet,
     _check_gaps,
+    _which,
     soc_alpha,
     soc_eigenvalues,
     xyz_eigenvalues,
@@ -102,7 +105,7 @@ def analytic_spectrum_xyz(c: CouplingSet, gap_tol: float = GAP_TOL) -> Spectrum:
         raise ValidationError(f"exchange variant requires d absent or zero, got d={c.d}")
     labels = ("e1", "e2", "e3", "e4")
     values = xyz_eigenvalues(c)
-    _check_gaps(values, labels, gap_tol, "")
+    _check_gaps(values, labels, gap_tol)
     return Spectrum(values, bell_states(), labels)
 
 
@@ -110,7 +113,7 @@ def analytic_spectrum_soc(c: CouplingSet, gap_tol: float = GAP_TOL) -> Spectrum:
     """Spin-orbit spectrum: e'1 = Φ⁻, e'2 = Ψ⁺, e'3/e'4 the alpha-mixtures."""
     alpha = soc_alpha(c)  # raises DomainError at d = 0
     values = soc_eigenvalues(c)
-    _check_gaps(values, SOC_LABELS, gap_tol, "")
+    _check_gaps(values, SOC_LABELS, gap_tol)
     ca, sa = math.cos(alpha), math.sin(alpha)
     _, phi_minus, psi_plus, _ = bell_states()
     e3 = JointState((_RT2 * ca, _RT2 * sa, -_RT2 * sa, _RT2 * ca))
@@ -119,11 +122,6 @@ def analytic_spectrum_soc(c: CouplingSet, gap_tol: float = GAP_TOL) -> Spectrum:
 
 
 _NUMERIC_LABELS = ("n1", "n2", "n3", "n4")
-
-
-def _which(k: int, n: int) -> str:
-    """Message prefix naming matrix k of an n-stack; empty for a lone matrix."""
-    return f"matrix {k} of {n}: " if n > 1 else ""
 
 
 def numeric_spectrum(entries, gap_tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -153,7 +151,7 @@ def numeric_spectrum(entries, gap_tol: float) -> tuple[np.ndarray, np.ndarray]:
     except np.linalg.LinAlgError as exc:  # LAPACK reports this for non-finite off-diagonals
         raise ConvergenceError(f"eigh failed: {exc}") from exc
     for k, row in enumerate(values.tolist()):
-        _check_gaps(row, _NUMERIC_LABELS, gap_tol, _which(k, n))
+        _check_gaps(row, _NUMERIC_LABELS, gap_tol, k, n)
     rows = np.argmax(np.abs(vecs), axis=1)[:, np.newaxis, :]
     pivots = np.take_along_axis(vecs, rows, axis=1)
     return values, vecs * (np.abs(pivots) / pivots)

@@ -3,10 +3,13 @@
 The pair's overlap parameters, the coupling set, the closed-form eigenvalues
 and mixing angle, the one gap rule, the spin-orbit constraint and its level,
 the variant and preparation-policy choices, the noise-robust overlap bound
-and the verify-all defaults.  Everything here is plain Python, so the coupling
-solver and the CLI's option table never import numpy, nor do ``solve``,
-``bound``, ``states`` and ``feasibility``.  Every module that uses one of
-these names imports it from here, not through another module.
+and the verify-all defaults.  A spectrum failure is worded here only: the
+``matrix k of n:`` prefix of a stack, the overflow, and both degeneracy
+messages (a gap below ``gap_tol``, eigenvectors ``eigh`` cannot pair).
+Everything here is plain Python, so the coupling solver and the CLI's option
+table never import numpy, nor do ``solve``, ``bound``, ``states`` and
+``feasibility``.  Every module that uses one of these names imports it from
+here, not through another module.
 """
 
 from __future__ import annotations
@@ -152,10 +155,20 @@ def constraint(s: float, d: float, theta: float) -> float:
     return math.cos(mixing_angle(s, d) + theta)
 
 
-def _check_gaps(values, labels, gap_tol: float, where: str) -> None:
+def _which(k: int, n: int) -> str:
+    """Message prefix naming matrix k of an n-stack; empty for a lone matrix."""
+    return f"matrix {k} of {n}: " if n > 1 else ""
+
+
+def _gaps(values, labels) -> dict[tuple[str, str], float]:
+    """|values[i] - values[j]| by label pair, for i < j in index order."""
+    return {(labels[i], labels[j]): abs(values[i] - values[j]) for i in range(4) for j in range(i + 1, 4)}
+
+
+def _check_gaps(values, labels, gap_tol: float, k: int = 0, n: int = 1) -> None:
     """Raise unless the four values are finite and pairwise ``gap_tol`` apart.
 
-    ``where`` prefixes the message (empty, or the matrix of a stack).  A
+    A message names matrix ``k`` of an ``n``-stack (:func:`_which`).  A
     passing set is let through before any message is built.
     """
     w, x, y, z = values
@@ -164,24 +177,30 @@ def _check_gaps(values, labels, gap_tol: float, where: str) -> None:
         return
     overflowing = [f"{lab} = {val!r}" for lab, val in zip(labels, values) if not math.isfinite(val)]
     if overflowing:
-        raise NonFiniteError(f"{where}spectrum overflows: {', '.join(overflowing)}")
+        raise NonFiniteError(f"{_which(k, n)}spectrum overflows: {', '.join(overflowing)}")
     if gap_tol <= 0.0:
         return
-    colliding = [
-        (labels[i], labels[j])
-        for i in range(4)
-        for j in range(i + 1, 4)
-        if abs(values[i] - values[j]) < gap_tol
-    ]
+    colliding = tuple(pair for pair, gap in _gaps(values, labels).items() if gap < gap_tol)
     if colliding:
         detail = ", ".join(
             f"{li} = {values[labels.index(li)]!r} vs {lj} = {values[labels.index(lj)]!r}"
             for li, lj in colliding
         )
         raise DegeneracyError(
-            f"{where}degenerate spectrum (gap_tol={gap_tol}): {detail}",
-            pairs=tuple(colliding),
+            f"{_which(k, n)}degenerate spectrum (gap_tol={gap_tol}): {detail}", pairs=colliding
         )
+
+
+def _unpaired(values, labels, gap_tol: float, k: int, n: int) -> DegeneracyError:
+    """The error for matrix k of n whose eigenvectors ``eigh`` cannot pair: the closest label pairs."""
+    gaps = _gaps(values, labels)
+    closest = min(gaps.values())
+    tied = tuple(pair for pair, gap in gaps.items() if gap == closest)
+    return DegeneracyError(
+        f"{_which(k, n)}degenerate spectrum (gap_tol={gap_tol}): {', '.join(f'{i} and {j}' for i, j in tied)} "
+        f"lie {closest!r} apart, too close to pair their eigenvectors",
+        pairs=tied,
+    )
 
 
 def overlap_bound(eps_hat: float) -> float:

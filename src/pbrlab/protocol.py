@@ -22,15 +22,15 @@ streams (see :mod:`pbrlab.rng`), so a tally table is a pure function of
 partitioned across workers.  Noise is a symmetric outcome flip: with
 probability noise_eps the sampled outcome is replaced by one of the four
 outcomes chosen uniformly, so each forbidden outcome shows up with frequency
-noise_eps / 4.  The resulting :class:`TallyTable` is the one reader of its
-counts: each frequency, the forbidden-outcome rates and eps_hat are divided
-out by its ``frequency`` method.
+noise_eps / 4.  The resulting :class:`TallyTable` holds counts, and its
+``frequency`` method divides out each frequency, the forbidden-outcome rates
+and eps_hat; the CLI renders tables.  Spectrum failures, the unpairable
+one included, are worded in :mod:`pbrlab.params`.
 """
 
 from __future__ import annotations
 
 import contextlib
-import itertools
 import math
 import os
 from collections.abc import Sequence
@@ -41,14 +41,15 @@ from .coupling_solver import solve_closed_form
 from .errors import ConstraintError, DegeneracyError, LogicError, ValidationError
 from .hamiltonian import (
     Spectrum,
-    _which,
     analytic_spectrum_soc,
     analytic_spectrum_xyz,
     hamiltonian_entries,
     numeric_spectrum,
     pair_spectra,
 )
-from .params import CONSTRAINT_ATOL, GAP_TOL, ORTHO_ATOL, CouplingSet, OverlapParams, PrepPolicy, Variant, constraint
+from .params import (
+    CONSTRAINT_ATOL, GAP_TOL, ORTHO_ATOL, CouplingSet, OverlapParams, PrepPolicy, Variant, _unpaired, constraint
+)
 from .qstate import (
     JointState,
     PureState,
@@ -118,9 +119,8 @@ def numeric_pairing(
     both results belongs to analytic label i.  One stacked
     :func:`numeric_spectrum` and one :func:`pair_spectra` do the work.
     Eigenvalues that ``gap_tol`` lets through but ``eigh`` cannot resolve
-    leave eigenvectors unpaired: that raises :class:`DegeneracyError` naming
-    the first such matrix (for a stack of more than one) and the closest
-    labels of its analytic spectrum.
+    leave eigenvectors unpaired: the first such matrix raises
+    :class:`DegeneracyError` (see :func:`pbrlab.params._unpaired`).
     """
     import numpy as np
 
@@ -135,22 +135,9 @@ def numeric_pairing(
             try:
                 pair_spectra(analytic_vectors[k : k + 1], vectors[k : k + 1])
             except LogicError:
-                raise _unpaired(spectrum, gap_tol, _which(k, len(sampled))) from None
+                raise _unpaired(spectrum.eigenvalues, spectrum.labels, gap_tol, k, len(sampled)) from None
         raise  # no matrix fails alone: not a degeneracy
     return np.take_along_axis(values, assignment, axis=1), fidelity
-
-
-def _unpaired(spectrum: Spectrum, gap_tol: float, where: str) -> DegeneracyError:
-    """A degeneracy error naming the closest label pairs of an analytic ``spectrum``."""
-    e, labels = spectrum.eigenvalues, spectrum.labels
-    gaps = {(labels[i], labels[j]): abs(e[i] - e[j]) for i, j in itertools.combinations(range(4), 2)}
-    closest = min(gaps.values())
-    tied = tuple(pair for pair, gap in gaps.items() if gap == closest)
-    return DegeneracyError(
-        f"{where}degenerate spectrum (gap_tol={gap_tol}): {', '.join(f'{i} and {j}' for i, j in tied)} "
-        f"lie {closest!r} apart, too close to pair their eigenvectors",
-        pairs=tied,
-    )
 
 
 def default_couplings(variant: Variant, theta: float) -> CouplingSet:
@@ -205,12 +192,6 @@ class ProtocolInstance:
             (prep_label, outcome_label): abs(joint_overlap(vecs[outcome_label], preps[prep_label]))
             for prep_label, outcome_label in self.forbidden
         }
-
-    def preparation(self, label: str) -> JointState:
-        for lab, state in self.preparations:
-            if lab == label:
-                return state
-        raise ValidationError(f"unknown preparation {label!r}")
 
     def born_matrix(self) -> np.ndarray:
         """Row p = Born probabilities of preparation p over the outcome labels, a (4, 4) array."""
@@ -332,13 +313,6 @@ class TallyTable:
     def eps_hat(self) -> float:
         """The largest forbidden-outcome frequency."""
         return max(rate for _, rate in self.forbidden_rates)
-
-    def to_csv_rows(self) -> list[list]:
-        return [
-            [prep, out, self.counts[p][k], self.frequency(prep, out), (prep, out) in self.forbidden]
-            for p, prep in enumerate(self.prep_labels)
-            for k, out in enumerate(self.outcome_labels)
-        ]
 
 
 #: Runs tallied per block: the kernel's memory is O(_BLOCK) whatever n_runs is.

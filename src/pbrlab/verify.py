@@ -262,27 +262,22 @@ def check_simplex_oracle() -> CheckResult:
     )
 
 
-def _verdicts(variant: Variant, theta: float):
-    """The deduced verdicts at theta with the default couplings."""
-    inst = _instance(variant, theta)
-    return deduce(inst, lp_feasible(build_problem(inst, SupportProfile(True, True))))
+def _deduces(expected: dict) -> bool:
+    """Whether each (variant, theta), default couplings, deduces the listed (relation, pairs)."""
+    for (variant, theta), records in expected.items():
+        inst = _instance(variant, theta)
+        verdicts = deduce(inst, lp_feasible(build_problem(inst, SupportProfile(True, True))))
+        if [(v.relation, v.pairs) for v in verdicts] != records:
+            return False
+    return True
 
 
 def check_special_case_verdicts() -> CheckResult:
-    v_special = _verdicts(Variant.SOC, math.pi / 4.0)
-    v_generic = _verdicts(Variant.SOC, math.pi / 3.0)
-    v_xyz = _verdicts(Variant.XYZ, math.pi / 3.0)
-    ok = (
-        len(v_special) == 1
-        and v_special[0].relation is Relation.DISJOINT
-        and v_special[0].pairs == (("u", "v"),)
-        and len(v_generic) == 1
-        and v_generic[0].relation is Relation.AT_LEAST_ONE_DISJOINT
-        and v_generic[0].pairs == (("u", "v"), ("u", "w"))
-        and len(v_xyz) == 1
-        and v_xyz[0].relation is Relation.AT_LEAST_ONE_DISJOINT
-        and v_xyz[0].pairs == (("u", "v"), ("u", "vbar"))
-    )
+    ok = _deduces({
+        (Variant.SOC, math.pi / 4.0): [(Relation.DISJOINT, (("u", "v"),))],
+        (Variant.SOC, math.pi / 3.0): [(Relation.AT_LEAST_ONE_DISJOINT, (("u", "v"), ("u", "w")))],
+        (Variant.XYZ, math.pi / 3.0): [(Relation.AT_LEAST_ONE_DISJOINT, (("u", "v"), ("u", "vbar")))],
+    })
     return CheckResult(
         "special-case-verdicts",
         ok,
@@ -291,15 +286,12 @@ def check_special_case_verdicts() -> CheckResult:
 
 
 def check_cross_protocol() -> CheckResult:
-    v_xyz = _verdicts(Variant.XYZ, math.pi / 4.0)[0]
-    v_soc = _verdicts(Variant.SOC, math.pi / 4.0)[0]
     # disjoint(u, v) from one procedure satisfies the other's disjunction over
     # (u, v), (u, vbar): the same pair is one of its disjuncts.
-    implies = (
-        v_soc.relation is Relation.DISJOINT
-        and v_xyz.relation is Relation.AT_LEAST_ONE_DISJOINT
-        and v_soc.pairs[0] in v_xyz.pairs
-    )
+    implies = _deduces({
+        (Variant.XYZ, math.pi / 4.0): [(Relation.AT_LEAST_ONE_DISJOINT, (("u", "v"), ("u", "vbar")))],
+        (Variant.SOC, math.pi / 4.0): [(Relation.DISJOINT, (("u", "v"),))],
+    })
     return CheckResult(
         "cross-protocol-consistency",
         implies,
@@ -312,10 +304,10 @@ def check_simulation_stats(seed: int, n_runs: int = VERIFY_RUNS, n_workers: int 
     clean = simulate(
         inst, n_runs, seed=_stream(seed, 40), noise_eps=0.0, prep_policy="roundrobin", n_workers=n_workers
     )
-    rows = clean.to_csv_rows()
-    forbidden_hits = sum(count for _, _, count, _, forbidden in rows if forbidden)
-    born = born_probabilities(inst.preparation("u*u"), inst.spectrum)
-    n_uu = sum(count for prep, _, count, _, _ in rows if prep == "u*u")
+    counts = dict(zip(clean.prep_labels, clean.counts))
+    forbidden_hits = sum(counts[prep][clean.outcome_labels.index(out)] for prep, out in clean.forbidden)
+    born = born_probabilities(dict(inst.preparations)["u*u"], inst.spectrum)
+    n_uu = sum(counts["u*u"])
     born_ok = True
     for outcome, p in zip(clean.outcome_labels, born):
         sigma = math.sqrt(p * (1.0 - p) / n_uu) if 0.0 < p < 1.0 else 0.0

@@ -436,6 +436,19 @@ class TestRun:
         validate(summary, "run_summary.schema.json")
         assert summary["eps_hat"] == 0.0
 
+    def test_csv_rows_cover_the_grid(self, capsys):
+        args = [*self.ARGS[:-6], "--runs", "1000", "--seed", "2", "--policy", "roundrobin", "--format", "csv"]
+        code, out, _ = run_cli(capsys, *args)
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == 16
+        preps = {r["preparation"] for r in rows}
+        assert len(preps) == 4
+        for prep in preps:
+            mine = [r for r in rows if r["preparation"] == prep]
+            assert [r["is_forbidden"] for r in mine].count("True") == 1
+            assert sum(float(r["frequency"]) for r in mine) == pytest.approx(1.0, abs=1e-12)
+
     def test_json_summary_validates_schema(self, capsys):
         code, out, _ = run_cli(capsys, *self.ARGS, "--format", "json", "--noise", "0.04")
         assert code == 0

@@ -87,14 +87,27 @@ def _imports_json(tree: ast.Module) -> bool:
 
 
 def test_cli_is_the_one_json_renderer():
-    """Only cli.py shapes JSON documents: no other module defines ``to_json`` or imports json."""
+    """Only cli.py shapes JSON documents and CSV tables: no other module defines
+    ``to_json`` or ``to_csv_rows``, or imports json."""
     sources = _package_sources()
     renderers = sorted(
         f"{module}.py:{node.lineno}"
         for module, tree in sources.items()
         if module != "cli"
         for node in ast.walk(tree)
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "to_json"
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in ("to_json", "to_csv_rows")
     )
     assert renderers == []
     assert sorted(module for module, tree in sources.items() if _imports_json(tree)) == ["cli"]
+
+
+def test_params_is_the_one_writer_of_the_degeneracy_message():
+    """Only params.py holds the text ``degenerate spectrum``, in a string or an f-string part."""
+    writers = sorted(
+        f"{module}.py:{node.lineno}"
+        for module, tree in _package_sources().items()
+        if module != "params"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and "degenerate spectrum" in node.value
+    )
+    assert writers == []

@@ -27,6 +27,7 @@ from pbrlab import (
     pair_spectra,
     tensor,
 )
+from pbrlab import params
 from pbrlab.hamiltonian import PAULI_X, PAULI_Y, PAULI_Z, hamiltonian_entries
 from pbrlab.params import _check_gaps
 from pbrlab.protocol import Variant, analytic_spectrum, hamiltonian_stack, numeric_pairing
@@ -343,6 +344,17 @@ class TestNumericSpectrumStacks:
         assert str(stacked.value) == f"matrix 1 of 3: {single.value}"
         assert stacked.value.pairs == single.value.pairs
 
+    def test_only_a_failing_matrix_builds_its_prefix(self, monkeypatch):
+        calls = []
+        which = params._which
+        monkeypatch.setattr(params, "_which", lambda k, n: calls.append((k, n)) or which(k, n))
+        stack = hamiltonian_stack(Variant.XYZ, [CouplingSet(1, 2, 3), CouplingSet(1, 2, 4), CouplingSet(1, 2, 2)])
+        numeric_spectrum(stack[:2], GAP_TOL)
+        assert calls == []
+        with pytest.raises(DegeneracyError, match=r"^matrix 2 of 3: degenerate spectrum"):
+            numeric_spectrum(stack, GAP_TOL)
+        assert calls == [(2, 3)]
+
     def test_gap_tol_zero_skips_the_gap_check(self):
         values, _ = numeric_spectrum(np.zeros((2, 4, 4)), 0.0)
         assert not values.any()
@@ -362,9 +374,8 @@ class TestNumericSpectrumStacks:
         n = len(diagonals)
         expected = None
         for k, diagonal in enumerate(diagonals):
-            where = f"matrix {k} of {n}: " if n > 1 else ""
             try:
-                _check_gaps(sorted(diagonal), ("n1", "n2", "n3", "n4"), gap_tol, where)
+                _check_gaps(sorted(diagonal), ("n1", "n2", "n3", "n4"), gap_tol, k, n)
             except DegeneracyError as exc:
                 expected = exc
                 break

@@ -153,7 +153,7 @@ class TestUnknownVariant:
 class TestBornProbabilities:
     def test_uu_example_at_theta_pi_3(self):
         inst = xyz_instance()
-        probs = born_probabilities(inst.preparation("u*u"), inst.spectrum)
+        probs = born_probabilities(dict(inst.preparations)["u*u"], inst.spectrum)
         assert probs == pytest.approx((0.5, 0.125, 0.375, 0.0), abs=1e-12)
 
     def test_eigenvector_gives_indicator(self):
@@ -166,7 +166,7 @@ class TestBornProbabilities:
     def test_forbidden_entry_is_zero_for_every_preparation(self):
         for inst in (xyz_instance(0.8, 2.1), soc_instance(1.1)):
             for prep_label, outcome_label in inst.forbidden:
-                probs = born_probabilities(inst.preparation(prep_label), inst.spectrum)
+                probs = born_probabilities(dict(inst.preparations)[prep_label], inst.spectrum)
                 assert probs[inst.outcome_labels.index(outcome_label)] <= 1e-12
 
     def test_probabilities_sum_to_one(self):
@@ -384,7 +384,7 @@ class TestSimulate:
     def test_statistics_match_born_within_3_sigma(self):
         inst = xyz_instance()
         table = simulate(inst, 400_000, seed=97, prep_policy="roundrobin")
-        born = born_probabilities(inst.preparation("u*u"), inst.spectrum)
+        born = born_probabilities(dict(inst.preparations)["u*u"], inst.spectrum)
         row = table.counts[table.prep_labels.index("u*u")]
         n = sum(row)
         for k, p in enumerate(born):
@@ -522,13 +522,3 @@ class TestTallyTableAndRates:
         table = self._table(tuple(tuple([1, 0, 0, 0]) for _ in range(4)))
         with pytest.raises(ValidationError, match=re.escape(f"unknown tally label {named}")):
             table.frequency(prep, outcome)
-
-    def test_csv_rows_cover_the_grid(self):
-        inst = xyz_instance()
-        table = simulate(inst, 1000, seed=2, prep_policy="roundrobin")
-        rows = table.to_csv_rows()
-        assert len(rows) == 16
-        assert sum(1 for r in rows if r[4]) == 4  # one forbidden cell per preparation
-        for prep in inst.prep_labels:
-            freqs = [r[3] for r in rows if r[0] == prep]
-            assert sum(freqs) == pytest.approx(1.0, abs=1e-12)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from pbrlab import CouplingSet, DegeneracyError, ValidationError, bell_states, ontology, rng, verify
+from pbrlab.ontology import Relation
 from pbrlab.protocol import Variant, hamiltonian_stack
 from pbrlab.qstate import joint_overlap
 from pbrlab.verify import CheckResult
@@ -200,6 +201,43 @@ def test_simulation_check_fails_born_weights_the_runs_do_not_show(monkeypatch):
     assert not result.ok
     assert result.line().startswith("FAIL simulation-statistics: 20000 clean runs: forbidden hits 0; ")
     assert "Born within 3 sigma: False;" in result.line()
+
+
+def test_simulation_check_fails_a_clean_table_with_forbidden_hits(monkeypatch):
+    passing = verify.check_simulation_stats(42, n_runs=20_000)
+    simulate = verify.simulate
+
+    def leaking(inst, n_runs, seed, noise_eps, **kwargs):
+        table = simulate(inst, n_runs, seed, noise_eps, **kwargs)
+        if noise_eps:
+            return table
+        # Three v*u runs move from e1 to the forbidden e3; the u*u row the Born check reads stays.
+        counts = [list(row) for row in table.counts]
+        counts[2][0] -= 3
+        counts[2][2] += 3
+        return dataclasses.replace(table, counts=tuple(map(tuple, counts)))
+
+    monkeypatch.setattr(verify, "simulate", leaking)
+    result = verify.check_simulation_stats(42, n_runs=20_000)
+    assert passing.line().startswith("PASS simulation-statistics: 20000 clean runs: forbidden hits 0; ")
+    expected = passing.line().replace("PASS", "FAIL", 1).replace("forbidden hits 0;", "forbidden hits 3;", 1)
+    assert result.line() == expected
+
+
+def _swapped_relations(deduce):
+    swap = {Relation.DISJOINT: Relation.AT_LEAST_ONE_DISJOINT, Relation.AT_LEAST_ONE_DISJOINT: Relation.DISJOINT}
+    return lambda inst, decision: [dataclasses.replace(v, relation=swap[v.relation]) for v in deduce(inst, decision)]
+
+
+def test_verdict_checks_fail_a_swapped_relation(monkeypatch):
+    assert verify.check_special_case_verdicts().ok and verify.check_cross_protocol().ok
+    monkeypatch.setattr(verify, "deduce", _swapped_relations(verify.deduce))
+    assert verify.check_special_case_verdicts().line() == (
+        "FAIL special-case-verdicts: theta=pi/4 gives disjoint(u, v); theta=pi/3 gives only the disjunctions"
+    )
+    assert verify.check_cross_protocol().line() == (
+        "FAIL cross-protocol-consistency: at theta=pi/4 the spin-orbit disjoint(u, v) settles the exchange disjunction"
+    )
 
 
 def test_oracle_check_counts_a_simplex_that_flips_one_zeroed_set(monkeypatch):
