@@ -3,9 +3,10 @@
 The pair's overlap parameters, the coupling set, the closed-form eigenvalues
 and mixing angle, the one gap rule, the spin-orbit constraint and its level,
 the variant and preparation-policy choices, the noise-robust overlap bound
-and the verify-all defaults.  A spectrum failure is worded here only: the
-``matrix k of n:`` prefix of a stack, the overflow, and both degeneracy
-messages (a gap below ``gap_tol``, eigenvectors ``eigh`` cannot pair).
+and the verify-all defaults.  This module writes the ``matrix k of n:``
+prefix of a stack, the overflow message, and both degeneracy messages (a gap
+below ``gap_tol``, eigenvectors ``eigh`` cannot pair); ``hamiltonian`` words
+its own Hermiticity, ``eigh`` and fidelity-pairing failures behind that prefix.
 Everything here is plain Python, so the coupling solver and the CLI's option
 table never import numpy, nor do ``solve``, ``bound``, ``states`` and
 ``feasibility``.  Every module that uses one of these names imports it from

@@ -262,22 +262,20 @@ def check_simplex_oracle() -> CheckResult:
     )
 
 
-def _deduces(expected: dict) -> bool:
-    """Whether each (variant, theta), default couplings, deduces the listed (relation, pairs)."""
-    for (variant, theta), records in expected.items():
-        inst = _instance(variant, theta)
-        verdicts = deduce(inst, lp_feasible(build_problem(inst, SupportProfile(True, True))))
-        if [(v.relation, v.pairs) for v in verdicts] != records:
-            return False
-    return True
+def _verdicts(variant: Variant, theta: float) -> list:
+    """The (relation, pairs) record of each verdict deduced at theta with the default couplings."""
+    inst = _instance(variant, theta)
+    verdicts = deduce(inst, lp_feasible(build_problem(inst, SupportProfile(True, True))))
+    return [(v.relation, v.pairs) for v in verdicts]
 
 
 def check_special_case_verdicts() -> CheckResult:
-    ok = _deduces({
-        (Variant.SOC, math.pi / 4.0): [(Relation.DISJOINT, (("u", "v"),))],
-        (Variant.SOC, math.pi / 3.0): [(Relation.AT_LEAST_ONE_DISJOINT, (("u", "v"), ("u", "w")))],
-        (Variant.XYZ, math.pi / 3.0): [(Relation.AT_LEAST_ONE_DISJOINT, (("u", "v"), ("u", "vbar")))],
-    })
+    cases = ((Variant.SOC, math.pi / 4.0), (Variant.SOC, math.pi / 3.0), (Variant.XYZ, math.pi / 3.0))
+    ok = [_verdicts(variant, theta) for variant, theta in cases] == [
+        [(Relation.DISJOINT, (("u", "v"),))],
+        [(Relation.AT_LEAST_ONE_DISJOINT, (("u", "v"), ("u", "w")))],
+        [(Relation.AT_LEAST_ONE_DISJOINT, (("u", "v"), ("u", "vbar")))],
+    ]
     return CheckResult(
         "special-case-verdicts",
         ok,
@@ -286,12 +284,14 @@ def check_special_case_verdicts() -> CheckResult:
 
 
 def check_cross_protocol() -> CheckResult:
+    soc_relation, soc_pairs = _verdicts(Variant.SOC, math.pi / 4.0)[0]
+    xyz_relation, xyz_pairs = _verdicts(Variant.XYZ, math.pi / 4.0)[0]
     # disjoint(u, v) from one procedure satisfies the other's disjunction over
     # (u, v), (u, vbar): the same pair is one of its disjuncts.
-    implies = _deduces({
-        (Variant.XYZ, math.pi / 4.0): [(Relation.AT_LEAST_ONE_DISJOINT, (("u", "v"), ("u", "vbar")))],
-        (Variant.SOC, math.pi / 4.0): [(Relation.DISJOINT, (("u", "v"),))],
-    })
+    implies = (
+        (soc_relation, xyz_relation) == (Relation.DISJOINT, Relation.AT_LEAST_ONE_DISJOINT)
+        and soc_pairs[0] in xyz_pairs
+    )
     return CheckResult(
         "cross-protocol-consistency",
         implies,

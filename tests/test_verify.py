@@ -240,6 +240,18 @@ def test_verdict_checks_fail_a_swapped_relation(monkeypatch):
     )
 
 
+def _mapped_pairs(deduce, f):
+    return lambda inst, decision: [dataclasses.replace(v, pairs=f(v.pairs)) for v in deduce(inst, decision)]
+
+
+def test_cross_protocol_is_a_membership_test(monkeypatch):
+    deduce = verify.deduce
+    monkeypatch.setattr(verify, "deduce", _mapped_pairs(deduce, lambda pairs: pairs[::-1]))
+    assert verify.check_cross_protocol().ok
+    monkeypatch.setattr(verify, "deduce", _mapped_pairs(deduce, lambda pairs: (("u", "w"),) if len(pairs) == 1 else pairs))
+    assert not verify.check_cross_protocol().ok
+
+
 def test_oracle_check_counts_a_simplex_that_flips_one_zeroed_set(monkeypatch):
     decide = ontology._decide
     monkeypatch.setattr(
