@@ -262,7 +262,7 @@ def check_simplex_oracle() -> CheckResult:
     )
 
 
-def _verdicts(variant: Variant, theta: float) -> list:
+def _records(variant: Variant, theta: float) -> list:
     """The (relation, pairs) record of each verdict deduced at theta with the default couplings."""
     inst = _instance(variant, theta)
     verdicts = deduce(inst, lp_feasible(build_problem(inst, SupportProfile(True, True))))
@@ -271,7 +271,7 @@ def _verdicts(variant: Variant, theta: float) -> list:
 
 def check_special_case_verdicts() -> CheckResult:
     cases = ((Variant.SOC, math.pi / 4.0), (Variant.SOC, math.pi / 3.0), (Variant.XYZ, math.pi / 3.0))
-    ok = [_verdicts(variant, theta) for variant, theta in cases] == [
+    ok = [_records(variant, theta) for variant, theta in cases] == [
         [(Relation.DISJOINT, (("u", "v"),))],
         [(Relation.AT_LEAST_ONE_DISJOINT, (("u", "v"), ("u", "w")))],
         [(Relation.AT_LEAST_ONE_DISJOINT, (("u", "v"), ("u", "vbar")))],
@@ -284,8 +284,8 @@ def check_special_case_verdicts() -> CheckResult:
 
 
 def check_cross_protocol() -> CheckResult:
-    soc_relation, soc_pairs = _verdicts(Variant.SOC, math.pi / 4.0)[0]
-    xyz_relation, xyz_pairs = _verdicts(Variant.XYZ, math.pi / 4.0)[0]
+    soc_relation, soc_pairs = _records(Variant.SOC, math.pi / 4.0)[0]
+    xyz_relation, xyz_pairs = _records(Variant.XYZ, math.pi / 4.0)[0]
     # disjoint(u, v) from one procedure satisfies the other's disjunction over
     # (u, v), (u, vbar): the same pair is one of its disjuncts.
     implies = (
