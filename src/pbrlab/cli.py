@@ -4,7 +4,10 @@ Subcommands: states, spectrum, solve, run, feasibility, bound, verify-all.
 Results go to standard out (JSON or CSV), diagnostics to standard error.
 Every JSON document and every CSV table is shaped here, from the values the
 library returns (the ``run`` table from the tally's counts); no other module
-of the package renders JSON or CSV, or imports :mod:`json`.
+of the package renders JSON or CSV, or imports :mod:`json`.  Results hold
+only what the library computed, so each handler echoes its own inputs (the
+``run`` seed, noise and policy, the ``solve`` theta in radians and method)
+from its parsed arguments.
 
 Exit codes: 0 success; 1 verification failure; 2 usage or configuration
 error, including a standard output closed before the result was written; a
@@ -217,16 +220,14 @@ def _cmd_solve(ns: argparse.Namespace) -> int:
     from .coupling_solver import solve_by_root_finding, solve_closed_form
 
     solver = solve_closed_form if ns.method == "closed-form" else solve_by_root_finding
-    result = solver(
-        _angle(ns.theta, ns.deg), ns.d, ns.split, b=ns.b, gap_tol=_tolerance(ns, "gap_tol")
-    )
-    out = dataclasses.asdict(result)
+    theta = _angle(ns.theta, ns.deg)
+    out = dataclasses.asdict(solver(theta, ns.d, ns.split, b=ns.b, gap_tol=_tolerance(ns, "gap_tol")))
     couplings = out.pop("couplings")  # flattened: a, b, c, d beside the result's own fields
-    _print_json({**couplings, "sum_ac": couplings["a"] + couplings["c"], **out})
+    _print_json({**couplings, "sum_ac": couplings["a"] + couplings["c"], **out, "theta": theta, "method": ns.method})
     return EXIT_OK
 
 
-def _run_summary(inst, table, n_workers: int) -> dict:
+def _run_summary(inst, table, ns: argparse.Namespace) -> dict:
     return {
         "instance": {
             "variant": inst.variant.value,
@@ -243,10 +244,10 @@ def _run_summary(inst, table, n_workers: int) -> dict:
         },
         "simulation": {
             "n_runs": table.n_runs,
-            "seed": table.seed,
-            "noise_eps": table.noise_eps,
-            "policy": table.policy,
-            "n_workers": n_workers,
+            "seed": ns.seed,
+            "noise_eps": ns.noise,
+            "policy": ns.policy,
+            "n_workers": ns.workers,
         },
         "forbidden_rates": dict(table.forbidden_rates),
         "eps_hat": table.eps_hat,
@@ -267,7 +268,7 @@ def _cmd_run(ns: argparse.Namespace) -> int:
     table = simulate(
         inst, ns.runs, seed=ns.seed, noise_eps=ns.noise, prep_policy=ns.policy, n_workers=ns.workers
     )
-    summary = _run_summary(inst, table, ns.workers)
+    summary = _run_summary(inst, table, ns)
     if ns.format == "json":
         summary["counts"] = [list(row) for row in table.counts]
         _print_json(summary)
@@ -276,9 +277,9 @@ def _cmd_run(ns: argparse.Namespace) -> int:
         writer = _csv_writer()
         writer.writerow(["preparation", "outcome", "count", "frequency", "is_forbidden"])
         writer.writerows(
-            [prep, out, count, table.frequency(prep, out), (prep, out) in table.forbidden]
-            for prep, row in zip(table.prep_labels, table.counts)
-            for out, count in zip(table.outcome_labels, row)
+            [prep, out, count, table.frequency(prep, out), (prep, out) in inst.forbidden]
+            for prep, row in zip(inst.prep_labels, table.counts)
+            for out, count in zip(inst.outcome_labels, row)
         )
         print(summary_line, file=sys.stderr)
     return EXIT_OK

@@ -43,13 +43,14 @@ CLOSED_FORM_RESIDUAL_TOL = 1e-12
 
 @dataclass(frozen=True)
 class SolverResult:
-    """Couplings satisfying the constraint, with the achieved residual."""
+    """Couplings satisfying the constraint, their mixing angle and the achieved residual.
+
+    The solver's inputs (theta, and which solver ran) are the caller's to echo.
+    """
 
     couplings: CouplingSet
     alpha: float
     residual: float
-    theta: float
-    method: str
 
 
 def _validate_inputs(theta: float, d: float, split: float) -> None:
@@ -105,13 +106,7 @@ def _finish(
                 "use a smaller split or a larger d"
             )
         raise LogicError(f"{method} residual {residual!r} exceeds {limit}")
-    return SolverResult(
-        couplings=couplings,
-        alpha=alpha,
-        residual=residual,
-        theta=theta,
-        method=method,
-    )
+    return SolverResult(couplings, alpha, residual)
 
 
 def solve_closed_form(

@@ -22,10 +22,12 @@ streams (see :mod:`pbrlab.rng`), so a tally table is a pure function of
 partitioned across workers.  Noise is a symmetric outcome flip: with
 probability noise_eps the sampled outcome is replaced by one of the four
 outcomes chosen uniformly, so each forbidden outcome shows up with frequency
-noise_eps / 4.  The resulting :class:`TallyTable` holds counts, and its
-``frequency`` method divides out each frequency, the forbidden-outcome rates
-and eps_hat; the CLI renders tables.  Spectrum failures, the unpairable
-one included, are worded in :mod:`pbrlab.params`.
+noise_eps / 4.  The resulting :class:`TallyTable` holds the instance and
+the counts, nothing else: it reads the labels and the forbidden map off the
+instance to divide out each frequency, the forbidden-outcome rates and
+eps_hat, and the caller echoes the seed, noise and policy it passed.  The CLI
+renders tables.  Spectrum failures, the unpairable one included, are worded
+in :mod:`pbrlab.params`.
 """
 
 from __future__ import annotations
@@ -73,15 +75,22 @@ DEFAULT_B_CANDIDATES = (0.5, 0.8)
 _DRAWS_PER_RUN = 4
 
 
-_FORBIDDEN = {
-    Variant.XYZ: (("u*u", "e4"), ("u*vbar", "e2"), ("v*u", "e3"), ("v*vbar", "e1")),
-    Variant.SOC: (("u*u", "e'2"), ("u*w", "e'4"), ("v*u", "e'3"), ("v*w", "e'1")),
-}
-
-
 def companion(variant: Variant) -> str:
     """Label of Bob's second state: vbar (exchange) or w (spin-orbit)."""
     return "vbar" if Variant(variant) is Variant.XYZ else "w"
+
+
+def _prep_labels(variant: Variant) -> tuple[str, str, str, str]:
+    """The four joint preparations in order: u*u, u*companion, v*u, v*companion."""
+    other = companion(variant)
+    return ("u*u", f"u*{other}", "v*u", f"v*{other}")
+
+
+#: Each variant's (preparation, forbidden outcome) pairs, in preparation order.
+_FORBIDDEN = {
+    variant: tuple(zip(_prep_labels(variant), outcomes))
+    for variant, outcomes in ((Variant.XYZ, ("e4", "e2", "e3", "e1")), (Variant.SOC, ("e'2", "e'4", "e'3", "e'1")))
+}
 
 
 def state_family(variant: Variant, params: OverlapParams) -> dict[str, PureState]:
@@ -215,14 +224,9 @@ def _assemble(
     """An instance whose spectrum gaps are checked, and nothing else yet."""
     variant = Variant(variant)
     spectrum = analytic_spectrum(variant, couplings, gap_tol)
-    (_, u), (_, v), (other, w) = state_family(variant, params).items()
-    preparations = (
-        ("u*u", tensor(u, u)),
-        (f"u*{other}", tensor(u, w)),
-        ("v*u", tensor(v, u)),
-        (f"v*{other}", tensor(v, w)),
-    )
-    return ProtocolInstance(variant, params, couplings, spectrum, preparations)
+    u, v, w = state_family(variant, params).values()
+    states = (tensor(u, u), tensor(u, w), tensor(v, u), tensor(v, w))
+    return ProtocolInstance(variant, params, couplings, spectrum, tuple(zip(_prep_labels(variant), states)))
 
 
 def orthogonality_residuals(
@@ -271,15 +275,14 @@ def make_protocol(
 
 @dataclass(frozen=True)
 class TallyTable:
-    """Counts per (preparation, outcome) from one simulated experiment."""
+    """Counts per (preparation, outcome) from one simulated experiment of ``instance``.
 
-    prep_labels: tuple[str, ...]
-    outcome_labels: tuple[str, ...]
+    Row p is preparation ``instance.prep_labels[p]``, column k outcome
+    ``instance.outcome_labels[k]``.  The simulation's inputs are not stored.
+    """
+
+    instance: ProtocolInstance
     counts: tuple[tuple[int, ...], ...]
-    seed: int
-    noise_eps: float
-    policy: str
-    forbidden: tuple[tuple[str, str], ...]
 
     def __post_init__(self):
         if any(c < 0 for row in self.counts for c in row):
@@ -293,18 +296,20 @@ class TallyTable:
 
     def frequency(self, prep_label: str, outcome_label: str) -> float:
         """Share of ``prep_label``'s runs that gave ``outcome_label``; 0 if it had none."""
-        for label, labels in ((prep_label, self.prep_labels), (outcome_label, self.outcome_labels)):
+        prep_labels, outcome_labels = self.instance.prep_labels, self.instance.outcome_labels
+        for label, labels in ((prep_label, prep_labels), (outcome_label, outcome_labels)):
             if label not in labels:
                 raise ValidationError(f"unknown tally label {label!r} (labels: {', '.join(labels)})")
-        row = self.counts[self.prep_labels.index(prep_label)]
+        row = self.counts[prep_labels.index(prep_label)]
         runs = sum(row)
-        return row[self.outcome_labels.index(outcome_label)] / runs if runs else 0.0
+        return row[outcome_labels.index(outcome_label)] / runs if runs else 0.0
 
     @property
     def forbidden_rates(self) -> tuple[tuple[str, float], ...]:
-        """(preparation, frequency of its forbidden outcome), in ``forbidden`` order; each needs a run."""
-        rates = tuple((prep, self.frequency(prep, out)) for prep, out in self.forbidden)
-        unrun = [prep for prep, _ in self.forbidden if not any(self.counts[self.prep_labels.index(prep)])]
+        """(preparation, frequency of its forbidden outcome), in preparation order; each needs a run."""
+        forbidden = self.instance.forbidden
+        rates = tuple((prep, self.frequency(prep, out)) for prep, out in forbidden)
+        unrun = [prep for (prep, _), row in zip(forbidden, self.counts) if not any(row)]
         if unrun:
             raise ValidationError(f"no runs prepared {', '.join(unrun)}: a forbidden-outcome rate needs one")
         return rates
@@ -477,13 +482,5 @@ def simulate(
                 for lo, hi in chunks
             ]
             total = sum(fut.result() for fut in futures)
-    return TallyTable(
-        prep_labels=inst.prep_labels,
-        outcome_labels=inst.outcome_labels,
-        counts=tuple(tuple(int(x) for x in row) for row in total),
-        seed=seed,
-        noise_eps=float(noise_eps),
-        policy=policy.value,
-        forbidden=inst.forbidden,
-    )
+    return TallyTable(inst, tuple(tuple(int(x) for x in row) for row in total))
 

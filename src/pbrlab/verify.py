@@ -304,12 +304,12 @@ def check_simulation_stats(seed: int, n_runs: int = VERIFY_RUNS, n_workers: int 
     clean = simulate(
         inst, n_runs, seed=_stream(seed, 40), noise_eps=0.0, prep_policy="roundrobin", n_workers=n_workers
     )
-    counts = dict(zip(clean.prep_labels, clean.counts))
-    forbidden_hits = sum(counts[prep][clean.outcome_labels.index(out)] for prep, out in clean.forbidden)
+    counts = dict(zip(inst.prep_labels, clean.counts))
+    forbidden_hits = sum(counts[prep][inst.outcome_labels.index(out)] for prep, out in inst.forbidden)
     born = born_probabilities(dict(inst.preparations)["u*u"], inst.spectrum)
     n_uu = sum(counts["u*u"])
     born_ok = True
-    for outcome, p in zip(clean.outcome_labels, born):
+    for outcome, p in zip(inst.outcome_labels, born):
         sigma = math.sqrt(p * (1.0 - p) / n_uu) if 0.0 < p < 1.0 else 0.0
         if abs(clean.frequency("u*u", outcome) - p) > max(3.0 * sigma, 1e-12):
             born_ok = False
@@ -379,17 +379,16 @@ def check_evolution_invariance() -> CheckResult:
 def check_determinism(seed: int, n_runs: int = 50_000) -> CheckResult:
     inst = _instance(Variant.SOC, 1.0)
     stream = _stream(seed, 60)
-    one = simulate(inst, n_runs, seed=stream, noise_eps=0.02, prep_policy="uniform")
-    again = simulate(inst, n_runs, seed=stream, noise_eps=0.02, prep_policy="uniform")
-    round_robin = simulate(inst, n_runs, seed=stream, noise_eps=0.02, prep_policy="roundrobin")
+    one = simulate(inst, n_runs, seed=stream, noise_eps=0.02, prep_policy=PrepPolicy.UNIFORM)
+    again = simulate(inst, n_runs, seed=stream, noise_eps=0.02, prep_policy=PrepPolicy.UNIFORM)
+    round_robin = simulate(inst, n_runs, seed=stream, noise_eps=0.02, prep_policy=PrepPolicy.ROUND_ROBIN)
     # Three ranges with odd bounds, summed as a worker pool sums its chunks but
     # in this thread, so neither the work nor the report depends on the CPU count.
     # Under round-robin the bounds also test where each preparation's row starts.
     born = inst.born_matrix()
     bounds = (0, n_runs // 3 + 1, 2 * n_runs // 3 + 2, n_runs)
     split3 = True
-    for table in (one, round_robin):
-        policy = PrepPolicy(table.policy)
+    for policy, table in ((PrepPolicy.UNIFORM, one), (PrepPolicy.ROUND_ROBIN, round_robin)):
         ranges = [protocol._tally_chunk(lo, hi, stream, born, 0.02, policy) for lo, hi in zip(bounds, bounds[1:])]
         split3 = split3 and np.array_equal(sum(ranges), table.counts)
     ok = one == again and split3

@@ -374,6 +374,7 @@ class TestSolve:
         a = json.loads(out_rad)["sum_ac"]
         b = json.loads(out_deg)["sum_ac"]
         assert a == pytest.approx(b, abs=1e-9)
+        assert json.loads(out_deg)["theta"] == math.radians(60)  # echoed in radians, not the raw 60
 
     def test_theta_next_to_half_pi(self, capsys):
         code, out, err = run_cli(capsys, "solve", "--theta", "1.5707962267948966", "--d", "1", "--split", "2")

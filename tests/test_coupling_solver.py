@@ -38,7 +38,7 @@ class TestClosedForm:
         r = solve_closed_form(math.pi / 3, d=1.0, split=2.0)
         assert r.couplings.a + r.couplings.c == pytest.approx(-2 / math.sqrt(3), abs=1e-12)
         assert r.alpha == pytest.approx(math.pi / 6, abs=1e-12)
-        assert r.alpha + r.theta == pytest.approx(math.pi / 2, abs=1e-12)
+        assert r.alpha + math.pi / 3 == pytest.approx(math.pi / 2, abs=1e-12)
 
     def test_theta_pi_6_mirrors_pi_3(self):
         r = solve_closed_form(math.pi / 6, d=1.0, split=2.0)

@@ -3,6 +3,7 @@ imports a name from the module that defines it."""
 
 import ast
 import collections
+import dataclasses
 from pathlib import Path
 
 import pbrlab
@@ -28,6 +29,15 @@ def test_star_import_succeeds():
 
 def test_dir_lists_every_exported_name():
     assert set(pbrlab.__all__) <= set(dir(pbrlab))
+
+
+def test_results_hold_only_what_they_computed():
+    # The caller's inputs (seed, noise, policy; theta, solver) are the caller's to echo.
+    def names(cls):
+        return tuple(f.name for f in dataclasses.fields(cls))
+
+    assert names(pbrlab.TallyTable) == ("instance", "counts")
+    assert names(pbrlab.SolverResult) == ("couplings", "alpha", "residual")
 
 
 #: Relatively imported names that their module binds but never reads.

@@ -27,7 +27,7 @@ from pbrlab import (
     pair_spectra,
     tensor,
 )
-from pbrlab import params
+from pbrlab import params, protocol
 from pbrlab.hamiltonian import PAULI_X, PAULI_Y, PAULI_Z, hamiltonian_entries
 from pbrlab.params import _check_gaps
 from pbrlab.protocol import Variant, analytic_spectrum, hamiltonian_stack, numeric_pairing
@@ -428,6 +428,21 @@ class TestPairSpectra:
         with pytest.raises(DegeneracyError, match=message) as caught:
             numeric_pairing(Variant.XYZ, sampled[-stack:], 0.0)
         assert caught.value.pairs == (("e1", "e2"),)
+
+    def test_stack_failure_that_no_lone_matrix_shows_is_reraised(self, monkeypatch):
+        # A stacked pairing that fails while every one-matrix slice pairs is not
+        # a degeneracy: the stack's own LogicError must reach the caller.
+        pair_one = protocol.pair_spectra
+
+        def fails_on_stacks(analytic, numeric):
+            if len(analytic) > 1:
+                raise LogicError("stacked pairing failed")
+            return pair_one(analytic, numeric)
+
+        monkeypatch.setattr(protocol, "pair_spectra", fails_on_stacks)
+        sampled = [(c, analytic_spectrum_xyz(c)) for c in (CouplingSet(1, 2, 3), CouplingSet(0.5, 2, -1))]
+        with pytest.raises(LogicError, match="^stacked pairing failed$"):
+            numeric_pairing(Variant.XYZ, sampled, GAP_TOL)
 
     def test_non_bijective_match_is_named(self):
         bells = np.array([v.vector for v in bell_states()])

@@ -366,8 +366,8 @@ class TestSimulate:
         inst = xyz_instance()
         table = simulate(inst, 100_000, seed=5, prep_policy="roundrobin")
         for prep_label, outcome_label in inst.forbidden:
-            p = table.prep_labels.index(prep_label)
-            k = table.outcome_labels.index(outcome_label)
+            p = inst.prep_labels.index(prep_label)
+            k = inst.outcome_labels.index(outcome_label)
             assert table.counts[p][k] == 0
 
     def test_round_robin_assigns_runs_evenly(self):
@@ -385,7 +385,7 @@ class TestSimulate:
         inst = xyz_instance()
         table = simulate(inst, 400_000, seed=97, prep_policy="roundrobin")
         born = born_probabilities(dict(inst.preparations)["u*u"], inst.spectrum)
-        row = table.counts[table.prep_labels.index("u*u")]
+        row = table.counts[inst.prep_labels.index("u*u")]
         n = sum(row)
         for k, p in enumerate(born):
             sigma = math.sqrt(p * (1 - p) / n) if 0 < p < 1 else 0.0
@@ -461,15 +461,7 @@ class TestSimulate:
 
 class TestTallyTableAndRates:
     def _table(self, counts):
-        return TallyTable(
-            prep_labels=("u*u", "u*vbar", "v*u", "v*vbar"),
-            outcome_labels=("e1", "e2", "e3", "e4"),
-            counts=counts,
-            seed=0,
-            noise_eps=0.0,
-            policy="roundrobin",
-            forbidden=xyz_instance().forbidden,
-        )
+        return TallyTable(xyz_instance(), counts)
 
     def test_forbidden_rate_arithmetic(self):
         counts = (

@@ -1,18 +1,28 @@
-"""Symbolic proof that the closed-form couplings satisfy cos(alpha + theta) = 0.
+"""Symbolic proofs of the analytic formulas, each bound to the code at seeded points.
 
-With t = tan θ > 0 and d > 0, the closed form a + c = 2d cot 2θ is
-s = d(1/t − t).  The mixing angle's tangent (s + √(s² + 4d²)) / 2d then
-simplifies to 1/t = cot θ, so alpha = π/2 − θ.  The proof is bound to the
-code by evaluating ``params.constraint`` at the closed form over seeded
-(θ, d) points.
+- The closed-form couplings satisfy cos(alpha + theta) = 0.  With t = tan θ > 0
+  and d > 0, the closed form a + c = 2d cot 2θ is s = d(1/t − t).  The mixing
+  angle's tangent (s + √(s² + 4d²)) / 2d then simplifies to 1/t = cot θ, so
+  alpha = π/2 − θ.  Bound by evaluating ``params.constraint`` at the closed form.
+- ``params.mixing_angle``'s two forms are equal:
+  (s + √(s² + 4d²)) / 2d = 2d / (√(s² + 4d²) − s) for d ≠ 0.  Bound by
+  comparing ``mixing_angle`` with the arctangent of each form, evaluated to 40
+  digits, on both of its branches (s >= 0 and s < 0).
+- The Bell states are the eigenvectors of a XX + b YY + c ZZ, with the
+  eigenvalues ``params.xyz_eigenvalues`` returns.  Bound by comparing
+  ``hamiltonian_entries`` and ``analytic_spectrum_xyz`` with the proved matrix,
+  vectors and eigenvalues.
 """
 
 import math
 import random
 
+import mpmath
+import numpy as np
 import sympy as sp
 
-from pbrlab.params import constraint
+from pbrlab.hamiltonian import analytic_spectrum_xyz, hamiltonian_entries
+from pbrlab.params import CouplingSet, constraint, mixing_angle
 
 t, d, theta = sp.symbols("t d theta", positive=True)
 S = d * (1 / t - t)
@@ -44,3 +54,68 @@ def test_constraint_vanishes_at_the_closed_form_to_rounding():
         s = 2.0 * dd * math.cos(2.0 * th) / math.sin(2.0 * th)
         worst = max(worst, abs(constraint(s, dd, th)))
     assert worst <= 1e-15
+
+
+def _log_uniform(draw: random.Random) -> float:
+    return math.exp(draw.uniform(math.log(1e-3), math.log(1e3)))
+
+
+s_sym = sp.Symbol("s", real=True)
+d_nonzero = sp.Symbol("d", real=True, nonzero=True)
+ROOT = sp.sqrt(s_sym**2 + 4 * d_nonzero**2)
+CANCELLING = (s_sym + ROOT) / (2 * d_nonzero)
+STABLE = 2 * d_nonzero / (ROOT - s_sym)
+
+
+def test_mixing_angle_forms_are_equal():
+    # Cross-multiplied: (s + R)(R − s) = R² − s² = 4d², and R − s > 0 since d ≠ 0.
+    assert sp.expand((s_sym + ROOT) * (ROOT - s_sym)) == 4 * d_nonzero**2
+    assert sp.simplify(CANCELLING - STABLE) == 0
+
+
+def test_mixing_angle_is_the_arctangent_of_either_form_on_both_branches():
+    forms = [sp.lambdify((s_sym, d_nonzero), form, "mpmath") for form in (CANCELLING, STABLE)]
+    draw = random.Random(1202_6465)
+    worst = 0.0
+    with mpmath.workdps(40):
+        for _ in range(50):
+            for sign in (1.0, -1.0):  # one point on each branch of mixing_angle
+                s, d = sign * _log_uniform(draw), math.copysign(_log_uniform(draw), draw.uniform(-1, 1))
+                code = mixing_angle(s, d)
+                for form in forms:
+                    exact = mpmath.atan(form(mpmath.mpf(s), mpmath.mpf(d)))
+                    worst = max(worst, float(abs(code - exact) / abs(exact)))
+    assert worst <= 1e-14
+
+
+A, B, C = sp.symbols("a b c", real=True)
+_X, _Y, _Z = sp.Matrix([[0, 1], [1, 0]]), sp.Matrix([[0, -sp.I], [sp.I, 0]]), sp.Matrix([[1, 0], [0, -1]])
+H_XYZ = sum(
+    (k * sp.kronecker_product(p, p) for k, p in ((A, _X), (B, _Y), (C, _Z))), sp.zeros(4, 4)
+)
+#: (Φ⁺, Φ⁻, Ψ⁺, Ψ⁻) in the basis |++⟩, |+−⟩, |−+⟩, |−−⟩, with their eigenvalues.
+BELL = [sp.Matrix(v) / sp.sqrt(2) for v in ([1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0])]
+E_XYZ = (A - B + C, -A + B + C, A + B - C, -(A + B + C))
+
+
+def test_bell_states_are_the_exchange_eigenvectors():
+    for vector, energy in zip(BELL, E_XYZ):
+        assert sp.expand(H_XYZ * vector - energy * vector) == sp.zeros(4, 1)
+
+
+def test_exchange_spectrum_code_matches_the_proof():
+    matrix = sp.lambdify((A, B, C), H_XYZ, "numpy")
+    energies = sp.lambdify((A, B, C), E_XYZ, "math")
+    vectors = np.array([[complex(x) for x in v] for v in BELL])
+    draw = random.Random(20120229)
+    for _ in range(50):
+        scale = _log_uniform(draw)
+        a, b, c = (scale * draw.uniform(-1.0, 1.0) for _ in range(3))
+        tol = 1e-14 * scale  # relative to the couplings' scale: an eigenvalue may cancel to near 0
+        h = hamiltonian_entries(a, b, c, None)
+        assert np.max(np.abs(h - np.array(matrix(a, b, c), dtype=complex))) <= tol
+        spectrum = analytic_spectrum_xyz(CouplingSet(a, b, c), gap_tol=0.0)
+        assert np.max(np.abs(np.array([e.vector for e in spectrum.eigenvectors]) - vectors)) <= 1e-15
+        assert max(abs(x - y) for x, y in zip(spectrum.eigenvalues, energies(a, b, c))) <= tol
+        for e, value in zip(spectrum.eigenvectors, spectrum.eigenvalues):
+            assert np.max(np.abs(h @ np.array(e.vector) - value * np.array(e.vector))) <= tol
