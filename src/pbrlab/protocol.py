@@ -61,7 +61,7 @@ from .qstate import (
     tensor,
 )
 # run_uniforms is unused here; perfbench's tracer test asserts this binding.
-from .rng import run_uniforms, validate_seed, words  # noqa: F401
+from .rng import KEPT_TOP_BITS, mix_head, mix_tail, run_uniforms, state, state_steps, validate_seed  # noqa: F401
 
 if TYPE_CHECKING:
     import numpy as np
@@ -80,15 +80,12 @@ def companion(variant: Variant) -> str:
     return "vbar" if Variant(variant) is Variant.XYZ else "w"
 
 
-def _prep_labels(variant: Variant) -> tuple[str, str, str, str]:
-    """The four joint preparations in order: u*u, u*companion, v*u, v*companion."""
-    other = companion(variant)
-    return ("u*u", f"u*{other}", "v*u", f"v*{other}")
-
+#: Each variant's four joint preparations in order: u*u, u*companion, v*u, v*companion.
+_PREP_LABELS = {variant: ("u*u", f"u*{companion(variant)}", "v*u", f"v*{companion(variant)}") for variant in Variant}
 
 #: Each variant's (preparation, forbidden outcome) pairs, in preparation order.
 _FORBIDDEN = {
-    variant: tuple(zip(_prep_labels(variant), outcomes))
+    variant: tuple(zip(_PREP_LABELS[variant], outcomes))
     for variant, outcomes in ((Variant.XYZ, ("e4", "e2", "e3", "e1")), (Variant.SOC, ("e'2", "e'4", "e'3", "e'1")))
 }
 
@@ -179,7 +176,7 @@ class ProtocolInstance:
 
     @property
     def prep_labels(self) -> tuple[str, ...]:
-        return tuple(label for label, _ in self.preparations)
+        return _PREP_LABELS[self.variant]
 
     @property
     def outcome_labels(self) -> tuple[str, ...]:
@@ -226,7 +223,7 @@ def _assemble(
     spectrum = analytic_spectrum(variant, couplings, gap_tol)
     u, v, w = state_family(variant, params).values()
     states = (tensor(u, u), tensor(u, w), tensor(v, u), tensor(v, w))
-    return ProtocolInstance(variant, params, couplings, spectrum, tuple(zip(_prep_labels(variant), states)))
+    return ProtocolInstance(variant, params, couplings, spectrum, tuple(zip(_PREP_LABELS[variant], states)))
 
 
 def orthogonality_residuals(
@@ -285,6 +282,10 @@ class TallyTable:
     counts: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        n_rows, n_cols = len(self.instance.prep_labels), len(self.instance.outcome_labels)
+        lengths = [len(row) for row in self.counts]
+        if lengths != [n_cols] * n_rows:
+            raise ValidationError(f"tally counts must be {n_rows} rows of {n_cols}, got row lengths {lengths}")
         if any(c < 0 for row in self.counts for c in row):
             raise ValidationError("tally counts must be nonnegative")
         if self.n_runs < 1:
@@ -326,11 +327,14 @@ _BLOCK = 1 << 16
 #: 2^53: the outcome word m = z >> 11 lies below it, and its uniform is m·2^-53.
 _WORD_END = 1 << 53
 
-#: Key of a run whose outcome the noise replaced: at or above every cell key.
-_FLIPPED_KEY = 4 * _WORD_END
+#: 2^64: every row's top key, which no unflipped run reaches.
+_KEY_END = 1 << 64
+
+#: Key of a run whose outcome the noise replaced: at or above every key below _KEY_END.
+_FLIPPED_KEY = _KEY_END - 1
 
 
-def _cell_keys(born: np.ndarray) -> list[np.uint64]:
+def _cell_keys(born: np.ndarray) -> list[int]:
     """The 16 sorted cell keys: a run's tally cell 4p + k is how many lie at or below its key.
 
     A run with preparation p and outcome word m has key p·2^53 + m.  Row p's
@@ -352,7 +356,7 @@ def _cell_keys(born: np.ndarray) -> list[np.uint64]:
     for p, row in enumerate(born):
         last_live = int(np.max(np.nonzero(row)[0]))
         keys += [p * _WORD_END + (int(cum[p, k]) if k < last_live else _WORD_END) for k in range(4)]
-    return [np.uint64(key) for key in keys]
+    return keys
 
 
 def _tally_chunk(
@@ -361,7 +365,7 @@ def _tally_chunk(
     """Tally runs [lo, hi) row by row, in blocks of _BLOCK runs, from raw splitmix64 words.
 
     The thresholds are the :func:`_cell_keys` of ``born``, the (4, 4) Born matrix.
-    Draw d of run i is the word at counter 4i + d (see :mod:`pbrlab.rng`):
+    Draw d of run i is the word z_d at counter 4i + d (see :mod:`pbrlab.rng`):
     the preparation is z0 >> 62 (or i mod 4 under round-robin), the outcome
     word z1 >> 11, the noise flip (z2 >> 11) < ceil(eps·2^53) and the
     replacement outcome z3 >> 62 — the integer forms of u0·4, u1, u2 < eps and
@@ -370,63 +374,92 @@ def _tally_chunk(
 
     Under round-robin the runs i = 4j + p of preparation p read a stream of
     their own, draw d at counter 16j + 4p + d, so each preparation is a row
-    tallied alone: its outcome words m against its keys less p·2^53.  Uniform
-    runs form one row whose keys p·2^53 + m meet all 16 cell keys.  A flipped
-    run's key is _FLIPPED_KEY, at or above every cell key.  A run is compared
-    once with each distinct key of its row strictly between 0 and the row's
-    top key: every run reaches key 0, and only the flipped runs reach the top.
+    tallied alone.  Uniform runs form one row that meets all 16 cell keys.
+    A run is compared once with each distinct key of its row strictly between
+    0 and the row's top key: every run reaches key 0, and only the flipped
+    runs, whose key is _FLIPPED_KEY, reach the top.
+
+    Three exact identities of splitmix64 (see :mod:`pbrlab.rng`) let each
+    draw compute only the bits it is read for, with every tally bit unchanged:
+
+    - One Weyl state per run.  The states of a run's draws differ by d·γ,
+      and a row's runs lie a fixed counter stride apart, so a block's states
+      for draw d are one :func:`~pbrlab.rng.state_steps` array, made once
+      per call, plus one constant: each draw starts with one add.
+    - The mix's last xorshift leaves the top ``KEPT_TOP_BITS`` = 31 bits
+      alone.  The preparation and the replacement read only the top 2 bits,
+      so they skip it.  A run flips when z2 < T, T = ceil(eps·2^53)·2^11;
+      then z2's top 31 bits are at most T's, so the word before the tail is
+      below ((T >> 33) + 1) << 33.  Only those candidates, about eps of the
+      runs, are finished and tested exactly; all runs are candidates once
+      that bound reaches 2^64 (eps within about 2^-31 of 1).
+    - z >> 11 >= c exactly when z >= c·2^11, for c <= 2^53, so outcome
+      words are compared unshifted.  A round-robin run's key is z1, against
+      key·2^11.  A uniform run's key is z0's top 2 bits, then z1 >> 2,
+      against key·2^9: the same order as p·2^53 + (z1 >> 11) against
+      p·2^53 + c.  Both put each row's top key at 2^64, above any word.
+      Every compare writes into one reused bool buffer.
     """
     import numpy as np
 
     keys = _cell_keys(born)
-    flip_below = np.uint64(math.ceil(noise_eps * _WORD_END))
     if policy is PrepPolicy.UNIFORM:
-        stride, rows = _DRAWS_PER_RUN, [(0, lo, hi, keys)]
+        stride, rows = _DRAWS_PER_RUN, [(0, lo, hi, [key << 9 for key in keys])]
     else:
         # Row p holds runs 4j + p in [lo, hi): j in [ceil((lo - p) / 4), ceil((hi - p) / 4)).
         stride = 4 * _DRAWS_PER_RUN
         rows = [
             (p, (lo + 3 - p) // 4, (hi + 3 - p) // 4,
-             [k - np.uint64(p * _WORD_END) for k in keys[4 * p : 4 * p + 4]])
+             [(key - p * _WORD_END) << 11 for key in keys[4 * p : 4 * p + 4]])
             for p in range(4)
         ]
-    # No buffer is longer than the range; runs keeps one entry for runs[0] below.
-    size = max(1, min(_BLOCK, hi - lo))
-    runs = np.arange(size, dtype=np.uint64)
+    # A run flips when its noise output is below flip_end; its word before the
+    # tail is then at or below last_candidate.
+    flip_end = math.ceil(noise_eps * _WORD_END) << 11
+    low_bits = 64 - KEPT_TOP_BITS
+    last_candidate = np.uint64(min(((flip_end >> low_bits) + 1) << low_bits, _KEY_END) - 1)
+    # No buffer is longer than the longest row.
+    size = max(1, min(_BLOCK, max(end - first for _, first, end, _ in rows)))
+    steps = state_steps(stride, size)
     key, z, work = (np.empty(size, dtype=np.uint64) for _ in range(3))
+    hit = np.empty(size, dtype=bool)
     counts = np.zeros(16, dtype=np.int64)
     for p, first, end, row_keys in rows:
-        top, counter = row_keys[-1], _DRAWS_PER_RUN * p
-        at_least = dict.fromkeys({t for t in row_keys if 0 < t < top}, 0)  # runs whose key is >= t
+        at_least = dict.fromkeys({t for t in row_keys if 0 < t < _KEY_END}, 0)  # runs whose key is >= t
         flipped = np.zeros(len(row_keys), dtype=np.int64)  # flipped runs by their new cell
-        runs -= runs[0]
-        runs += np.uint64(first)
+        base = stride * first + _DRAWS_PER_RUN * p  # counter of the block's first draw 0
         for start in range(first, end, _BLOCK):
             n = min(_BLOCK, end - start)
-            r, k, zn, w = runs[:n], key[:n], z[:n], work[:n]
+            s, k, zn, w, h = steps[:n], key[:n], z[:n], work[:n], hit[:n]
+
+            def draw(d, out):
+                return mix_head(np.add(s, np.uint64(state(seed, base + d)), out=out), w)
+
             if policy is PrepPolicy.UNIFORM:
-                words(seed, 0, stride, r, out=k, work=w)
-                k >>= np.uint64(62)
-                k <<= np.uint64(53)
-                words(seed, 1, stride, r, out=zn, work=w)
-                zn >>= np.uint64(11)
+                draw(0, k)
+                k &= np.uint64(3 << 62)
+                mix_tail(draw(1, zn), w)
+                zn >>= np.uint64(2)
                 k |= zn
             else:
-                words(seed, counter + 1, stride, r, out=k, work=w)
-                k >>= np.uint64(11)
-            if flip_below:
-                words(seed, counter + 2, stride, r, out=zn, work=w)
-                zn >>= np.uint64(11)
-                flips = np.flatnonzero(zn < flip_below)
-                replaced = words(seed, counter + 3, stride, r[flips]) >> np.uint64(62)
-                cells = (k[flips] >> np.uint64(53) << np.uint64(2)) | replaced
+                mix_tail(draw(1, k), w)
+            if flip_end:
+                np.less_equal(draw(2, zn), last_candidate, out=h)
+                candidates = np.flatnonzero(h)
+                noise = mix_tail(zn[candidates], w[: len(candidates)])
+                flips = candidates[noise <= np.uint64(flip_end - 1)]
+                replaced = s[flips] + np.uint64(state(seed, base + 3))
+                cells = mix_head(replaced, w[: len(flips)]) >> np.uint64(62)
+                if policy is PrepPolicy.UNIFORM:
+                    cells |= k[flips] >> np.uint64(62) << np.uint64(2)
                 flipped += np.bincount(cells.astype(np.intp), minlength=len(row_keys))
                 k[flips] = _FLIPPED_KEY
             for threshold in at_least:
-                at_least[threshold] += np.count_nonzero(k >= threshold)
-            runs += np.uint64(_BLOCK)
+                np.greater_equal(k, np.uint64(threshold), out=h)
+                at_least[threshold] += np.count_nonzero(h)
+            base += stride * _BLOCK
         n_row = end - first
-        reached = [n_row if t == 0 else flipped.sum() if t == top else at_least[t] for t in row_keys]
+        reached = [n_row if t == 0 else flipped.sum() if t == _KEY_END else at_least[t] for t in row_keys]
         # Unflipped runs in cell c lie at or above row_keys[c - 1] and below row_keys[c].
         counts[4 * p : 4 * p + len(row_keys)] = flipped - np.diff(reached, prepend=n_row)
     return counts.reshape(4, 4)

@@ -6,10 +6,27 @@ position i * draws_per_run + j.  Because no generator state is shared between
 runs, any partition of the run indices across workers reproduces the
 sequential result bit for bit.
 
-splitmix64 reference: state advances by the 64-bit golden-ratio constant and
-the output is the Stafford mix13 finalizer of the state.  The scalar path is
-plain Python; only the vectorized :func:`words` and :func:`run_uniforms`
-import numpy, when they run.
+splitmix64 reference: output c mixes the Weyl state seed + (c + 1)·γ, where
+γ is the 64-bit golden-ratio constant, with the Stafford mix13 finalizer.
+This module alone knows γ and the mix.  A caller that reads only some bits
+of each word, as the tally kernel does, uses three exact identities through
+this module's pieces:
+
+- Weyl states are linear in the counter: counters c + k·s have the states
+  :func:`state` ``(seed, c)`` + :func:`state_steps` ``(s, n)[k]``, mod 2^64.
+  Draws whose counters form one arithmetic progression therefore need one
+  add each, from a step array made once.
+- The mix is :func:`mix_head` (two xorshift-multiply rounds) and then
+  :func:`mix_tail`, z ^= z >> 31.  That shift brings zeros into the top 31
+  bits, so the tail leaves them alone: a word before its tail has the
+  output's top ``KEPT_TOP_BITS`` = 31 bits.  A test on those bits alone can
+  skip the tail.
+- A uniform is (z >> 11)·2^-53, and z >> 11 >= c exactly when z >= c·2^11
+  for any c <= 2^53, so a threshold on the uniform is a threshold on the
+  whole word.
+
+The scalar path is plain Python; only the vectorized functions import numpy,
+when they run.
 """
 
 from __future__ import annotations
@@ -26,6 +43,9 @@ _GAMMA = 0x9E3779B97F4A7C15
 _MIX_A = 0xBF58476D1CE4E5B9
 _MIX_B = 0x94D049BB133111EB
 
+#: Top bits of a word that the mix's last xorshift, z ^= z >> 31, leaves alone.
+KEPT_TOP_BITS = 31
+
 # Two uint64 outputs per double would waste half the stream; one 53-bit
 # mantissa per uint64 matches the usual convention.
 _INV_2_53 = 2.0**-53
@@ -35,12 +55,17 @@ def _mix64(z: int) -> int:
     z &= _MASK
     z = ((z ^ (z >> 30)) * _MIX_A) & _MASK
     z = ((z ^ (z >> 27)) * _MIX_B) & _MASK
-    return z ^ (z >> 31)
+    return z ^ (z >> KEPT_TOP_BITS)
+
+
+def state(seed: int, counter: int) -> int:
+    """The Weyl state that output ``counter`` mixes: seed + (counter + 1)·γ mod 2^64."""
+    return (seed + (counter + 1) * _GAMMA) & _MASK
 
 
 def splitmix64(seed: int, counter: int) -> int:
     """The counter-th output of the splitmix64 stream with the given seed."""
-    return _mix64((seed + (counter + 1) * _GAMMA) & _MASK)
+    return _mix64(state(seed, counter))
 
 
 def validate_seed(seed: int) -> int:
@@ -55,6 +80,36 @@ def uniform(seed: int, run_index: int, draw_index: int, draws_per_run: int) -> f
     """Draw j of run i, as a float in [0, 1). Scalar reference path."""
     counter = run_index * draws_per_run + draw_index
     return (splitmix64(seed, counter) >> 11) * _INV_2_53
+
+
+def state_steps(step: int, n: int) -> np.ndarray:
+    """k·step·γ mod 2^64 for k < n, as uint64: entry k plus :func:`state` of
+    counter c is the state of counter c + k·step."""
+    import numpy as np
+
+    steps = np.arange(n, dtype=np.uint64)
+    steps *= np.uint64((step * _GAMMA) & _MASK)
+    return steps
+
+
+def mix_head(z: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Mix the uint64 states ``z`` in place up to the last xorshift; ``work`` is scratch like ``z``."""
+    import numpy as np
+
+    for shift, mul in ((30, _MIX_A), (27, _MIX_B)):
+        np.right_shift(z, np.uint64(shift), out=work)
+        z ^= work
+        z *= np.uint64(mul)
+    return z
+
+
+def mix_tail(z: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Apply the last xorshift to :func:`mix_head`'s words in place, making them outputs."""
+    import numpy as np
+
+    np.right_shift(z, np.uint64(KEPT_TOP_BITS), out=work)
+    z ^= work
+    return z
 
 
 def words(
@@ -75,14 +130,9 @@ def words(
     import numpy as np
 
     z = np.multiply(index, np.uint64((step * _GAMMA) & _MASK), out=out)
-    z += np.uint64((seed + (start + 1) * _GAMMA) & _MASK)
+    z += np.uint64(state(seed, start))
     tmp = np.empty_like(z) if work is None else work
-    for shift, mul in ((30, _MIX_A), (27, _MIX_B), (31, None)):
-        np.right_shift(z, np.uint64(shift), out=tmp)
-        z ^= tmp
-        if mul is not None:
-            z *= np.uint64(mul)
-    return z
+    return mix_tail(mix_head(z, tmp), tmp)
 
 
 def run_uniforms(seed: int, run_lo: int, run_hi: int, draws_per_run: int) -> np.ndarray:

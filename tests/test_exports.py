@@ -121,3 +121,25 @@ def test_params_is_the_one_writer_of_the_degeneracy_message():
         if isinstance(node, ast.Constant) and isinstance(node.value, str) and "degenerate spectrum" in node.value
     )
     assert writers == []
+
+
+#: splitmix64's Weyl increment γ and the two multipliers of its mix.
+SPLITMIX64_CONSTANTS = {0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB}
+
+
+def test_rng_is_the_one_owner_of_the_splitmix64_constants():
+    """Only rng.py holds γ or either mix multiplier as a literal; other modules use its pieces."""
+    sources = _package_sources()
+
+    def literals(tree):
+        return [node for node in ast.walk(tree) if isinstance(node, ast.Constant) and type(node.value) is int]
+
+    assert {node.value for node in literals(sources["rng"])} >= SPLITMIX64_CONSTANTS
+    copies = sorted(
+        f"{module}.py:{node.lineno}"
+        for module, tree in sources.items()
+        if module != "rng"
+        for node in literals(tree)
+        if node.value in SPLITMIX64_CONSTANTS
+    )
+    assert copies == []

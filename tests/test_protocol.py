@@ -26,7 +26,7 @@ from pbrlab import (
     simulate,
     solve_closed_form,
 )
-from pbrlab import protocol
+from pbrlab import protocol, rng
 from pbrlab.params import CONSTRAINT_ATOL
 from pbrlab.protocol import DEFAULT_B_CANDIDATES, default_couplings
 from pbrlab.rng import splitmix64, uniform
@@ -239,6 +239,20 @@ class BornRows:
         return self.rows
 
 
+def seed_for_output(counter, word):
+    """The seed whose splitmix64 output at ``counter`` is ``word``: the mix inverted."""
+
+    def unxorshift(z, shift):
+        x = z
+        for _ in range(64 // shift):
+            x = z ^ (x >> shift)
+        return x
+
+    z = unxorshift(word, 31) * pow(rng._MIX_B, -1, 2**64) % 2**64
+    z = unxorshift(z, 27) * pow(rng._MIX_A, -1, 2**64) % 2**64
+    return (unxorshift(z, 30) - rng.state(0, counter)) % 2**64
+
+
 BLOCK = protocol._BLOCK
 SIZES = (1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3)
 EXTREME_SEEDS = (0, 2**64 - 1, 2**64 - 5)
@@ -289,31 +303,34 @@ class TestSimulate:
             assert table.counts == expected[n], n
 
     def test_draws_exactly_on_a_boundary(self):
-        # At seed 0, run 1's outcome word and run 2's noise word lie below
-        # 2^52, so half a step above them is a representable uniform.
+        # At seed 0, run b's outcome word and run c's noise word lie below
+        # 2^52, so half a step above them is a representable uniform.  Runs
+        # a, b and c have distinct preparations under either policy.
         ulp = 2.0**-53
-        m0, m1 = (splitmix64(0, 4 * i + 1) >> 11 for i in (0, 1))
-        noise_word = splitmix64(0, 4 * 2 + 2) >> 11
-        assert m1 < 2**52 and noise_word < 2**52
-        # Run 2's one live outcome differs from its replacement, so a flip shows.
-        live = np.eye(4)[((splitmix64(0, 4 * 2 + 3) >> 62) + 1) % 4]
-        inst = BornRows(
-            [
-                [m0 * ulp, 1.0 - m0 * ulp, 0.0, 0.0],  # run 0's u1 equals cum[0, 0]
-                [(m1 + 0.5) * ulp, 1.0 - (m1 + 0.5) * ulp, 0.0, 0.0],  # run 1's u1 is just below
-                live,
-                [0.25] * 4,
-            ]
-        )
-        clean = simulate(inst, 4, seed=0, prep_policy="roundrobin").counts
-        assert clean[0][:2] == (0, 1) and clean[1][:2] == (1, 0)
-        # Run 2's u2 equals eps (no flip), then lies just below it (flip).
-        flipped = []
-        for eps in (noise_word * ulp, (noise_word + 0.5) * ulp):
-            table = simulate(inst, 4, seed=0, noise_eps=eps, prep_policy="roundrobin")
-            assert table.counts == reference_tallies(inst, {4}, 0, eps, "roundrobin")[4], eps
-            flipped.append(table.counts[2] != clean[2])
-        assert flipped == [False, True]
+        for policy, (a, b, c) in (("roundrobin", (0, 1, 2)), ("uniform", (0, 1, 4))):
+            prep = {i: i % 4 if policy == "roundrobin" else splitmix64(0, 4 * i) >> 62 for i in (a, b, c)}
+            ma, mb = (splitmix64(0, 4 * i + 1) >> 11 for i in (a, b))
+            noise_word = splitmix64(0, 4 * c + 2) >> 11
+            assert mb < 2**52 and noise_word < 2**52 and len(set(prep.values())) == 3
+            rows = [[0.25] * 4 for _ in range(4)]
+            rows[prep[a]] = [ma * ulp, 1.0 - ma * ulp, 0.0, 0.0]  # run a's u1 equals cum[0]
+            rows[prep[b]] = [(mb + 0.5) * ulp, 1.0 - (mb + 0.5) * ulp, 0.0, 0.0]  # run b's u1 is just below
+            # Run c's one live outcome differs from its replacement, so a flip shows.
+            rows[prep[c]] = np.eye(4)[((splitmix64(0, 4 * c + 3) >> 62) + 1) % 4]
+            inst = BornRows(rows)
+
+            def cell(i, eps=0.0):
+                one_run = protocol._tally_chunk(i, i + 1, 0, inst.born_matrix(), eps, PrepPolicy(policy))
+                return divmod(int(np.flatnonzero(one_run)[0]), 4)
+
+            assert (cell(a), cell(b)) == ((prep[a], 1), (prep[b], 0)), policy
+            # Run c's u2 equals eps (no flip), then lies just below it (flip).
+            flipped = []
+            for eps in (noise_word * ulp, (noise_word + 0.5) * ulp):
+                table = simulate(inst, c + 1, seed=0, noise_eps=eps, prep_policy=policy)
+                assert table.counts == reference_tallies(inst, {c + 1}, 0, eps, policy)[c + 1], (policy, eps)
+                flipped.append(cell(c, eps) != cell(c))
+            assert flipped == [False, True], policy
 
     @pytest.mark.parametrize("instance", ["xyz", "rows"])
     @pytest.mark.parametrize("policy", ["uniform", "roundrobin"])
@@ -331,6 +348,27 @@ class TestSimulate:
             for hi in ends:
                 got = protocol._tally_chunk(lo, hi, 2**64 - 1, born, noise, PrepPolicy(policy))
                 assert np.array_equal(got, np.subtract(expected[hi], expected[lo])), (lo, hi)
+
+    @pytest.mark.parametrize("policy", ["uniform", "roundrobin"])
+    @pytest.mark.parametrize("noise", [0.9, math.nextafter(1.0, 0.0), 1.0 - 2.0**-31])
+    def test_noise_words_at_the_flip_threshold(self, monkeypatch, policy, noise):
+        # A run flips when its noise output is below T = ceil(eps·2^53)·2^11.
+        # Seeds put run 5's noise output on T (no flip), on T - 1 and on the
+        # least word with T's top 31 bits (both flip).  At eps = 0.9 that
+        # least word's value before the last xorshift lies in the top 2^32 of
+        # the kernel's widened bound; within about 2^-31 of 1 the bound
+        # reaches 2^64 and every run is a flip candidate.  8-run blocks cross
+        # about 40 edges.
+        monkeypatch.setattr(protocol, "_BLOCK", 8)
+        born = BornRows().born_matrix()
+        threshold = math.ceil(noise * 2**53) << 11
+        words = (threshold, threshold - 1, threshold >> 33 << 33)
+        seeds = [seed_for_output(4 * 5 + 2, word) for word in words]
+        assert [uniform(seed, 5, 2, 4) < noise for seed in seeds] == [False, True, words[2] < threshold]
+        for seed in (*seeds, 2**64 - 1):
+            expected = reference_tallies(BornRows(), {3, 333}, seed, noise, policy)
+            got = protocol._tally_chunk(3, 333, seed, born, noise, PrepPolicy(policy))
+            assert np.array_equal(got, np.subtract(expected[333], expected[3])), seed
 
     @pytest.mark.parametrize(
         "policy, noise", [("uniform", 0.04), ("roundrobin", 0.0), ("roundrobin", 0.04), ("roundrobin", 1.0)]
@@ -487,6 +525,14 @@ class TestTallyTableAndRates:
             )
         )
         assert table.eps_hat == 0.0
+
+    @pytest.mark.parametrize(
+        "counts, lengths", [(((1, 0, 0, 0),) * 3, "[4, 4, 4]"), (((1, 0, 0),) * 4, "[3, 3, 3, 3]")]
+    )
+    def test_counts_must_fill_the_instance_grid(self, counts, lengths):
+        # Both used to construct and then fail on a read with a bare IndexError.
+        with pytest.raises(ValidationError, match=re.escape(f"must be 4 rows of 4, got row lengths {lengths}")):
+            self._table(counts)
 
     def test_empty_table_rejected(self):
         with pytest.raises(ValidationError, match="no counts"):

@@ -4,7 +4,18 @@ import numpy as np
 import pytest
 
 from pbrlab import ValidationError
-from pbrlab.rng import run_uniforms, splitmix64, uniform, validate_seed, words
+from pbrlab.rng import (
+    KEPT_TOP_BITS,
+    mix_head,
+    mix_tail,
+    run_uniforms,
+    splitmix64,
+    state,
+    state_steps,
+    uniform,
+    validate_seed,
+    words,
+)
 
 MASK = (1 << 64) - 1
 
@@ -44,6 +55,30 @@ class TestWords:
             assert got is out
             assert got.tolist() == [splitmix64(seed, 3 + 4 * int(i)) for i in index]
             assert words(seed, 3, 4, index).tolist() == got.tolist()
+
+
+class TestSplitMix:
+    """The pieces the tally kernel composes: Weyl states, the mix's head and its tail."""
+
+    SEED, START, STEP = 2**64 - 5, 2**64 - 3, 5  # counters START + STEP * k wrap past 2^64 at k = 1
+
+    def heads(self):
+        z = state_steps(self.STEP, 6)
+        z += np.uint64(state(self.SEED, self.START))
+        return mix_head(z, np.empty_like(z))
+
+    def test_head_then_tail_is_splitmix64_at_wrapping_counters(self):
+        z = self.heads()
+        assert mix_tail(z, np.empty_like(z)).tolist() == [
+            splitmix64(self.SEED, (self.START + self.STEP * k) % 2**64) for k in range(6)
+        ]
+
+    def test_word_before_the_tail_has_the_outputs_top_bits(self):
+        head = self.heads()
+        out = mix_tail(head.copy(), np.empty_like(head))
+        low = np.uint64(64 - KEPT_TOP_BITS)
+        assert np.array_equal(head >> low, out >> low)
+        assert not np.array_equal(head, out)  # the tail does change the low bits
 
 
 class TestUniformStreams:
