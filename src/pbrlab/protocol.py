@@ -33,7 +33,7 @@ in :mod:`pbrlab.params`.
 from __future__ import annotations
 
 import contextlib
-import math
+import itertools
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -61,7 +61,9 @@ from .qstate import (
     tensor,
 )
 # run_uniforms is unused here; perfbench's tracer test asserts this binding.
-from .rng import KEPT_TOP_BITS, mix_head, mix_tail, run_uniforms, state, state_steps, validate_seed  # noqa: F401
+from .rng import (  # noqa: F401
+    KEPT_TOP_BITS, least_word, mix_head, mix_tail, run_uniforms, state, state_steps, validate_seed
+)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -324,9 +326,6 @@ class TallyTable:
 #: Runs tallied per block: the kernel's memory is O(_BLOCK) whatever n_runs is.
 _BLOCK = 1 << 16
 
-#: 2^53: the outcome word m = z >> 11 lies below it, and its uniform is m·2^-53.
-_WORD_END = 1 << 53
-
 #: 2^64: every row's top key, which no unflipped run reaches.
 _KEY_END = 1 << 64
 
@@ -334,28 +333,22 @@ _KEY_END = 1 << 64
 _FLIPPED_KEY = _KEY_END - 1
 
 
-def _cell_keys(born: np.ndarray) -> list[int]:
-    """The 16 sorted cell keys: a run's tally cell 4p + k is how many lie at or below its key.
+def _cell_keys(born: np.ndarray) -> list[list[int]]:
+    """Each Born row's four word thresholds: row p's outcome word z gives outcome k when key k-1 <= z < key k.
 
-    A run with preparation p and outcome word m has key p·2^53 + m.  Row p's
-    four keys lie in [p·2^53, (p+1)·2^53], so all of them count for a run of
-    a later preparation and none for an earlier one.  Key k of row p is
-    p·2^53 + ceil(cum[p, k]·2^53), the least word whose uniform m·2^-53
-    reaches cum[p, k] (scaling by 2^53 is exact), so the row's count equals
-    searchsorted(cum[p], u, side="right"); side="right" keeps a
-    zero-probability outcome unreachable even when a draw lands exactly on a
-    cumulative boundary.  Keys from the last live outcome (highest nonzero
-    Born weight) on are (p+1)·2^53, which no word of row p reaches: rounding
-    can leave cum[p, -1] a hair under 1, and such draws belong to the last
-    live outcome.
+    Key k of row p is :func:`~pbrlab.rng.least_word` of cum[p, k], the row's
+    running sum, so z lies below it exactly when z's uniform u lies below
+    cum[p, k], and the outcome is searchsorted(cum[p], u, side="right");
+    side="right" keeps a zero-probability outcome unreachable even when a
+    draw lands exactly on a cumulative boundary.  Keys from the last live
+    outcome (highest nonzero Born weight) on are 2^64, above every word:
+    rounding can leave cum[p, -1] a hair under 1, and such draws belong to
+    the last live outcome.
     """
-    import numpy as np
-
-    cum = np.minimum(np.ceil(np.cumsum(born, axis=1) * float(_WORD_END)), float(_WORD_END))
     keys = []
-    for p, row in enumerate(born):
-        last_live = int(np.max(np.nonzero(row)[0]))
-        keys += [p * _WORD_END + (int(cum[p, k]) if k < last_live else _WORD_END) for k in range(4)]
+    for row in born:
+        last_live = max(k for k, weight in enumerate(row) if weight)
+        keys.append([least_word(c) if k < last_live else _KEY_END for k, c in enumerate(itertools.accumulate(row))])
     return keys
 
 
@@ -367,14 +360,14 @@ def _tally_chunk(
     The thresholds are the :func:`_cell_keys` of ``born``, the (4, 4) Born matrix.
     Draw d of run i is the word z_d at counter 4i + d (see :mod:`pbrlab.rng`):
     the preparation is z0 >> 62 (or i mod 4 under round-robin), the outcome
-    word z1 >> 11, the noise flip (z2 >> 11) < ceil(eps·2^53) and the
-    replacement outcome z3 >> 62 — the integer forms of u0·4, u1, u2 < eps and
-    u3·4 for u = (z >> 11)·2^-53.  Draw 0 is computed only under the uniform
+    word z1, the noise flip z2 < least_word(eps) and the replacement outcome
+    z3 >> 62 — the integer forms of u0·4, u1, u2 < eps and u3·4 for
+    u = (z >> 11)·2^-53.  Draw 0 is computed only under the uniform
     policy, draw 2 only with noise on, and draw 3 only for runs that flip.
 
     Under round-robin the runs i = 4j + p of preparation p read a stream of
     their own, draw d at counter 16j + 4p + d, so each preparation is a row
-    tallied alone.  Uniform runs form one row that meets all 16 cell keys.
+    tallied alone.  Uniform runs form one row that meets all four rows' keys.
     A run is compared once with each distinct key of its row strictly between
     0 and the row's top key: every run reaches key 0, and only the flipped
     runs, whose key is _FLIPPED_KEY, reach the top.
@@ -388,34 +381,34 @@ def _tally_chunk(
       per call, plus one constant: each draw starts with one add.
     - The mix's last xorshift leaves the top ``KEPT_TOP_BITS`` = 31 bits
       alone.  The preparation and the replacement read only the top 2 bits,
-      so they skip it.  A run flips when z2 < T, T = ceil(eps·2^53)·2^11;
+      so they skip it.  A run flips when z2 < T, T = least_word(eps);
       then z2's top 31 bits are at most T's, so the word before the tail is
       below ((T >> 33) + 1) << 33.  Only those candidates, about eps of the
       runs, are finished and tested exactly; all runs are candidates once
       that bound reaches 2^64 (eps within about 2^-31 of 1).
-    - z >> 11 >= c exactly when z >= c·2^11, for c <= 2^53, so outcome
-      words are compared unshifted.  A round-robin run's key is z1, against
-      key·2^11.  A uniform run's key is z0's top 2 bits, then z1 >> 2,
-      against key·2^9: the same order as p·2^53 + (z1 >> 11) against
-      p·2^53 + c.  Both put each row's top key at 2^64, above any word.
-      Every compare writes into one reused bool buffer.
+    - A uniform is at least c exactly when its word is at least
+      least_word(c), so outcome words are compared whole with the
+      :func:`_cell_keys` thresholds.  A round-robin run's key is z1, against
+      its row's thresholds as they are.  A uniform run's key is z0's top 2
+      bits, then z1 >> 2, against (p << 62) + (threshold >> 2): thresholds
+      are multiples of 2^11, so the order is the lexicographic one of
+      (p, z1) against (p, threshold).  Both put the top key of each row at
+      2^64, above any word.  Every compare writes into one reused bool
+      buffer.
     """
     import numpy as np
 
     keys = _cell_keys(born)
     if policy is PrepPolicy.UNIFORM:
-        stride, rows = _DRAWS_PER_RUN, [(0, lo, hi, [key << 9 for key in keys])]
+        stride = _DRAWS_PER_RUN
+        rows = [(0, lo, hi, [(p << 62) + (key >> 2) for p, row_keys in enumerate(keys) for key in row_keys])]
     else:
         # Row p holds runs 4j + p in [lo, hi): j in [ceil((lo - p) / 4), ceil((hi - p) / 4)).
         stride = 4 * _DRAWS_PER_RUN
-        rows = [
-            (p, (lo + 3 - p) // 4, (hi + 3 - p) // 4,
-             [(key - p * _WORD_END) << 11 for key in keys[4 * p : 4 * p + 4]])
-            for p in range(4)
-        ]
+        rows = [(p, (lo + 3 - p) // 4, (hi + 3 - p) // 4, keys[p]) for p in range(4)]
     # A run flips when its noise output is below flip_end; its word before the
     # tail is then at or below last_candidate.
-    flip_end = math.ceil(noise_eps * _WORD_END) << 11
+    flip_end = least_word(noise_eps)
     low_bits = 64 - KEPT_TOP_BITS
     last_candidate = np.uint64(min(((flip_end >> low_bits) + 1) << low_bits, _KEY_END) - 1)
     # No buffer is longer than the longest row.

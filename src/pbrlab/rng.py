@@ -23,7 +23,8 @@ this module's pieces:
   skip the tail.
 - A uniform is (z >> 11)·2^-53, and z >> 11 >= c exactly when z >= c·2^11
   for any c <= 2^53, so a threshold on the uniform is a threshold on the
-  whole word.
+  whole word: a word's uniform is at least u exactly when the word is at
+  least :func:`least_word` ``(u)``.
 
 The scalar path is plain Python; only the vectorized functions import numpy,
 when they run.
@@ -31,6 +32,7 @@ when they run.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING
 
 from .errors import ValidationError
@@ -48,6 +50,7 @@ KEPT_TOP_BITS = 31
 
 # Two uint64 outputs per double would waste half the stream; one 53-bit
 # mantissa per uint64 matches the usual convention.
+_UNIFORMS = 1 << 53
 _INV_2_53 = 2.0**-53
 
 
@@ -82,6 +85,14 @@ def uniform(seed: int, run_index: int, draw_index: int, draws_per_run: int) -> f
     return (splitmix64(seed, counter) >> 11) * _INV_2_53
 
 
+def least_word(u: float) -> int:
+    """The least word z whose uniform (z >> 11)·2^-53 is at least ``u``, for u in [0, 1]; 2^64 at u = 1.
+
+    Scaling by 2^53 is exact, so ceil(u·2^53) is the least reachable z >> 11.
+    """
+    return min(math.ceil(u * _UNIFORMS), _UNIFORMS) << 11
+
+
 def state_steps(step: int, n: int) -> np.ndarray:
     """k·step·γ mod 2^64 for k < n, as uint64: entry k plus :func:`state` of
     counter c is the state of counter c + k·step."""
@@ -112,29 +123,6 @@ def mix_tail(z: np.ndarray, work: np.ndarray) -> np.ndarray:
     return z
 
 
-def words(
-    seed: int,
-    start: int,
-    step: int,
-    index: np.ndarray,
-    out: np.ndarray | None = None,
-    work: np.ndarray | None = None,
-) -> np.ndarray:
-    """splitmix64 outputs at counters start + step * index, as uint64.
-
-    ``index`` is a uint64 array; entry k of the result equals
-    ``splitmix64(seed, start + step * index[k])``, counters taken mod 2^64.
-    ``out`` (the result) and ``work`` (scratch) are optional uint64 buffers
-    shaped like ``index``; a caller that loops passes them to reuse memory.
-    """
-    import numpy as np
-
-    z = np.multiply(index, np.uint64((step * _GAMMA) & _MASK), out=out)
-    z += np.uint64(state(seed, start))
-    tmp = np.empty_like(z) if work is None else work
-    return mix_tail(mix_head(z, tmp), tmp)
-
-
 def run_uniforms(seed: int, run_lo: int, run_hi: int, draws_per_run: int) -> np.ndarray:
     """Uniform draws for runs [run_lo, run_hi), shape (run_hi - run_lo, draws_per_run).
 
@@ -148,5 +136,8 @@ def run_uniforms(seed: int, run_lo: int, run_hi: int, draws_per_run: int) -> np.
         raise ValidationError(f"bad run range [{run_lo}, {run_hi})")
     n = run_hi - run_lo
     # Run r's draws sit at counters r * draws_per_run + j: one contiguous range.
-    z = words(seed, run_lo * draws_per_run, 1, np.arange(n * draws_per_run, dtype=np.uint64))
+    z = state_steps(1, n * draws_per_run)
+    z += np.uint64(state(seed, run_lo * draws_per_run))
+    work = np.empty_like(z)
+    mix_tail(mix_head(z, work), work)
     return (z >> np.uint64(11)).astype(np.float64).reshape(n, draws_per_run) * _INV_2_53

@@ -123,23 +123,48 @@ def test_params_is_the_one_writer_of_the_degeneracy_message():
     assert writers == []
 
 
+def _numbers(tree: ast.Module):
+    """(line, value) of each number that literals and operators alone make, such as 1 << 53."""
+
+    def literal(node):
+        return all(
+            isinstance(n, (ast.BinOp, ast.UnaryOp, ast.operator, ast.unaryop))
+            or isinstance(n, ast.Constant) and type(n.value) in (int, float)
+            for n in ast.walk(node)
+        )
+
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Constant, ast.BinOp, ast.UnaryOp)) and literal(node):
+            yield node.lineno, eval(compile(ast.Expression(node), "<literal>", "eval"))
+
+
+def _assert_rng_alone_holds(values: set) -> None:
+    """No package module but rng.py holds any of ``values``, and rng.py holds them all."""
+    sources = _package_sources()
+    copies = sorted(
+        f"{module}.py:{line}"
+        for module, tree in sources.items()
+        if module != "rng"
+        for line, value in _numbers(tree)
+        if value in values
+    )
+    assert copies == []
+    assert {value for _, value in _numbers(sources["rng"])} >= values
+
+
 #: splitmix64's Weyl increment γ and the two multipliers of its mix.
 SPLITMIX64_CONSTANTS = {0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB}
+
+#: The uniform's 53-bit scale: u = (z >> 11)·2^-53.
+UNIFORM_SCALES = {2**53, 2.0**-53}
 
 
 def test_rng_is_the_one_owner_of_the_splitmix64_constants():
     """Only rng.py holds γ or either mix multiplier as a literal; other modules use its pieces."""
-    sources = _package_sources()
+    _assert_rng_alone_holds(SPLITMIX64_CONSTANTS)
 
-    def literals(tree):
-        return [node for node in ast.walk(tree) if isinstance(node, ast.Constant) and type(node.value) is int]
 
-    assert {node.value for node in literals(sources["rng"])} >= SPLITMIX64_CONSTANTS
-    copies = sorted(
-        f"{module}.py:{node.lineno}"
-        for module, tree in sources.items()
-        if module != "rng"
-        for node in literals(tree)
-        if node.value in SPLITMIX64_CONSTANTS
-    )
-    assert copies == []
+def test_rng_is_the_one_owner_of_the_uniform_scale():
+    """Only rng.py holds 2^53 or 2^-53, as 1 << 53, 2**53, 2.0**-53 or a plain literal;
+    other modules turn a uniform into a word threshold with ``rng.least_word``."""
+    _assert_rng_alone_holds(UNIFORM_SCALES)

@@ -1,11 +1,16 @@
 """Counter-stream generator: reference values and vectorization equality."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 
 from pbrlab import ValidationError
 from pbrlab.rng import (
     KEPT_TOP_BITS,
+    least_word,
     mix_head,
     mix_tail,
     run_uniforms,
@@ -14,7 +19,6 @@ from pbrlab.rng import (
     state_steps,
     uniform,
     validate_seed,
-    words,
 )
 
 MASK = (1 << 64) - 1
@@ -45,16 +49,29 @@ class TestSplitmix64:
         assert splitmix64(0, 0) == 0xE220A8397B1DCDAF
 
 
-class TestWords:
-    def test_strided_counters_equal_scalar_outputs(self):
-        # Counters past 2^64 wrap, as in the scalar generator.
-        index = np.array([0, 1, 7, 2**62 - 1, 2**64 - 1], dtype=np.uint64)
-        out, work = np.empty_like(index), np.empty_like(index)
-        for seed in (0, 2**64 - 5):
-            got = words(seed, 3, 4, index, out=out, work=work)
-            assert got is out
-            assert got.tolist() == [splitmix64(seed, 3 + 4 * int(i)) for i in index]
-            assert words(seed, 3, 4, index).tolist() == got.tolist()
+def word_uniform(z: int) -> float:
+    """The uniform of a 64-bit word, as :func:`uniform` makes it."""
+    return (z >> 11) * 2.0**-53
+
+
+class TestLeastWord:
+    def test_ends_of_the_unit_interval(self):
+        assert least_word(0.0) == 0
+        assert least_word(1.0) == 2**64
+
+    @seed(20120229)
+    @settings(max_examples=500, deadline=None)
+    @given(st.floats(0.0, 1.0))
+    @example(5e-324)
+    @example(2.0**-53)
+    @example(0.5)
+    @example(math.nextafter(1.0, 0.0))
+    def test_is_the_least_word_whose_uniform_reaches_u(self, u):
+        z = least_word(u)
+        assert z % 2**11 == 0
+        assert word_uniform(z) >= u
+        if u > 0.0:
+            assert word_uniform(z - 2**11) < u
 
 
 class TestSplitMix:
@@ -88,6 +105,13 @@ class TestUniformStreams:
         for i, run in enumerate(range(13, 29)):
             for j in range(4):
                 assert block[i, j] == uniform(seed, run, j, 4)
+
+    def test_counters_wrapping_past_2_64_equal_scalar(self):
+        # Runs 2^62 - 2 .. 2^62 + 1 at 4 draws a run read counters 2^64 - 8 .. 2^64 + 7.
+        runs = range(2**62 - 2, 2**62 + 2)
+        for seed in (0, 2**64 - 5):
+            block = run_uniforms(seed, runs.start, runs.stop, 4)
+            assert block.tolist() == [[uniform(seed, run, j, 4) for j in range(4)] for run in runs]
 
     def test_values_lie_in_unit_interval(self):
         block = run_uniforms(7, 0, 10_000, 2)

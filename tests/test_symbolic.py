@@ -12,6 +12,11 @@
   eigenvalues ``params.xyz_eigenvalues`` returns.  Bound by comparing
   ``hamiltonian_entries`` and ``analytic_spectrum_xyz`` with the proved matrix,
   vectors and eigenvalues.
+- Φ⁻, Ψ⁺, e'3 and e'4 are the eigenvectors of the spin-orbit Hamiltonian
+  a XX + b YY + c ZZ + d (XZ − ZX), with tan α = (s + √(s² + 4d²)) / 2d for
+  s = a + c and the eigenvalues ``params.soc_eigenvalues`` returns.  Bound by
+  comparing ``hamiltonian_entries`` and ``analytic_spectrum_soc`` with the
+  proved matrix, and with the vectors and eigenvalues evaluated to 40 digits.
 """
 
 import math
@@ -21,7 +26,7 @@ import mpmath
 import numpy as np
 import sympy as sp
 
-from pbrlab.hamiltonian import analytic_spectrum_xyz, hamiltonian_entries
+from pbrlab.hamiltonian import analytic_spectrum_soc, analytic_spectrum_xyz, hamiltonian_entries
 from pbrlab.params import CouplingSet, constraint, mixing_angle
 
 t, d, theta = sp.symbols("t d theta", positive=True)
@@ -119,3 +124,41 @@ def test_exchange_spectrum_code_matches_the_proof():
         assert max(abs(x - y) for x, y in zip(spectrum.eigenvalues, energies(a, b, c))) <= tol
         for e, value in zip(spectrum.eigenvectors, spectrum.eigenvalues):
             assert np.max(np.abs(h @ np.array(e.vector) - value * np.array(e.vector))) <= tol
+
+
+H_SOC = H_XYZ + d_nonzero * (sp.kronecker_product(_X, _Z) - sp.kronecker_product(_Z, _X))
+ROOT_SOC = sp.sqrt((A + C) ** 2 + 4 * d_nonzero**2)
+TAN_ALPHA = (A + C + ROOT_SOC) / (2 * d_nonzero)
+#: e'3 and e'4 over cos α / √2, since cos α (1, tan α, −tan α, 1) = (cos α, sin α, −sin α, cos α).
+MIXED = (sp.Matrix([1, TAN_ALPHA, -TAN_ALPHA, 1]), sp.Matrix([-TAN_ALPHA, 1, -1, -TAN_ALPHA]))
+#: (Φ⁻, Ψ⁺, e'3, e'4) with their eigenvalues.  Both mixed vectors have norm √(2 (1 + tan² α)).
+SOC_VECTORS = (BELL[1], BELL[2], *(v / sp.sqrt(2 * (1 + TAN_ALPHA**2)) for v in MIXED))
+E_SOC = (-A + B + C, A + B - C, -B - ROOT_SOC, -B + ROOT_SOC)
+
+
+def test_spin_orbit_eigenvectors():
+    # Scaling leaves an eigenvector one, so the unnormalized mixed vectors stand for e'3 and e'4;
+    # times 2d their residuals are polynomials in a, b, c, d and the root, whose square sympy reduces.
+    for vector, energy in zip((BELL[1], BELL[2], *MIXED), E_SOC):
+        assert sp.expand(2 * d_nonzero * (H_SOC * vector - energy * vector)) == sp.zeros(4, 1)
+
+
+def test_spin_orbit_spectrum_code_matches_the_proof():
+    args = (A, B, C, d_nonzero)
+    matrix = sp.lambdify(args, H_SOC, "numpy")
+    proved = sp.lambdify(args, (E_SOC, SOC_VECTORS), "mpmath")
+    draw = random.Random(1111_3328)
+    with mpmath.workdps(40):
+        for _ in range(50):
+            scale = _log_uniform(draw)
+            a, b, c, d = (scale * draw.uniform(-1.0, 1.0) for _ in range(4))
+            tol = 1e-14 * scale  # relative to the couplings' scale, as for the exchange spectrum
+            h = hamiltonian_entries(a, b, c, d)
+            assert np.max(np.abs(h - np.array(matrix(a, b, c, d), dtype=complex))) <= tol
+            energies, vectors = proved(*map(mpmath.mpf, (a, b, c, d)))
+            spectrum = analytic_spectrum_soc(CouplingSet(a, b, c, d), gap_tol=0.0)
+            code_vectors = np.array([e.vector for e in spectrum.eigenvectors])
+            assert np.max(np.abs(code_vectors - np.array([[complex(x) for x in v] for v in vectors]))) <= 1e-15
+            assert max(abs(x - float(y)) for x, y in zip(spectrum.eigenvalues, energies)) <= tol
+            for e, value in zip(code_vectors, spectrum.eigenvalues):
+                assert np.max(np.abs(h @ e - value * e)) <= tol
