@@ -62,7 +62,7 @@ from .qstate import (
 )
 # run_uniforms is unused here; perfbench's tracer test asserts this binding.
 from .rng import (  # noqa: F401
-    KEPT_TOP_BITS, least_word, mix_head, mix_tail, run_uniforms, state, state_steps, validate_seed
+    KEPT_TOP_BITS, UNIFORM_SHIFT, least_word, mix_head, mix_tail, run_uniforms, state, state_steps, validate_seed
 )
 
 if TYPE_CHECKING:
@@ -326,30 +326,38 @@ class TallyTable:
 #: Runs tallied per block: the kernel's memory is O(_BLOCK) whatever n_runs is.
 _BLOCK = 1 << 16
 
-#: 2^64: every row's top key, which no unflipped run reaches.
+#: 2^64: every row's top word threshold, which no word reaches.
 _KEY_END = 1 << 64
 
-#: Key of a run whose outcome the noise replaced: at or above every key below _KEY_END.
-_FLIPPED_KEY = _KEY_END - 1
+#: A run's key is _KEY_BASE + (p << _PREP_SHIFT) + (z >> UNIFORM_SHIFT) for outcome word z
+#: and preparation p (0 under round-robin): the bit pattern of a positive normal float64.
+_PREP_SHIFT = 64 - UNIFORM_SHIFT
+_KEY_BASE = 1 << 61
+
+#: Key of a run whose outcome the noise replaced: at or above every key and threshold.
+_FLIPPED_KEY = (1 << 62) - 1
 
 
-def _cell_keys(born: np.ndarray) -> list[list[int]]:
-    """Each Born row's four word thresholds: row p's outcome word z gives outcome k when key k-1 <= z < key k.
+def _cell_keys(born: np.ndarray, policy: PrepPolicy) -> list[list[int]]:
+    """The keys of each row that :func:`_tally_chunk` tallies: a run gives cell k when key k-1 <= its key < key k.
 
-    Key k of row p is :func:`~pbrlab.rng.least_word` of cum[p, k], the row's
-    running sum, so z lies below it exactly when z's uniform u lies below
-    cum[p, k], and the outcome is searchsorted(cum[p], u, side="right");
-    side="right" keeps a zero-probability outcome unreachable even when a
-    draw lands exactly on a cumulative boundary.  Keys from the last live
-    outcome (highest nonzero Born weight) on are 2^64, above every word:
-    rounding can leave cum[p, -1] a hair under 1, and such draws belong to
-    the last live outcome.
+    Key k of preparation p keys, as an outcome word is keyed, the threshold
+    :func:`~pbrlab.rng.least_word` of cum[p, k], the row's running sum: a word
+    lies below it exactly when its uniform u lies below cum[p, k], and the
+    outcome is searchsorted(cum[p], u, side="right"), which keeps a
+    zero-probability outcome unreachable even when u lands exactly on a
+    cumulative boundary.  Thresholds from the last live outcome (highest
+    nonzero Born weight) on are 2^64, above every word: rounding can leave
+    cum[p, -1] a hair under 1, and such draws belong to the last live outcome.
+    Uniform has one row of all 16 cells, round-robin a row per preparation.
     """
+    uniform = policy is PrepPolicy.UNIFORM
     keys = []
-    for row in born:
+    for p, row in enumerate(born):
         last_live = max(k for k, weight in enumerate(row) if weight)
-        keys.append([least_word(c) if k < last_live else _KEY_END for k, c in enumerate(itertools.accumulate(row))])
-    return keys
+        words = [least_word(c) if k < last_live else _KEY_END for k, c in enumerate(itertools.accumulate(row))]
+        keys.append([_KEY_BASE + ((p if uniform else 0) << _PREP_SHIFT) + (t >> UNIFORM_SHIFT) for t in words])
+    return [[t for row in keys for t in row]] if uniform else keys
 
 
 def _tally_chunk(
@@ -369,11 +377,12 @@ def _tally_chunk(
     their own, draw d at counter 16j + 4p + d, so each preparation is a row
     tallied alone.  Uniform runs form one row that meets all four rows' keys.
     A run is compared once with each distinct key of its row strictly between
-    0 and the row's top key: every run reaches key 0, and only the flipped
-    runs, whose key is _FLIPPED_KEY, reach the top.
+    _KEY_BASE and the row's top key: every run reaches _KEY_BASE, and only
+    the flipped runs, whose key is _FLIPPED_KEY, reach the top.
 
     Three exact identities of splitmix64 (see :mod:`pbrlab.rng`) let each
-    draw compute only the bits it is read for, with every tally bit unchanged:
+    draw compute only the bits it is read for, and the last, with one of
+    IEEE 754, lets compares run on floats, with every tally bit unchanged:
 
     - One Weyl state per run.  The states of a run's draws differ by d·γ,
       and a row's runs lie a fixed counter stride apart, so a block's states
@@ -387,21 +396,22 @@ def _tally_chunk(
       runs, are finished and tested exactly; all runs are candidates once
       that bound reaches 2^64 (eps within about 2^-31 of 1).
     - A uniform is at least c exactly when its word is at least
-      least_word(c), so outcome words are compared whole with the
-      :func:`_cell_keys` thresholds.  A round-robin run's key is z1, against
-      its row's thresholds as they are.  A uniform run's key is z0's top 2
-      bits, then z1 >> 2, against (p << 62) + (threshold >> 2): thresholds
-      are multiples of 2^11, so the order is the lexicographic one of
-      (p, z1) against (p, threshold).  Both put the top key of each row at
-      2^64, above any word.  Every compare writes into one reused bool
-      buffer.
+      least_word(c), a multiple of 2^11, so exactly when z1 >> 11 is at
+      least least_word(c) >> 11.  A run's key is _KEY_BASE = 2^61 plus its
+      preparation's 2 bits (0 under round-robin) above z1 >> 11, and each
+      threshold is keyed alike, so keys order as (p, z1) against
+      (p, threshold).  Every key, threshold and _FLIPPED_KEY lies in
+      [2^61, 2^62), the bit pattern of a positive normal finite float64,
+      and such floats order as their bit patterns do as integers: each
+      compare reads the key buffer through a float64 view, meets no NaN or
+      subnormal, and writes into one reused bool buffer.
     """
     import numpy as np
 
-    keys = _cell_keys(born)
+    keys = _cell_keys(born, policy)
     if policy is PrepPolicy.UNIFORM:
         stride = _DRAWS_PER_RUN
-        rows = [(0, lo, hi, [(p << 62) + (key >> 2) for p, row_keys in enumerate(keys) for key in row_keys])]
+        rows = [(0, lo, hi, keys[0])]
     else:
         # Row p holds runs 4j + p in [lo, hi): j in [ceil((lo - p) / 4), ceil((hi - p) / 4)).
         stride = 4 * _DRAWS_PER_RUN
@@ -418,24 +428,25 @@ def _tally_chunk(
     hit = np.empty(size, dtype=bool)
     counts = np.zeros(16, dtype=np.int64)
     for p, first, end, row_keys in rows:
-        at_least = dict.fromkeys({t for t in row_keys if 0 < t < _KEY_END}, 0)  # runs whose key is >= t
+        at_least = dict.fromkeys({t for t in row_keys if _KEY_BASE < t < row_keys[-1]}, 0)  # runs whose key is >= t
+        limits = np.array(list(at_least), dtype=np.uint64).view(np.float64)
         flipped = np.zeros(len(row_keys), dtype=np.int64)  # flipped runs by their new cell
         base = stride * first + _DRAWS_PER_RUN * p  # counter of the block's first draw 0
         for start in range(first, end, _BLOCK):
             n = min(_BLOCK, end - start)
             s, k, zn, w, h = steps[:n], key[:n], z[:n], work[:n], hit[:n]
+            kf = k.view(np.float64)
 
             def draw(d, out):
                 return mix_head(np.add(s, np.uint64(state(seed, base + d)), out=out), w)
 
+            mix_tail(draw(1, k), w)
+            k >>= np.uint64(UNIFORM_SHIFT)
+            k |= np.uint64(_KEY_BASE)
             if policy is PrepPolicy.UNIFORM:
-                draw(0, k)
-                k &= np.uint64(3 << 62)
-                mix_tail(draw(1, zn), w)
-                zn >>= np.uint64(2)
+                np.right_shift(draw(0, zn), np.uint64(62), out=zn)
+                zn <<= np.uint64(_PREP_SHIFT)
                 k |= zn
-            else:
-                mix_tail(draw(1, k), w)
             if flip_end:
                 np.less_equal(draw(2, zn), last_candidate, out=h)
                 candidates = np.flatnonzero(h)
@@ -444,15 +455,15 @@ def _tally_chunk(
                 replaced = s[flips] + np.uint64(state(seed, base + 3))
                 cells = mix_head(replaced, w[: len(flips)]) >> np.uint64(62)
                 if policy is PrepPolicy.UNIFORM:
-                    cells |= k[flips] >> np.uint64(62) << np.uint64(2)
+                    cells |= (k[flips] >> np.uint64(_PREP_SHIFT) & np.uint64(3)) << np.uint64(2)
                 flipped += np.bincount(cells.astype(np.intp), minlength=len(row_keys))
                 k[flips] = _FLIPPED_KEY
-            for threshold in at_least:
-                np.greater_equal(k, np.uint64(threshold), out=h)
+            for threshold, limit in zip(at_least, limits):
+                np.greater_equal(kf, limit, out=h)
                 at_least[threshold] += np.count_nonzero(h)
             base += stride * _BLOCK
         n_row = end - first
-        reached = [n_row if t == 0 else flipped.sum() if t == _KEY_END else at_least[t] for t in row_keys]
+        reached = [n_row if t == _KEY_BASE else flipped.sum() if t == row_keys[-1] else at_least[t] for t in row_keys]
         # Unflipped runs in cell c lie at or above row_keys[c - 1] and below row_keys[c].
         counts[4 * p : 4 * p + len(row_keys)] = flipped - np.diff(reached, prepend=n_row)
     return counts.reshape(4, 4)

@@ -21,10 +21,10 @@ this module's pieces:
   bits, so the tail leaves them alone: a word before its tail has the
   output's top ``KEPT_TOP_BITS`` = 31 bits.  A test on those bits alone can
   skip the tail.
-- A uniform is (z >> 11)·2^-53, and z >> 11 >= c exactly when z >= c·2^11
-  for any c <= 2^53, so a threshold on the uniform is a threshold on the
-  whole word: a word's uniform is at least u exactly when the word is at
-  least :func:`least_word` ``(u)``.
+- A uniform is (z >> 11)·2^-53 (``UNIFORM_SHIFT`` = 11), and z >> 11 >= c
+  exactly when z >= c·2^11 for any c <= 2^53, so a threshold on the uniform
+  is one on the whole word: a word's uniform is at least u exactly when the
+  word is at least :func:`least_word` ``(u)``, a multiple of 2^11.
 
 The scalar path is plain Python; only the vectorized functions import numpy,
 when they run.
@@ -47,6 +47,9 @@ _MIX_B = 0x94D049BB133111EB
 
 #: Top bits of a word that the mix's last xorshift, z ^= z >> 31, leaves alone.
 KEPT_TOP_BITS = 31
+
+#: Low bits of a word that its uniform drops: u = (z >> UNIFORM_SHIFT)·2^-53.
+UNIFORM_SHIFT = 11
 
 # Two uint64 outputs per double would waste half the stream; one 53-bit
 # mantissa per uint64 matches the usual convention.
@@ -82,7 +85,7 @@ def validate_seed(seed: int) -> int:
 def uniform(seed: int, run_index: int, draw_index: int, draws_per_run: int) -> float:
     """Draw j of run i, as a float in [0, 1). Scalar reference path."""
     counter = run_index * draws_per_run + draw_index
-    return (splitmix64(seed, counter) >> 11) * _INV_2_53
+    return (splitmix64(seed, counter) >> UNIFORM_SHIFT) * _INV_2_53
 
 
 def least_word(u: float) -> int:
@@ -90,7 +93,7 @@ def least_word(u: float) -> int:
 
     Scaling by 2^53 is exact, so ceil(u·2^53) is the least reachable z >> 11.
     """
-    return min(math.ceil(u * _UNIFORMS), _UNIFORMS) << 11
+    return min(math.ceil(u * _UNIFORMS), _UNIFORMS) << UNIFORM_SHIFT
 
 
 def state_steps(step: int, n: int) -> np.ndarray:
@@ -140,4 +143,4 @@ def run_uniforms(seed: int, run_lo: int, run_hi: int, draws_per_run: int) -> np.
     z += np.uint64(state(seed, run_lo * draws_per_run))
     work = np.empty_like(z)
     mix_tail(mix_head(z, work), work)
-    return (z >> np.uint64(11)).astype(np.float64).reshape(n, draws_per_run) * _INV_2_53
+    return (z >> np.uint64(UNIFORM_SHIFT)).astype(np.float64).reshape(n, draws_per_run) * _INV_2_53

@@ -168,3 +168,13 @@ def test_rng_is_the_one_owner_of_the_uniform_scale():
     """Only rng.py holds 2^53 or 2^-53, as 1 << 53, 2**53, 2.0**-53 or a plain literal;
     other modules turn a uniform into a word threshold with ``rng.least_word``."""
     _assert_rng_alone_holds(UNIFORM_SCALES)
+
+
+def test_rng_is_the_one_owner_of_the_uniform_shift():
+    """Only rng.py holds 11, the low bits a word's uniform drops, which make each
+    ``rng.least_word`` a multiple of 2^11; the tally kernel keys words and
+    thresholds with ``rng.UNIFORM_SHIFT``."""
+    from pbrlab import rng
+
+    assert rng.UNIFORM_SHIFT == 11
+    _assert_rng_alone_holds({rng.UNIFORM_SHIFT})

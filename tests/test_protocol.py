@@ -1,11 +1,14 @@
 """Protocol assembly, Born statistics, and simulation contracts."""
 
 import bisect
+import itertools
 import math
 import os
 import random
 import re
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +33,9 @@ from pbrlab import protocol, rng
 from pbrlab.params import CONSTRAINT_ATOL
 from pbrlab.protocol import DEFAULT_B_CANDIDATES, default_couplings
 from pbrlab.rng import splitmix64, uniform
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import SimLarge  # noqa: E402
 
 XYZ_COUPLINGS = CouplingSet(1, 2, 3)
 
@@ -224,6 +230,15 @@ EDGE_ROWS = (
     (1.0, 0.0, 0.0, 0.0),
 )
 
+#: Rows whose running sums below 1/2 lie off the 2^-53 grid, where ceil and
+#: floor of cum·2^53 differ (every double in [1/2, 1) lies on it).
+OFF_GRID_ROWS = (
+    (0.1, 0.2, 0.3, 0.4),
+    (0.3, 0.1, 0.0, 0.6),
+    (0.05, 0.0, 0.15, 0.8),
+    (0.2, 0.2, 0.2, 0.4),
+)
+
 
 class BornRows:
     """Stand-in instance with hand-picked Born rows for the kernel's edge cases."""
@@ -369,6 +384,53 @@ class TestSimulate:
             expected = reference_tallies(BornRows(), {3, 333}, seed, noise, policy)
             got = protocol._tally_chunk(3, 333, seed, born, noise, PrepPolicy(policy))
             assert np.array_equal(got, np.subtract(expected[333], expected[3])), seed
+
+    @pytest.mark.parametrize("rows", [EDGE_ROWS, OFF_GRID_ROWS], ids=["edge-rows", "off-grid-rows"])
+    @pytest.mark.parametrize("policy", ["uniform", "roundrobin"])
+    @pytest.mark.parametrize("noise", [0.0, 1.0])
+    def test_outcome_words_at_thresholds_and_row_edges(self, rows, policy, noise):
+        # Each case puts run i's outcome word on a word threshold of its
+        # preparation's row, one below it, on the row's largest word, or on
+        # word 0.  Under uniform the largest word of row p and word 0 of row
+        # p + 1 are neighbouring keys.  Noise 1.0 flips every run, so its new
+        # cell reads the preparation back off the key.
+        inst = BornRows(rows)
+        cases = [(p, word, step) for p in range(4) for word, step in ((0, 1), (2**64 - 1, -1))]
+        for p, row in enumerate(rows):
+            thresholds = {rng.least_word(c) for c in itertools.accumulate(row)} - {0, 2**64}
+            cases += [(p, word, step) for t in sorted(thresholds) for word, step in ((t, 1), (t - 1, -1))]
+        for prep, word, step in cases:
+            i = prep if policy == "roundrobin" else 5
+            # A seed fixes run i's preparation word along with its outcome
+            # word, so under uniform the outcome word steps away from the
+            # threshold, within the 2^11 words of one uniform, until run i
+            # has the case's preparation.
+            for near in range(word, word + step * 2**11, step):
+                seed = seed_for_output(4 * i + 1, near)
+                if policy == "roundrobin" or splitmix64(seed, 4 * i) >> 62 == prep:
+                    break
+            else:
+                pytest.fail(f"no word near {word} gives run {i} preparation {prep}")
+            assert near >> 11 == word >> 11 and splitmix64(seed, 4 * i + 1) == near
+            expected = reference_tallies(inst, {i, i + 1}, seed, noise, policy)
+            got = protocol._tally_chunk(i, i + 1, seed, inst.born_matrix(), noise, PrepPolicy(policy))
+            assert np.array_equal(got, np.subtract(expected[i + 1], expected[i])), (prep, word)
+
+    @pytest.mark.parametrize("policy", list(PrepPolicy))
+    def test_keys_are_positive_normal_floats(self, policy):
+        # The kernel compares keys through a float64 view, which orders them
+        # as integers only while they are positive, finite and normal: a
+        # subnormal would read as 0 where the CPU flushes denormals to zero.
+        rnd = random.Random(20260229)
+        borns = [EDGE_ROWS] + [born for seed in (0, 7, 31) for born in SimLarge(seed, n_runs=1).born]
+        for _ in range(20):
+            weights = [[rnd.random() ** 4 * rnd.randrange(2) for _ in range(4)] for _ in range(4)]
+            borns.append([[w / sum(row) for w in row] if any(row) else [0.0, 1.0, 0.0, 0.0] for row in weights])
+        for born in borns:
+            keys = [t for row in protocol._cell_keys(np.array(born), policy) for t in row]
+            floats = np.array([*keys, protocol._FLIPPED_KEY], dtype=np.uint64).view(np.float64)
+            assert np.all(np.isfinite(floats)) and np.all(floats >= np.finfo(float).tiny), born
+            assert max(keys) <= protocol._FLIPPED_KEY
 
     @pytest.mark.parametrize(
         "policy, noise", [("uniform", 0.04), ("roundrobin", 0.0), ("roundrobin", 0.04), ("roundrobin", 1.0)]
