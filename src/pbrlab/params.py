@@ -1,7 +1,8 @@
 """Parameters and closed-form scalars that need no array library.
 
 The pair's overlap parameters, the coupling set, the closed-form eigenvalues
-and mixing angle, the one gap rule, the spin-orbit constraint and its level,
+and mixing angle, the one tolerance rule (finite and >= 0, checked wherever a
+tolerance is used), the one gap rule, the spin-orbit constraint and its level,
 the variant and preparation-policy choices, the noise-robust overlap bound
 and the verify-all defaults.  This module writes the ``matrix k of n:``
 prefix of a stack, the overflow message, and both degeneracy messages (a gap
@@ -166,21 +167,25 @@ def _gaps(values, labels) -> dict[tuple[str, str], float]:
     return {(labels[i], labels[j]): abs(values[i] - values[j]) for i in range(4) for j in range(i + 1, 4)}
 
 
+def _check_tolerance(name: str, value: float) -> None:
+    if not 0.0 <= value < math.inf:
+        raise ValidationError(f"{name} must be finite and >= 0, got {value!r}")
+
+
 def _check_gaps(values, labels, gap_tol: float, k: int = 0, n: int = 1) -> None:
-    """Raise unless the four values are finite and pairwise ``gap_tol`` apart.
+    """Raise unless ``gap_tol`` is a tolerance and the four values are finite and that far apart.
 
     A message names matrix ``k`` of an ``n``-stack (:func:`_which`).  A
     passing set is let through before any message is built.
     """
     w, x, y, z = values
     finite = math.isfinite(w) and math.isfinite(x) and math.isfinite(y) and math.isfinite(z)
-    if finite and min(abs(w - x), abs(w - y), abs(w - z), abs(x - y), abs(x - z), abs(y - z)) >= gap_tol:
+    if finite and 0.0 <= gap_tol <= min(abs(w - x), abs(w - y), abs(w - z), abs(x - y), abs(x - z), abs(y - z)):
         return
+    _check_tolerance("gap_tol", gap_tol)
     overflowing = [f"{lab} = {val!r}" for lab, val in zip(labels, values) if not math.isfinite(val)]
     if overflowing:
         raise NonFiniteError(f"{_which(k, n)}spectrum overflows: {', '.join(overflowing)}")
-    if gap_tol <= 0.0:
-        return
     colliding = tuple(pair for pair, gap in _gaps(values, labels).items() if gap < gap_tol)
     if colliding:
         detail = ", ".join(

@@ -50,7 +50,8 @@ from .hamiltonian import (
     pair_spectra,
 )
 from .params import (
-    CONSTRAINT_ATOL, GAP_TOL, ORTHO_ATOL, CouplingSet, OverlapParams, PrepPolicy, Variant, _unpaired, constraint
+    CONSTRAINT_ATOL, GAP_TOL, ORTHO_ATOL, CouplingSet, OverlapParams, PrepPolicy, Variant, _check_tolerance,
+    _unpaired, constraint,
 )
 from .qstate import (
     JointState,
@@ -250,11 +251,13 @@ def make_protocol(
 ) -> ProtocolInstance:
     """Assemble and verify a protocol instance.
 
-    Raises :class:`ConstraintError` when the spin-orbit couplings miss
+    Raises :class:`ValidationError` for a tolerance that is not finite and
+    >= 0, and :class:`ConstraintError` when the spin-orbit couplings miss
     cos(alpha + theta) = 0 by more than ``CONSTRAINT_ATOL``, or when any
     forbidden-outcome overlap exceeds ``ortho_atol``; degeneracy errors from
     the spectrum propagate.
     """
+    _check_tolerance("ortho_atol", ortho_atol)
     inst = _assemble(variant, params, couplings, gap_tol)
     residual = inst.constraint_residual
     if residual is not None and residual > CONSTRAINT_ATOL:
@@ -519,5 +522,7 @@ def simulate(
                 for lo, hi in chunks
             ]
             total = sum(fut.result() for fut in futures)
+    if (total < 0).any() or total.sum() != n_runs:  # a kernel fault, not the caller's input
+        raise LogicError(f"tally kernel returned counts {total.tolist()} for {n_runs} runs")
     return TallyTable(inst, tuple(tuple(int(x) for x in row) for row in total))
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import protocol, rng
 from .coupling_solver import solve_by_root_finding, solve_closed_form
-from .errors import DegeneracyError, PbrlabError
+from .errors import DegeneracyError, PbrlabError, ValidationError
 from .hamiltonian import Spectrum, bell_states, evolve, numeric_spectrum
 from .ontology import (
     Relation,
@@ -398,7 +398,12 @@ def check_determinism(seed: int, n_runs: int = 50_000) -> CheckResult:
 
 
 def run_all(seed: int = VERIFY_SEED, n_runs: int = VERIFY_RUNS, n_workers: int = 1) -> tuple[str, bool]:
-    """Execute every check; returns (report text, all passed)."""
+    """Execute every check; returns (report text, all passed).  Bad sizes or seeds raise before any check runs."""
+    protocol._check_count("n_runs", n_runs)
+    if n_runs < 4:
+        raise ValidationError(f"n_runs must be >= 4 so every preparation gets a run, got {n_runs}")
+    protocol._check_count("n_workers", n_workers)
+    rng.validate_seed(seed)
     checks = [
         check_xyz_spectrum(seed),
         check_soc_spectrum(seed),

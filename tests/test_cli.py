@@ -13,7 +13,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from pbrlab import NonFiniteError, cli, verify
+from pbrlab import NonFiniteError, cli
 from pbrlab.cli import main
 from pbrlab.verify import CheckResult, check_simulation_stats
 
@@ -120,13 +120,13 @@ class TestExitCodes:
             (["run", "--variant", "xyz", "--theta", "1", "--runs", "10", "--seed", "1", "--gap-tol", "nan"],
              "gap_tol"),
             (["run", "--variant", "xyz", "--theta", "1", "--runs", "10", "--seed", "1", "--ortho-tol", "nan"],
-             "ortho_tol"),
+             "ortho_atol"),
             (["spectrum", "--variant", "xyz", "--a", "1", "--b", "2", "--c", "3", "--gap-tol", "inf"], "gap_tol"),
             (["solve", "--theta", "0.7", "--d", "1", "--split", "2", "--gap-tol=-inf"], "gap_tol"),
             (["run", "--variant", "xyz", "--theta", "1", "--a", "1", "--b", "1", "--c", "1",
               "--runs", "10", "--seed", "1", "--gap-tol", "-1"], "gap_tol"),
             (["run", "--variant", "xyz", "--theta", "1", "--runs", "10", "--seed", "1", "--ortho-tol", "-1"],
-             "ortho_tol"),
+             "ortho_atol"),
             (["spectrum", "--variant", "xyz", "--a", "1", "--b", "2", "--c", "3", "--gap-tol=-1e-300"],
              "gap_tol"),
         ],
@@ -134,9 +134,10 @@ class TestExitCodes:
              "run-gap-tol-negative", "run-ortho-tol-negative", "spectrum-gap-tol-negative"],
     )
     def test_non_finite_tolerance_is_two(self, capsys, argv, field):
+        # The library names its parameter: --ortho-tol reaches make_protocol as ortho_atol.
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
-        assert out == "" and f"'{field}'" in err and "Traceback" not in err
+        assert out == "" and f"error: {field} must be finite and >= 0, got " in err and "Traceback" not in err
 
     @pytest.mark.parametrize("method", ["closed-form", "bisection"])
     def test_overflowing_coupling_sum_is_three(self, capsys, method):
@@ -222,17 +223,16 @@ class TestExitCodes:
         [
             (["run", "--variant", "xyz", "--theta", "1.0", "--runs", "3", "--seed", "1", "--noise", "1",
               "--format", "json"], "no runs prepared u*u, v*vbar:"),
-            (["verify-all", "--runs", "1"], "field 'runs': must be >= 4"),
-            (["verify-all", "--runs", "3"], "field 'runs': must be >= 4"),
-            (["verify-all", "--workers", "0"], "field 'workers': must be >= 1"),
+            (["verify-all", "--runs", "1"], "n_runs must be >= 4 so every preparation gets a run, got 1"),
+            (["verify-all", "--runs", "3"], "n_runs must be >= 4 so every preparation gets a run, got 3"),
+            (["verify-all", "--workers", "0"], "n_workers must be >= 1, got 0"),
         ],
         ids=["run", "verify-all-1-run", "verify-all-3-runs", "verify-all-0-workers"],
     )
-    def test_preparation_without_runs_is_two(self, capsys, monkeypatch, argv, message):
-        sweeps = []
-        monkeypatch.setattr(verify, "run_all", lambda **kwargs: sweeps.append(kwargs))
+    def test_preparation_without_runs_is_two(self, capsys, check_calls, argv, message):
+        # run_all checks its own sizes: no check of the sweep may run first.
         code, out, err = run_cli(capsys, *argv)
-        assert code == 2 and sweeps == []
+        assert code == 2 and check_calls == []
         assert out == "" and f"error: {message}" in err and "Traceback" not in err
 
     @pytest.mark.parametrize(

@@ -123,6 +123,24 @@ def test_params_is_the_one_writer_of_the_degeneracy_message():
     assert writers == []
 
 
+def test_cli_raises_validation_errors_only_for_its_own_shapes():
+    """cli.py parses, calls and renders; the library checks the values it is given.
+
+    Three functions own a CLI shape and raise ``ValidationError`` for it:
+    ``_config_flags`` the config file, ``_couplings`` all-or-none couplings,
+    ``main`` the ``--config`` spelling.  A tolerance or a sweep size is the
+    library's to check."""
+    raisers = sorted(
+        node.name
+        for node in _package_sources()["cli"].body
+        if isinstance(node, ast.FunctionDef)
+        for raised in ast.walk(node)
+        if isinstance(raised, ast.Raise)
+        and any(isinstance(n, ast.Name) and n.id == "ValidationError" for n in ast.walk(raised))
+    )
+    assert sorted(set(raisers)) == ["_config_flags", "_couplings", "main"]
+
+
 def _numbers(tree: ast.Module):
     """(line, value) of each number that literals and operators alone make, such as 1 << 53."""
 

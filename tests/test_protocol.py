@@ -17,6 +17,7 @@ from pbrlab import (
     ConstraintError,
     CouplingSet,
     DegeneracyError,
+    LogicError,
     OverlapParams,
     PrepPolicy,
     TallyTable,
@@ -29,7 +30,7 @@ from pbrlab import (
     simulate,
     solve_closed_form,
 )
-from pbrlab import protocol, rng
+from pbrlab import cli, protocol, rng
 from pbrlab.params import CONSTRAINT_ATOL
 from pbrlab.protocol import DEFAULT_B_CANDIDATES, default_couplings
 from pbrlab.rng import splitmix64, uniform
@@ -548,6 +549,28 @@ class TestSimulate:
         kwargs.setdefault("seed", 1)
         with pytest.raises(ValidationError, match=match):
             simulate(inst, kwargs.pop("n_runs"), **kwargs)
+
+    @pytest.mark.parametrize("fault", ["a negative cell", "one run short"])
+    def test_a_broken_kernel_is_a_logic_error_not_an_input_error(self, monkeypatch, capsys, fault):
+        real = protocol._tally_chunk
+
+        def broken(*args):
+            counts = real(*args)
+            if fault == "a negative cell":  # the total stays n_runs
+                counts[0, 1] += counts[0, 0] + 1
+                counts[0, 0] = -1
+            else:
+                counts[0, 0] -= 1
+            return counts
+
+        monkeypatch.setattr(protocol, "_tally_chunk", broken)
+        with pytest.raises(LogicError, match="tally kernel returned counts .* for 1000 runs"):
+            simulate(xyz_instance(), 1000, seed=1)
+        argv = ["run", "--variant", "xyz", "--theta", "1", "--runs", "1000", "--seed", "1"]
+        capsys.readouterr()
+        assert cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("internal verification failure: tally kernel returned counts")
 
     def test_policy_changes_assignment_not_statistics(self):
         inst = xyz_instance()

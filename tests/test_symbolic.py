@@ -17,6 +17,17 @@
   s = a + c and the eigenvalues ``params.soc_eigenvalues`` returns.  Bound by
   comparing ``hamiltonian_entries`` and ``analytic_spectrum_soc`` with the
   proved matrix, and with the vectors and eigenvalues evaluated to 40 digits.
+- Each exchange preparation is orthogonal to exactly one Bell state,
+  identically in θ and φ: u⊗u to Ψ⁻ (e4), u⊗vbar to Φ⁻ (e2), v⊗u to Ψ⁺ (e3)
+  and v⊗vbar to Φ⁺ (e1).  Bound by comparing ``build_pair_xyz``, the
+  instance's preparations, ``protocol.analytic_spectrum`` and
+  ``ProtocolInstance.forbidden`` with the proof, and by
+  ``forbidden_residuals`` at most 1e-14.
+- Each spin-orbit preparation is orthogonal to exactly one of Φ⁻, Ψ⁺, e'3,
+  e'4 at α = π/2 − θ: u⊗u to Ψ⁺ (e'2) and v⊗w to Φ⁻ (e'1) identically, while
+  u⊗w meets e'4 and v⊗u meets e'3 with overlap e^{−iφ} cos(α + θ)/√2.
+  Bound as the exchange map is, on closed-form couplings, and off the
+  constraint surface by residuals equal to |cos(α + θ)|/√2.
 """
 
 import math
@@ -26,8 +37,11 @@ import mpmath
 import numpy as np
 import sympy as sp
 
+from pbrlab import protocol
+from pbrlab.coupling_solver import solve_closed_form
 from pbrlab.hamiltonian import analytic_spectrum_soc, analytic_spectrum_xyz, hamiltonian_entries
-from pbrlab.params import CouplingSet, constraint, mixing_angle
+from pbrlab.params import CouplingSet, OverlapParams, Variant, constraint, mixing_angle
+from pbrlab.qstate import build_pair_soc, build_pair_xyz
 
 t, d, theta = sp.symbols("t d theta", positive=True)
 S = d * (1 / t - t)
@@ -162,3 +176,105 @@ def test_spin_orbit_spectrum_code_matches_the_proof():
             assert max(abs(x - float(y)) for x, y in zip(spectrum.eigenvalues, energies)) <= tol
             for e, value in zip(code_vectors, spectrum.eigenvalues):
                 assert np.max(np.abs(h @ e - value * e)) <= tol
+
+
+PHI = sp.Symbol("phi", real=True)
+ALPHA = sp.Symbol("alpha", real=True)
+PHASE = sp.exp(-sp.I * PHI)
+HALF_COS, HALF_SIN = sp.cos(theta / 2), sp.sin(theta / 2)
+#: (u, v, vbar) of the Bloch-plane family and (u, v, w) of the spin-orbit family, as column vectors.
+PAIR_XYZ = (
+    PHASE * sp.Matrix([HALF_COS, -HALF_SIN]), sp.Matrix([HALF_COS, HALF_SIN]), sp.Matrix([-HALF_SIN, HALF_COS])
+)
+PAIR_SOC = (
+    PHASE * sp.Matrix([1, 0]), sp.Matrix([sp.cos(theta), sp.sin(theta)]), sp.Matrix([sp.sin(theta), sp.cos(theta)])
+)
+#: (Φ⁻, Ψ⁺, e'3, e'4) at mixing angle α.
+SOC_BASIS = (
+    BELL[1], BELL[2],
+    sp.Matrix([sp.cos(ALPHA), sp.sin(ALPHA), -sp.sin(ALPHA), sp.cos(ALPHA)]) / sp.sqrt(2),
+    sp.Matrix([-sp.sin(ALPHA), sp.cos(ALPHA), -sp.cos(ALPHA), -sp.sin(ALPHA)]) / sp.sqrt(2),
+)
+ON_CONSTRAINT = {ALPHA: sp.pi / 2 - theta}
+#: The index of each preparation's forbidden outcome, in preparation order, as the proofs derive it.
+XYZ_FORBIDDEN = [3, 1, 2, 0]  # (e4, e2, e3, e1)
+SOC_FORBIDDEN = [1, 3, 2, 0]  # (e'2, e'4, e'3, e'1)
+
+
+def _preparations(pair):
+    """u⊗u, u⊗companion, v⊗u, v⊗companion: a protocol's preparations in its label order."""
+    u, v, companion = pair
+    return [sp.kronecker_product(x, y) for x, y in ((u, u), (u, companion), (v, u), (v, companion))]
+
+
+def _overlap(outcome, prep):
+    """⟨outcome|prep⟩ for a real outcome vector, with its trigonometry expanded."""
+    return sp.expand(sp.expand_trig((outcome.T * prep)[0]))
+
+
+def _orthogonal_outcome(prep, basis) -> int:
+    """The index of the one basis vector orthogonal to ``prep``; fails unless exactly one is."""
+    zeros = [k for k, outcome in enumerate(basis) if _overlap(outcome, prep) == 0]
+    assert len(zeros) == 1, zeros
+    return zeros[0]
+
+
+def test_exchange_forbidden_overlaps_vanish_identically():
+    # Every overlap is a polynomial in cos(θ/2), sin(θ/2) and e^{-iφ}; each forbidden one is cs - sc.
+    forbidden = [_orthogonal_outcome(prep, BELL) for prep in _preparations(PAIR_XYZ)]
+    assert forbidden == XYZ_FORBIDDEN
+
+
+def test_spin_orbit_forbidden_overlaps_vanish_on_the_constraint():
+    uu, uw, vu, vw = _preparations(PAIR_SOC)
+    assert _overlap(SOC_BASIS[1], uu) == 0 and _overlap(SOC_BASIS[0], vw) == 0  # for any alpha
+    residual = sp.expand(sp.expand_trig(PHASE * sp.cos(ALPHA + theta) / sp.sqrt(2)))
+    assert _overlap(SOC_BASIS[3], uw) - residual == 0 and _overlap(SOC_BASIS[2], vu) - residual == 0
+    on_surface = [basis.subs(ON_CONSTRAINT) for basis in SOC_BASIS]
+    forbidden = [_orthogonal_outcome(prep, on_surface) for prep in (uu, uw, vu, vw)]
+    assert forbidden == SOC_FORBIDDEN
+
+
+def _bind(variant, pair, basis, forbidden, inst, build_pair):
+    """Hold the instance's states, eigenvectors and forbidden map against the proof at its (θ, φ, α)."""
+    point = {theta: inst.params.theta, PHI: inst.params.phi, ALPHA: inst.spectrum.alpha or 0.0}
+
+    def numeric(vectors):
+        return np.array([[complex(x.evalf(subs=point)) for x in v] for v in vectors])
+
+    code_pair = [(s.amp_plus, s.amp_minus) for s in build_pair(inst.params)]
+    assert np.max(np.abs(np.array(code_pair) - numeric(pair))) <= 1e-15
+    code_preps = [state.vector for _, state in inst.preparations]
+    assert np.max(np.abs(np.array(code_preps) - numeric(_preparations(pair)))) <= 1e-15
+    spectrum = protocol.analytic_spectrum(variant, inst.couplings, 0.0)
+    assert np.max(np.abs(np.array([e.vector for e in spectrum.eigenvectors]) - numeric(basis))) <= 1e-15
+    assert inst.forbidden == tuple(zip(inst.prep_labels, (inst.outcome_labels[k] for k in forbidden)))
+    assert max(inst.forbidden_residuals.values()) <= 1e-14
+
+
+def test_exchange_forbidden_map_in_code_matches_the_proof():
+    draw = random.Random(2012_0229)
+    for _ in range(12):
+        params = OverlapParams(draw.uniform(0.01, math.pi / 2.0 - 0.01), draw.uniform(0.0, 2.0 * math.pi))
+        couplings = CouplingSet(*(draw.uniform(-3.0, 3.0) for _ in range(3)))
+        inst = protocol.make_protocol(Variant.XYZ, params, couplings, gap_tol=0.0)
+        _bind(Variant.XYZ, PAIR_XYZ, BELL, XYZ_FORBIDDEN, inst, build_pair_xyz)
+
+
+def test_spin_orbit_forbidden_map_in_code_matches_the_proof():
+    draw = random.Random(1202_6465)
+    for _ in range(12):
+        th, phi = draw.uniform(0.01, math.pi / 2.0 - 0.01), draw.uniform(0.0, 2.0 * math.pi)
+        # Sizes as verify's solver samples take them: where |split| dwarfs a + c, rounding a and c moves alpha.
+        d, b = draw.uniform(0.1, 3.0), draw.uniform(0.2, 0.8)
+        split = draw.choice((-1.0, 1.0)) * draw.uniform(0.5, 2.5)
+        couplings = solve_closed_form(th, d, split, b=b, gap_tol=0.0).couplings
+        inst = protocol.make_protocol(Variant.SOC, OverlapParams(th, phi), couplings, gap_tol=0.0)
+        assert abs(inst.spectrum.alpha - (math.pi / 2.0 - th)) <= 1e-14
+        _bind(Variant.SOC, PAIR_SOC, SOC_BASIS, SOC_FORBIDDEN, inst, build_pair_soc)
+        # Off the surface the two mixed residuals are the proved |cos(α + θ)|/√2, the fixed two stay 0.
+        off = CouplingSet(couplings.a + 0.25, couplings.b, couplings.c + 0.25, couplings.d)
+        residuals = list(protocol.orthogonality_residuals(Variant.SOC, OverlapParams(th, phi), off).values())
+        alpha = protocol.analytic_spectrum(Variant.SOC, off, 0.0).alpha
+        proved = abs(math.cos(alpha + th)) / math.sqrt(2.0)
+        assert max(abs(r - x) for r, x in zip(residuals, (0.0, proved, proved, 0.0))) <= 1e-14

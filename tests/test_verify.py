@@ -8,6 +8,7 @@ gauge, pair by fidelity.  They must report the same text, digit for digit.
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -111,8 +112,27 @@ def test_lp_checks_ask_each_question_once(monkeypatch):
 
 
 def test_too_few_runs_leave_a_preparation_unrun():
-    with pytest.raises(ValidationError, match=r"no runs prepared v\*vbar"):
+    with pytest.raises(ValidationError, match=r"n_runs must be >= 4 so every preparation gets a run, got 3"):
         verify.run_all(n_runs=3)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"n_runs": -1}, "n_runs must be >= 1, got -1"),
+        ({"n_runs": 200_000.0}, "n_runs must be an integer, got float"),
+        ({"n_workers": 0}, "n_workers must be >= 1, got 0"),
+        ({"n_workers": 2.0}, "n_workers must be an integer, got float"),
+        ({"seed": -1}, "seed must fit in 64 unsigned bits, got -1"),
+        ({"seed": 2**64}, "seed must fit in 64 unsigned bits, got 18446744073709551616"),
+    ],
+)
+def test_bad_sizes_and_seeds_raise_before_any_check_runs(check_calls, kwargs, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        verify.run_all(**kwargs)
+    assert check_calls == []
+    verify.run_all()  # the recorders let a valid sweep through
+    assert len(check_calls) == 14
 
 
 @pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
