@@ -1,10 +1,11 @@
 """Two-spin interaction Hamiltonians and their spectra.
 
-Two 4x4 Hermitian families are built from Pauli Kronecker products over the
-fixed basis (|++⟩, |+−⟩, |−+⟩, |−−⟩):
+Two 4x4 families over the fixed basis (|++⟩, |+−⟩, |−+⟩, |−−⟩), both the real
+symmetric ((c, −d, d, a−b), (−d, −c, a+b, −d), (d, a+b, −c, d), (a−b, −d, d, c)),
+as ``tests/test_symbolic.py`` proves from their Pauli sums:
 
-- anisotropic exchange: a XX + b YY + c ZZ, diagonalized by the four Bell
-  states with eigenvalues (a−b+c, −a+b+c, a+b−c, −(a+b+c));
+- anisotropic exchange: a XX + b YY + c ZZ (d = 0), diagonalized by the four
+  Bell states with eigenvalues (a−b+c, −a+b+c, a+b−c, −(a+b+c));
 - the same plus an antisymmetric spin-orbit term d (XZ − ZX), which leaves
   Φ⁻ and Ψ⁺ untouched and mixes Φ⁺ with Ψ⁻ through an angle alpha with
   tan(alpha) = (a + c + sqrt((a+c)² + 4d²)) / (2d).
@@ -15,7 +16,7 @@ code with the analytic formulas and orders eigenvalues ascending, so spectra
 from the two routes are matched by eigenvector fidelity, never by index.
 Both :func:`numeric_spectrum` and the matching, :func:`pair_spectra`, take
 (n, 4, 4) stacks, one ``eigh`` call per stack; a lone matrix is a stack of one.
-Only the functions that build or take stacks import numpy, when they run.
+Only the functions that take stacks import numpy, when they run.
 
 The protocols only need four *distinguishable* outcomes, so both routes apply
 the gap rule of :func:`pbrlab.params._check_gaps`: finite eigenvalues pairwise
@@ -28,7 +29,6 @@ worded in :mod:`pbrlab.params`.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -50,19 +50,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 _RT2 = math.sqrt(0.5)
-
-PAULI_X = ((0j, 1 + 0j), (1 + 0j, 0j))
-PAULI_Y = ((0j, -1j), (1j, 0j))
-PAULI_Z = ((1 + 0j, 0j), (0j, -1 + 0j))
-
-
-@functools.cache
-def _pauli_products():
-    """XX, YY, ZZ and XZ − ZX as complex 4x4 arrays, built on first use."""
-    import numpy as np
-
-    x, y, z = (np.array(p) for p in (PAULI_X, PAULI_Y, PAULI_Z))
-    return np.kron(x, x), np.kron(y, y), np.kron(z, z), np.kron(x, z) - np.kron(z, x)
 
 # JointState is frozen, so one tuple is shared by every caller.
 _BELL_STATES = (
@@ -89,14 +76,22 @@ class Spectrum:
 
 
 def hamiltonian_entries(a, b, c, d):
-    """a XX + b YY + c ZZ, plus d (XZ − ZX) unless d is None, summed left to right.
+    """The four rows of a XX + b YY + c ZZ, plus d (XZ − ZX) unless d is None.
 
-    The couplings are floats for one matrix or (n, 1, 1) arrays for a stack;
-    both give the same bits per matrix.
+    Each entry is at most one IEEE operation (a − b, a + b, −c, ±d), so floats
+    for one matrix and equal-length arrays for a stack give the same bits per
+    matrix.  The exchange zeros are +0.0.
     """
-    xx, yy, zz, xz_minus_zx = _pauli_products()
-    exchange = a * xx + b * yy + c * zz
-    return exchange if d is None else exchange + d * xz_minus_zx
+    if d is None:
+        d = minus_d = 0.0 * abs(a)
+    else:
+        minus_d = -d
+    return (
+        (c, minus_d, d, a - b),
+        (minus_d, -c, a + b, minus_d),
+        (d, a + b, -c, d),
+        (a - b, minus_d, d, c),
+    )
 
 
 def analytic_spectrum_xyz(c: CouplingSet, gap_tol: float = GAP_TOL) -> Spectrum:

@@ -114,9 +114,9 @@ def hamiltonian_stack(variant: Variant, couplings: Sequence[CouplingSet]) -> np.
     """
     import numpy as np
 
-    columns = np.array([(c.a, c.b, c.c, c.d_or_zero) for c in couplings], dtype=float).reshape(-1, 4).T
-    a, b, c, d = columns[:, :, np.newaxis, np.newaxis]
-    return hamiltonian_entries(a, b, c, None if Variant(variant) is Variant.XYZ else d)
+    a, b, c, d = np.array([(c.a, c.b, c.c, c.d_or_zero) for c in couplings], dtype=float).reshape(-1, 4).T
+    rows = hamiltonian_entries(a, b, c, None if Variant(variant) is Variant.XYZ else d)
+    return np.array(rows, dtype=complex).transpose(2, 0, 1)
 
 
 def numeric_pairing(

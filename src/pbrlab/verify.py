@@ -48,7 +48,6 @@ from .protocol import (
     born_probabilities,
     default_couplings,
     hamiltonian_stack,
-    make_protocol,
     numeric_pairing,
     orthogonality_residuals,
     simulate,
@@ -226,8 +225,9 @@ def check_solver_agreement(seed: int, n: int = 60) -> CheckResult:
     )
 
 
-def _instance(variant: Variant, theta: float):
-    return make_protocol(variant, OverlapParams(theta), default_couplings(variant, theta))
+def _instance(variant: Variant, theta: float, phi: float = 0.0):
+    """The default-coupling instance at (theta, phi); the checks, not its assembly, judge its forbidden map."""
+    return protocol._assemble(variant, OverlapParams(theta, phi), default_couplings(variant, theta), GAP_TOL)
 
 
 def check_exclusion_feasibility() -> CheckResult:
@@ -336,7 +336,7 @@ def check_phi_independence() -> CheckResult:
         for theta in _theta_grid(8):
             reference = None
             for phi in [2.0 * math.pi * k / 6.0 for k in range(6)]:
-                inst = make_protocol(variant, OverlapParams(theta, phi), default_couplings(variant, theta))
+                inst = _instance(variant, theta, phi)
                 born = inst.born_matrix()
                 if reference is None:
                     reference = born

@@ -26,6 +26,7 @@ class Mutant(NamedTuple):
     killers: tuple[str, ...]
 
 
+HAMILTONIAN = "src/pbrlab/hamiltonian.py"
 PROTOCOL = "src/pbrlab/protocol.py"
 
 MUTANTS = (
@@ -73,5 +74,29 @@ MUTANTS = (
         "exchange forbidden outcomes e4 and e2 swapped", PROTOCOL,
         '(Variant.XYZ, ("e4", "e2", "e3", "e1"))', '(Variant.XYZ, ("e2", "e4", "e3", "e1"))',
         ("verify-all", "tests/test_symbolic.py"),
+    ),
+    # The matrix stays symmetric, so only the spectra can see it.
+    Mutant(
+        "diagonal entry's sign flipped in hamiltonian_entries", HAMILTONIAN,
+        "(c, minus_d, d, a - b),", "(-c, minus_d, d, a - b),",
+        ("verify-all", "tests/test_symbolic.py"),
+    ),
+    Mutant(
+        "sign flip in e'3", HAMILTONIAN,
+        "e3 = JointState((_RT2 * ca, _RT2 * sa, -_RT2 * sa, _RT2 * ca))",
+        "e3 = JointState((_RT2 * ca, _RT2 * sa, _RT2 * sa, _RT2 * ca))",
+        ("verify-all",),
+    ),
+    Mutant(
+        "noise threshold halved in the tally kernel", PROTOCOL,
+        "flip_end = least_word(noise_eps)", "flip_end = least_word(noise_eps / 2)",
+        ("verify-all", "tests/test_protocol.py"),
+    ),
+    # Tier-1 owns this one: every stack the package builds is real symmetric by
+    # construction, so only a caller's non-Hermitian input reaches the check.
+    Mutant(
+        "Hermitian check removed from numeric_spectrum", HAMILTONIAN,
+        "if not hermitian.all():", "if False:",
+        ("tests/test_hamiltonian.py",),
     ),
 )

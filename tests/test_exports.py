@@ -88,12 +88,16 @@ def test_each_relative_import_is_read():
     assert unread == UNREAD_IMPORTS
 
 
-def _imports_json(tree: ast.Module) -> bool:
-    return any(
-        isinstance(node, ast.Import) and any(alias.name.split(".")[0] == "json" for alias in node.names)
-        or isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == "json"
-        for node in ast.walk(tree)
+def _imports(node: ast.AST, package: str) -> bool:
+    """Whether ``node`` is an absolute import of ``package`` or of one of its submodules."""
+    return (
+        isinstance(node, ast.Import) and any(alias.name.split(".")[0] == package for alias in node.names)
+        or isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == package
     )
+
+
+def _imports_json(tree: ast.Module) -> bool:
+    return any(_imports(node, "json") for node in ast.walk(tree))
 
 
 def test_cli_is_the_one_json_renderer():
@@ -109,6 +113,45 @@ def test_cli_is_the_one_json_renderer():
     )
     assert renderers == []
     assert sorted(module for module, tree in sources.items() if _imports_json(tree)) == ["cli"]
+
+
+#: Where the package imports numpy: each function by its dotted name, ``verify`` at
+#: module level, and the ``TYPE_CHECKING`` blocks that name ``np.ndarray`` in annotations.
+NUMPY_IMPORTS = [
+    "hamiltonian TYPE_CHECKING",
+    "hamiltonian.numeric_spectrum",
+    "hamiltonian.pair_spectra",
+    "protocol TYPE_CHECKING",
+    "protocol.ProtocolInstance.born_matrix",
+    "protocol._tally_chunk",
+    "protocol.hamiltonian_stack",
+    "protocol.numeric_pairing",
+    "rng TYPE_CHECKING",
+    "rng.mix_head",
+    "rng.mix_tail",
+    "rng.run_uniforms",
+    "rng.state_steps",
+    "verify",
+]
+
+
+def _numpy_imports(scope: str, node: ast.AST):
+    """The scope of each numpy import under ``node``: a dotted function name, a module, or a TYPE_CHECKING block."""
+    for child in ast.iter_child_nodes(node):
+        if _imports(child, "numpy"):
+            yield scope
+        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _numpy_imports(f"{scope}.{child.name}", child)
+        elif isinstance(child, ast.If) and ast.unparse(child.test) == "TYPE_CHECKING":
+            yield from _numpy_imports(f"{scope} TYPE_CHECKING", child)
+        else:
+            yield from _numpy_imports(scope, child)
+
+
+def test_numpy_is_imported_only_where_arrays_are_built_or_taken():
+    """The list shrinks as plain Python takes over the work outside the simulator (ROADMAP item 12)."""
+    found = sorted(scope for module, tree in _package_sources().items() for scope in _numpy_imports(module, tree))
+    assert found == NUMPY_IMPORTS
 
 
 def test_params_is_the_one_writer_of_the_degeneracy_message():

@@ -8,6 +8,11 @@
   (s + √(s² + 4d²)) / 2d = 2d / (√(s² + 4d²) − s) for d ≠ 0.  Bound by
   comparing ``mixing_angle`` with the arctangent of each form, evaluated to 40
   digits, on both of its branches (s >= 0 and s < 0).
+- Both Hamiltonians are the real symmetric matrix ((c, −d, d, a−b),
+  (−d, −c, a+b, −d), (d, a+b, −c, d), (a−b, −d, d, c)), with d = 0 for the
+  exchange one.  Bound with the spectra below: each entry of
+  ``hamiltonian_entries`` equals the proved entry evaluated over ``Fraction``
+  and rounded once, since each is one correctly rounded operation.
 - The Bell states are the eigenvectors of a XX + b YY + c ZZ, with the
   eigenvalues ``params.xyz_eigenvalues`` returns.  Bound by comparing
   ``hamiltonian_entries`` and ``analytic_spectrum_xyz`` with the proved matrix,
@@ -32,6 +37,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -122,8 +128,13 @@ def test_bell_states_are_the_exchange_eigenvectors():
         assert sp.expand(H_XYZ * vector - energy * vector) == sp.zeros(4, 1)
 
 
+def _rounded_once(entries, *couplings):
+    """The proved ``entries`` (a lambdified matrix) at float couplings, over ``Fraction``, each rounded once."""
+    return tuple(tuple(float(x) for x in row) for row in entries(*map(Fraction, couplings)))
+
+
 def test_exchange_spectrum_code_matches_the_proof():
-    matrix = sp.lambdify((A, B, C), H_XYZ, "numpy")
+    matrix = sp.lambdify((A, B, C), H_XYZ.tolist(), "math")
     energies = sp.lambdify((A, B, C), E_XYZ, "math")
     vectors = np.array([[complex(x) for x in v] for v in BELL])
     draw = random.Random(20120229)
@@ -131,8 +142,8 @@ def test_exchange_spectrum_code_matches_the_proof():
         scale = _log_uniform(draw)
         a, b, c = (scale * draw.uniform(-1.0, 1.0) for _ in range(3))
         tol = 1e-14 * scale  # relative to the couplings' scale: an eigenvalue may cancel to near 0
-        h = hamiltonian_entries(a, b, c, None)
-        assert np.max(np.abs(h - np.array(matrix(a, b, c), dtype=complex))) <= tol
+        assert hamiltonian_entries(a, b, c, None) == _rounded_once(matrix, a, b, c)
+        h = np.array(hamiltonian_entries(a, b, c, None))
         spectrum = analytic_spectrum_xyz(CouplingSet(a, b, c), gap_tol=0.0)
         assert np.max(np.abs(np.array([e.vector for e in spectrum.eigenvectors]) - vectors)) <= 1e-15
         assert max(abs(x - y) for x, y in zip(spectrum.eigenvalues, energies(a, b, c))) <= tol
@@ -150,6 +161,13 @@ SOC_VECTORS = (BELL[1], BELL[2], *(v / sp.sqrt(2 * (1 + TAN_ALPHA**2)) for v in 
 E_SOC = (-A + B + C, A + B - C, -B - ROOT_SOC, -B + ROOT_SOC)
 
 
+def test_both_hamiltonians_are_the_real_symmetric_closed_form():
+    closed = sp.Matrix([[C, -d_nonzero, d_nonzero, A - B], [-d_nonzero, -C, A + B, -d_nonzero],
+                        [d_nonzero, A + B, -C, d_nonzero], [A - B, -d_nonzero, d_nonzero, C]])
+    assert sp.expand(H_SOC - closed) == sp.zeros(4, 4)
+    assert sp.expand(H_XYZ - closed.subs(d_nonzero, 0)) == sp.zeros(4, 4)
+
+
 def test_spin_orbit_eigenvectors():
     # Scaling leaves an eigenvector one, so the unnormalized mixed vectors stand for e'3 and e'4;
     # times 2d their residuals are polynomials in a, b, c, d and the root, whose square sympy reduces.
@@ -159,7 +177,7 @@ def test_spin_orbit_eigenvectors():
 
 def test_spin_orbit_spectrum_code_matches_the_proof():
     args = (A, B, C, d_nonzero)
-    matrix = sp.lambdify(args, H_SOC, "numpy")
+    matrix = sp.lambdify(args, H_SOC.tolist(), "math")
     proved = sp.lambdify(args, (E_SOC, SOC_VECTORS), "mpmath")
     draw = random.Random(1111_3328)
     with mpmath.workdps(40):
@@ -167,8 +185,8 @@ def test_spin_orbit_spectrum_code_matches_the_proof():
             scale = _log_uniform(draw)
             a, b, c, d = (scale * draw.uniform(-1.0, 1.0) for _ in range(4))
             tol = 1e-14 * scale  # relative to the couplings' scale, as for the exchange spectrum
-            h = hamiltonian_entries(a, b, c, d)
-            assert np.max(np.abs(h - np.array(matrix(a, b, c, d), dtype=complex))) <= tol
+            assert hamiltonian_entries(a, b, c, d) == _rounded_once(matrix, a, b, c, d)
+            h = np.array(hamiltonian_entries(a, b, c, d))
             energies, vectors = proved(*map(mpmath.mpf, (a, b, c, d)))
             spectrum = analytic_spectrum_soc(CouplingSet(a, b, c, d), gap_tol=0.0)
             code_vectors = np.array([e.vector for e in spectrum.eigenvectors])

@@ -13,7 +13,7 @@ import re
 import numpy as np
 import pytest
 
-from pbrlab import CouplingSet, DegeneracyError, ValidationError, bell_states, ontology, rng, verify
+from pbrlab import CouplingSet, DegeneracyError, ValidationError, bell_states, ontology, protocol, rng, verify
 from pbrlab.ontology import Relation
 from pbrlab.protocol import Variant, hamiltonian_stack
 from pbrlab.qstate import joint_overlap
@@ -242,6 +242,17 @@ def test_simulation_check_fails_a_clean_table_with_forbidden_hits(monkeypatch):
     assert passing.line().startswith("PASS simulation-statistics: 20000 clean runs: forbidden hits 0; ")
     expected = passing.line().replace("PASS", "FAIL", 1).replace("forbidden hits 0;", "forbidden hits 3;", 1)
     assert result.line() == expected
+
+
+def test_a_swapped_forbidden_map_is_reported_not_raised(monkeypatch):
+    # e4 and e2 swapped in the exchange map: the checks, not instance assembly, judge orthogonality.
+    swapped = tuple(zip(protocol._PREP_LABELS[Variant.XYZ], ("e2", "e4", "e3", "e1")))
+    monkeypatch.setitem(protocol._FORBIDDEN, Variant.XYZ, swapped)
+    report, ok = verify.run_all(42)
+    assert not ok
+    failed = [line.split(":")[0] for line in report.splitlines() if line.startswith("FAIL")]
+    assert failed == ["FAIL xyz-orthogonality", "FAIL simulation-statistics"]
+    assert report.endswith("\n12/14 checks passed\n")
 
 
 def _swapped_relations(deduce):
