@@ -39,6 +39,7 @@ from .params import (
     SOC_LABELS,
     CouplingSet,
     _check_gaps,
+    _check_tolerance,
     _which,
     soc_alpha,
     soc_eigenvalues,
@@ -125,14 +126,16 @@ def numeric_spectrum(entries, gap_tol: float) -> tuple[np.ndarray, np.ndarray]:
     Independent of the analytic route.  Returns ``(values, vectors)``: values
     (n, 4), ascending per matrix (labels n1..n4 in messages), and vectors
     (n, 4, 4) whose column j is the eigenvector of ``values[:, j]``, gauged so
-    its largest component is real and positive.  Every matrix must be
-    Hermitian and diagonalize; then each row of values, in stack order, must
-    pass :func:`pbrlab.params._check_gaps` (``gap_tol=0`` skips the gap: the
-    zero matrix is a legitimate input for the solver though no protocol can
-    use it).  An error names the first failing matrix of its kind.
+    its largest component is real and positive.  ``gap_tol`` is checked
+    first, once per stack, so an empty stack is checked too.  Every matrix
+    must be Hermitian and diagonalize; then each row of values, in stack
+    order, must pass :func:`pbrlab.params._check_gaps` (``gap_tol=0`` skips
+    the gap: the zero matrix is a legitimate input for the solver though no
+    protocol can use it).  An error names the first failing matrix of its kind.
     """
     import numpy as np
 
+    _check_tolerance("gap_tol", gap_tol)
     m = np.asarray(entries, dtype=complex)
     if m.ndim != 3 or m.shape[1:] != (4, 4):
         raise ValidationError(f"expected an (n, 4, 4) stack, got shape {m.shape}")

@@ -99,4 +99,19 @@ MUTANTS = (
         "if not hermitian.all():", "if False:",
         ("tests/test_hamiltonian.py",),
     ),
+    # Tier-1 owns this one too: at seed 42 the samplers' 1e-3 gap screen rejects
+    # no draw, so verify-all never reaches a colliding spectrum.
+    Mutant(
+        "collision test dropped from params._check_gaps", "src/pbrlab/params.py",
+        "    if colliding:\n", "    if False:\n",
+        ("tests/test_hamiltonian.py",),
+    ),
+    # Tier-1 owns this one: any row order is a valid sample, so verify-all cannot
+    # see it; test_a_rejected_first_block_reads_on_in_its_own_stream pins the rows
+    # to run_uniforms'.
+    Mutant(
+        "sampled rows read one row on in verify._rows", "src/pbrlab/verify.py",
+        "rng.uniform(stream, i, j, width)", "rng.uniform(stream, i + 1, j, width)",
+        ("tests/test_verify.py",),
+    ),
 )

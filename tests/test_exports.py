@@ -115,8 +115,8 @@ def test_cli_is_the_one_json_renderer():
     assert sorted(module for module, tree in sources.items() if _imports_json(tree)) == ["cli"]
 
 
-#: Where the package imports numpy: each function by its dotted name, ``verify`` at
-#: module level, and the ``TYPE_CHECKING`` blocks that name ``np.ndarray`` in annotations.
+#: Where the package imports numpy: each function by its dotted name, and the
+#: ``TYPE_CHECKING`` blocks that name ``np.ndarray`` in annotations.
 NUMPY_IMPORTS = [
     "hamiltonian TYPE_CHECKING",
     "hamiltonian.numeric_spectrum",
@@ -131,7 +131,7 @@ NUMPY_IMPORTS = [
     "rng.mix_tail",
     "rng.run_uniforms",
     "rng.state_steps",
-    "verify",
+    "verify.check_evolution_invariance",
 ]
 
 
@@ -152,6 +152,19 @@ def test_numpy_is_imported_only_where_arrays_are_built_or_taken():
     """The list shrinks as plain Python takes over the work outside the simulator (ROADMAP item 12)."""
     found = sorted(scope for module, tree in _package_sources().items() for scope in _numpy_imports(module, tree))
     assert found == NUMPY_IMPORTS
+
+
+def test_no_module_calls_run_uniforms():
+    """The package reads single draws through the scalar ``rng.uniform``; ``run_uniforms``
+    stays only for the benchmark, until its rewrite (ROADMAP items 4 and 12)."""
+    calls = sorted(
+        f"{module}.py:{node.lineno}"
+        for module, tree in _package_sources().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and "run_uniforms" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    )
+    assert calls == []
 
 
 def test_params_is_the_one_writer_of_the_degeneracy_message():

@@ -307,6 +307,19 @@ class TestNumericSpectrumStacks:
         values, vectors = numeric_spectrum(np.zeros((0, 4, 4)), GAP_TOL)
         assert values.shape == (0, 4) and vectors.shape == (0, 4, 4)
 
+    @pytest.mark.parametrize(
+        "empty",
+        [
+            lambda gap_tol: numeric_spectrum(np.zeros((0, 4, 4)), gap_tol),
+            lambda gap_tol: numeric_pairing(Variant.XYZ, [], gap_tol),
+        ],
+        ids=["numeric_spectrum", "numeric_pairing"],
+    )
+    @pytest.mark.parametrize("gap_tol", [math.nan, -1.0, math.inf])
+    def test_an_empty_stack_still_checks_its_tolerance(self, empty, gap_tol):
+        with pytest.raises(ValidationError, match=r"^gap_tol must be finite and >= 0, got "):
+            empty(gap_tol)
+
     @pytest.mark.parametrize("shape", [(4, 4), (2, 3, 3), (2, 4, 4, 1)])
     def test_wrong_shape_is_rejected(self, shape):
         with pytest.raises(ValidationError, match=r"\(n, 4, 4\) stack"):

@@ -187,6 +187,31 @@ def test_evolution_check_fails_for_an_evolve_that_ignores_t(monkeypatch):
     assert not verify.check_evolution_invariance().ok
 
 
+@pytest.mark.parametrize(
+    "check, name",
+    [(verify.check_xyz_spectrum, "xyz-spectrum-agreement"), (verify.check_soc_spectrum, "soc-spectrum-agreement")],
+)
+def test_a_spectrum_eigh_cannot_pair_is_reported_not_raised(monkeypatch, check, name):
+    def unpairable(variant, sampled, gap_tol):
+        raise DegeneracyError("matrix 3 of 7: no pairing")
+
+    monkeypatch.setattr(verify, "numeric_pairing", unpairable)
+    assert check(42, n=7).line() == (
+        f"FAIL {name}: 7 random couplings, eigh does not pair with the analytic spectrum: matrix 3 of 7: no pairing"
+    )
+
+
+def test_an_evolve_that_rejects_its_result_is_reported_not_raised(monkeypatch):
+    def unnormalized(state, spectrum, t):
+        raise ValidationError("JointState is not normalized: squared norm 1.5 (tolerance 1e-12)")
+
+    monkeypatch.setattr(verify, "evolve", unnormalized)
+    assert verify.check_evolution_invariance().line() == (
+        "FAIL evolution-invariance: 24 instances x 4 times, evolve's result is not a state: "
+        "JointState is not normalized: squared norm 1.5 (tolerance 1e-12)"
+    )
+
+
 def test_negative_control_fails_at_a_theta_where_the_bad_couplings_still_fit(monkeypatch):
     # An alpha that puts the first grid theta (0.05) back on the constraint.
     monkeypatch.setattr(verify, "constraint", lambda s, d, theta: math.cos(math.pi / 2.0 - 0.05 + theta))
