@@ -198,13 +198,17 @@ def _check_gaps(values, labels, gap_tol: float, k: int = 0, n: int = 1) -> None:
 
 
 def _unpaired(values, labels, gap_tol: float, k: int, n: int) -> DegeneracyError:
-    """The error for matrix k of n whose eigenvectors ``eigh`` cannot pair: the closest label pairs."""
+    """The error for matrix k of n whose eigenvectors ``eigh`` cannot pair: the closest label pairs.
+
+    The analytic gaps passed ``gap_tol``, so the message states the closest
+    gap and blames no degeneracy: a wide gap points at the numeric matrix.
+    """
     gaps = _gaps(values, labels)
     closest = min(gaps.values())
     tied = tuple(pair for pair, gap in gaps.items() if gap == closest)
     return DegeneracyError(
-        f"{_which(k, n)}degenerate spectrum (gap_tol={gap_tol}): {', '.join(f'{i} and {j}' for i, j in tied)} "
-        f"lie {closest!r} apart, too close to pair their eigenvectors",
+        f"{_which(k, n)}eigh's eigenvectors do not pair one-to-one with the analytic ones; closest analytic "
+        f"eigenvalues {', '.join(f'{i} and {j}' for i, j in tied)} lie {closest!r} apart (gap_tol={gap_tol})",
         pairs=tied,
     )
 

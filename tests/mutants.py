@@ -28,6 +28,7 @@ class Mutant(NamedTuple):
 
 HAMILTONIAN = "src/pbrlab/hamiltonian.py"
 PROTOCOL = "src/pbrlab/protocol.py"
+SOLVER = "src/pbrlab/coupling_solver.py"
 
 MUTANTS = (
     # The tally kernel.  No verify-all simulation crosses a 2^16-run block, so only Tier-1 sees this one.
@@ -53,6 +54,13 @@ MUTANTS = (
         "_PREP_SHIFT = 64 - UNIFORM_SHIFT", "_PREP_SHIFT = 63 - UNIFORM_SHIFT",
         ("verify-all", "tests/test_protocol.py"),
     ),
+    # Each round-robin row starts one run early, so the rows no longer sum to the range:
+    # the kernel contract's LogicError is the FAIL line of both simulating checks.
+    Mutant(
+        "round-robin row start one run early", PROTOCOL,
+        "(lo + 3 - p) // 4, (hi + 3 - p) // 4", "(lo + 2 - p) // 4, (hi + 3 - p) // 4",
+        ("verify-all", "tests/test_protocol.py"),
+    ),
     Mutant(
         "outcome key shift one bit short", PROTOCOL,
         "k >>= np.uint64(UNIFORM_SHIFT)", "k >>= np.uint64(UNIFORM_SHIFT - 1)",
@@ -68,6 +76,23 @@ MUTANTS = (
         "kernel contract check removed", PROTOCOL,
         "if (total < 0).any() or total.sum() != n_runs:", "if False:",
         ("tests/test_protocol.py",),
+    ),
+    # The coupling solvers and the mixing angle they solve for.
+    Mutant(
+        "closed form's factor 2 dropped", SOLVER,
+        "ssum = 2.0 * d * math.cos", "ssum = d * math.cos",
+        ("verify-all", "tests/test_coupling_solver.py"),
+    ),
+    Mutant(
+        "bisection's branch assignments swapped", SOLVER,
+        "            lo = mid\n        else:\n            hi = mid\n",
+        "            hi = mid\n        else:\n            lo = mid\n",
+        ("verify-all", "tests/test_coupling_solver.py"),
+    ),
+    Mutant(
+        "mixing_angle's s < 0 branch d / total", "src/pbrlab/params.py",
+        "else 2.0 * d / total)", "else d / total)",
+        ("verify-all", "tests/test_coupling_solver.py"),
     ),
     # The physics: a forbidden map with two outcomes swapped.
     Mutant(

@@ -55,7 +55,9 @@ class TestExitCodes:
     def test_unpairable_spectrum_with_gap_check_off_is_three(self, capsys, argv, tied):
         code, out, err = run_cli(capsys, "spectrum", "--variant", "xyz", *argv, "--gap-tol", "0")
         assert code == 3
-        assert out == "" and err.startswith("error: degenerate spectrum (gap_tol=0.0): ")
+        assert out == "" and err.startswith(
+            "error: eigh's eigenvectors do not pair one-to-one with the analytic ones; closest analytic eigenvalues "
+        )
         assert tied in err and "internal" not in err
 
     def test_missing_field_is_two(self, capsys):

@@ -437,7 +437,10 @@ class TestPairSpectra:
     @pytest.mark.parametrize("stack, where", [(1, ""), (2, "matrix 1 of 2: ")])
     def test_unpairable_spectrum_with_gap_check_off_is_a_degeneracy(self, stack, where):
         sampled = [(c, analytic_spectrum_xyz(c, gap_tol=0.0)) for c in [CouplingSet(1, 2, 3), CouplingSet(1, 1, 0)]]
-        message = rf"^{where}degenerate spectrum \(gap_tol=0\.0\): e1 and e2 lie 0\.0 apart, too close to pair"
+        message = (
+            rf"^{where}eigh's eigenvectors do not pair one-to-one with the analytic ones; "
+            r"closest analytic eigenvalues e1 and e2 lie 0\.0 apart \(gap_tol=0\.0\)$"
+        )
         with pytest.raises(DegeneracyError, match=message) as caught:
             numeric_pairing(Variant.XYZ, sampled[-stack:], 0.0)
         assert caught.value.pairs == (("e1", "e2"),)

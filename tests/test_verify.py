@@ -6,6 +6,7 @@ gauge, pair by fidelity.  They must report the same text, digit for digit.
 """
 
 import dataclasses
+import inspect
 import itertools
 import math
 import re
@@ -13,7 +14,9 @@ import re
 import numpy as np
 import pytest
 
-from pbrlab import CouplingSet, DegeneracyError, ValidationError, bell_states, ontology, protocol, rng, verify
+from pbrlab import (
+    CouplingSet, DegeneracyError, ValidationError, bell_states, cli, errors, ontology, protocol, rng, verify
+)
 from pbrlab.ontology import Relation
 from pbrlab.protocol import Variant, hamiltonian_stack
 from pbrlab.qstate import joint_overlap
@@ -187,29 +190,90 @@ def test_evolution_check_fails_for_an_evolve_that_ignores_t(monkeypatch):
     assert not verify.check_evolution_invariance().ok
 
 
-@pytest.mark.parametrize(
-    "check, name",
-    [(verify.check_xyz_spectrum, "xyz-spectrum-agreement"), (verify.check_soc_spectrum, "soc-spectrum-agreement")],
-)
-def test_a_spectrum_eigh_cannot_pair_is_reported_not_raised(monkeypatch, check, name):
-    def unpairable(variant, sampled, gap_tol):
-        raise DegeneracyError("matrix 3 of 7: no pairing")
+#: (check, its name, the module and callee made to raise, the error class, its message): each
+#: check once, each package error class at least once.
+RAISING = [
+    (verify.check_xyz_spectrum, "xyz-spectrum-agreement", verify, "numeric_pairing", errors.DegeneracyError,
+     "matrix 3 of 7: no pairing"),
+    (verify.check_soc_spectrum, "soc-spectrum-agreement", verify, "numeric_pairing", errors.NonFiniteError,
+     "spectrum overflows: e'1 = inf"),
+    (verify.check_xyz_orthogonality, "xyz-orthogonality", verify, "orthogonality_residuals",
+     errors.ConstraintError, "constraint residual 0.5 exceeds 1e-10"),
+    (verify.check_soc_orthogonality, "soc-orthogonality", verify, "default_couplings", errors.SolverError,
+     "no bracket found"),
+    (verify.check_soc_negative_control, "soc-negative-control", verify, "constraint", errors.DomainError,
+     "mixing angle is undefined at d = 0"),
+    (verify.check_solver_agreement, "solver-agreement", verify, "solve_by_root_finding", errors.ConvergenceError,
+     "bisection stalled at s=0.798"),
+    (verify.check_exclusion_feasibility, "exclusion-feasibility", verify, "lp_feasible", errors.LogicError,
+     "simplex left a negative basic variable"),
+    (verify.check_simplex_oracle, "simplex-vs-subset-rule", verify, "subset_rule_feasible", errors.ValidationError,
+     "problem has no supports"),
+    (verify.check_special_case_verdicts, "special-case-verdicts", verify, "deduce", errors.PbrlabError,
+     "no verdict"),
+    (verify.check_cross_protocol, "cross-protocol-consistency", verify, "build_problem", errors.ValidationError,
+     "unknown branch"),
+    (verify.check_simulation_stats, "simulation-statistics", verify, "simulate", errors.LogicError,
+     "tally kernel returned counts [[-1, 1, 0, 0]] for 4 runs"),
+    (verify.check_phi_independence, "phi-independence", verify, "born_probabilities", errors.NonFiniteError,
+     "Born weight overflows"),
+    (verify.check_evolution_invariance, "evolution-invariance", verify, "evolve", errors.ValidationError,
+     "JointState is not normalized: squared norm 1.5 (tolerance 1e-12)"),
+    (verify.check_determinism, "determinism", protocol, "_tally_chunk", errors.LogicError,
+     "tally kernel returned counts [[-1, 1, 0, 0]] for 4 runs"),
+]
 
-    monkeypatch.setattr(verify, "numeric_pairing", unpairable)
-    assert check(42, n=7).line() == (
-        f"FAIL {name}: 7 random couplings, eigh does not pair with the analytic spectrum: matrix 3 of 7: no pairing"
-    )
+
+def _raising(error, message):
+    def raises(*args, **kwargs):
+        raise error(message)
+
+    return raises
 
 
-def test_an_evolve_that_rejects_its_result_is_reported_not_raised(monkeypatch):
-    def unnormalized(state, spectrum, t):
-        raise ValidationError("JointState is not normalized: squared norm 1.5 (tolerance 1e-12)")
+def test_the_raising_cases_cover_every_check_and_every_error_class():
+    checks = {name for name in vars(verify) if name.startswith("check_")}
+    assert sorted(case[0].__name__ for case in RAISING) == sorted(checks)
+    classes = {cls for cls in vars(errors).values() if isinstance(cls, type) and issubclass(cls, errors.PbrlabError)}
+    assert {case[4] for case in RAISING} == classes
 
-    monkeypatch.setattr(verify, "evolve", unnormalized)
-    assert verify.check_evolution_invariance().line() == (
-        "FAIL evolution-invariance: 24 instances x 4 times, evolve's result is not a state: "
-        "JointState is not normalized: squared norm 1.5 (tolerance 1e-12)"
-    )
+
+@pytest.mark.parametrize("check, name, home, callee, error, message", RAISING, ids=[case[1] for case in RAISING])
+def test_a_package_error_in_a_check_is_its_fail_line(monkeypatch, check, name, home, callee, error, message):
+    monkeypatch.setattr(home, callee, _raising(error, message))
+    args = (42,) if "seed" in inspect.signature(check).parameters else ()
+    assert check(*args).line() == f"FAIL {name}: {error.__name__}: {message}"
+
+
+def test_a_code_error_is_not_a_fail_line(monkeypatch):
+    # Only package errors are a check's verdict; anything else still reaches the caller.
+    monkeypatch.setattr(verify, "deduce", _raising(ZeroDivisionError, "division by zero"))
+    with pytest.raises(ZeroDivisionError):
+        verify.check_special_case_verdicts()
+
+
+def _stalled_bisection(monkeypatch):
+    monkeypatch.setattr(verify, "solve_by_root_finding", _raising(errors.SolverError, "bisection stalled at s=0.798"))
+
+
+def test_a_raising_check_leaves_the_rest_of_the_sweep_to_report(monkeypatch):
+    _stalled_bisection(monkeypatch)
+    report, ok = verify.run_all(42)
+    lines = report.splitlines()
+    assert not ok and len(lines) == 16
+    assert [line for line in lines if line.startswith("FAIL")] == [
+        "FAIL solver-agreement: SolverError: bisection stalled at s=0.798"
+    ]
+    assert lines[-1] == "13/14 checks passed"
+
+
+def test_verify_all_reports_a_raising_check_and_exits_1(monkeypatch, capsys):
+    _stalled_bisection(monkeypatch)
+    code = cli.main(["verify-all"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (1, "")
+    assert out == verify.run_all()[0]
+    assert out.endswith("\n13/14 checks passed\n")
 
 
 def test_negative_control_fails_at_a_theta_where_the_bad_couplings_still_fit(monkeypatch):
