@@ -10,7 +10,9 @@ only what the library computed, so each handler echoes its own inputs (the
 from its parsed arguments.
 
 Exit codes: 0 success; 1 verification failure; 2 usage or configuration
-error, including a standard output closed before the result was written; a
+error, including a standard output closed before the result was written and
+a subcommand that needs numpy where none is installed (one line, no
+traceback); a
 package error exits with its ``exit_code`` (see :mod:`pbrlab.errors`): 2 for
 invalid input (a non-finite phi, a negative tolerance), 3 for a numeric
 failure (degeneracy, a violated coupling constraint, a result or a coupling
@@ -18,8 +20,11 @@ sum a + c that overflows), 1 for a logic error.  JSON output is strict: it
 never holds NaN or Infinity.  States, spectra, Hamiltonian stacks and default
 couplings come from :mod:`pbrlab.protocol`, the one module that knows how the
 variants differ.  Each handler imports the modules it calls, so ``solve``,
-``bound``, ``states`` and ``feasibility`` never load numpy, and only
-``verify-all`` loads :mod:`pbrlab.verify`.
+``bound``, ``states``, ``feasibility`` and ``spectrum`` never load numpy:
+``spectrum`` prints its analytic eigenpairs with a residual enclosure
+computed in plain Python floats (radius and eigenvector angle bound per
+label), not a comparison with ``eigh``.  Only ``run`` and ``verify-all``
+need numpy, and only ``verify-all`` loads :mod:`pbrlab.verify`.
 
 Angles are radians unless ``--deg`` is given.  ``--config FILE`` reads a flat
 ``key = value`` file of the subcommand's long options (``gap_tol`` or
@@ -182,29 +187,28 @@ def _cmd_states(ns: argparse.Namespace) -> int:
 
 
 def _cmd_spectrum(ns: argparse.Namespace) -> int:
-    from .protocol import analytic_spectrum, numeric_pairing
+    from .protocol import certified_spectrum
 
     variant = Variant(ns.variant)
     couplings = _couplings(ns, variant, None)  # a, b and c are required: no defaults
-    analytic = analytic_spectrum(variant, couplings, ns.gap_tol)
-    numeric, fidelity = numeric_pairing(variant, [(couplings, analytic)], ns.gap_tol)
-    rows = zip(analytic.labels, analytic.eigenvalues, numeric[0].tolist(), fidelity[0].tolist())
+    spectrum, radii, angle_bounds = certified_spectrum(variant, couplings, ns.gap_tol)
+    rows = zip(spectrum.labels, spectrum.eigenvalues, radii, angle_bounds)
     if ns.format == "json":
         _print_json(
             {
                 "variant": variant.value,
                 "couplings": dataclasses.asdict(couplings),
-                "alpha": analytic.alpha,
+                "alpha": spectrum.alpha,
                 "rows": [
-                    {"label": label, "analytic_E": e, "numeric_E": n, "abs_diff": abs(e - n), "fidelity": f}
-                    for label, e, n, f in rows
+                    {"label": label, "analytic_E": e, "radius": r, "angle_bound": angle}
+                    for label, e, r, angle in rows
                 ],
             }
         )
     else:
         writer = _csv_writer()
-        writer.writerow(["label", "analytic_E", "numeric_E", "abs_diff"])
-        writer.writerows([label, e, n, abs(e - n)] for label, e, n, _ in rows)
+        writer.writerow(["label", "analytic_E", "radius", "angle_bound"])
+        writer.writerows(rows)
     return EXIT_OK
 
 
@@ -362,7 +366,7 @@ _COMMANDS = {
         {"theta": _REQUIRED, "variant": _REQUIRED, "format": {"default": "json"}},
     ),
     "spectrum": (
-        _cmd_spectrum, "analytic vs numeric eigenvalue table",
+        _cmd_spectrum, "analytic eigenvalues with certified residual radii",
         ("a", "b", "c", "d", "variant", "gap_tol", "format"),
         {"a": _REQUIRED, "b": _REQUIRED, "c": _REQUIRED, "variant": _REQUIRED},
     ),
@@ -463,6 +467,11 @@ def main(argv=None) -> int:
         kind = "internal verification failure" if isinstance(exc, LogicError) else "error"
         print(f"{kind}: {exc}", file=sys.stderr)
         return exc.exit_code
+    except ModuleNotFoundError as exc:
+        if exc.name != "numpy":
+            raise
+        print(f"error: {ns.command} needs numpy, which is not installed", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

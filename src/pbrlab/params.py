@@ -5,12 +5,13 @@ and mixing angle, the one tolerance rule (finite and >= 0, checked wherever a
 tolerance is used), the one gap rule, the spin-orbit constraint and its level,
 the variant and preparation-policy choices, the noise-robust overlap bound
 and the verify-all defaults.  This module writes the ``matrix k of n:``
-prefix of a stack, the overflow message, and both degeneracy messages (a gap
-below ``gap_tol``, eigenvectors ``eigh`` cannot pair); ``hamiltonian`` words
-its own Hermiticity, ``eigh`` and fidelity-pairing failures behind that prefix.
+prefix of a stack, the overflow messages, and the three degeneracy messages
+(a gap below ``gap_tol``, eigenvectors ``eigh`` cannot pair, residual
+intervals that overlap); ``hamiltonian`` words its own Hermiticity, ``eigh``
+and fidelity-pairing failures behind that prefix.
 Everything here is plain Python, so the coupling solver and the CLI's option
-table never import numpy, nor do ``solve``, ``bound``, ``states`` and
-``feasibility``.  Every module that uses one of these names imports it from
+table never import numpy, nor do ``solve``, ``bound``, ``states``,
+``feasibility`` and ``spectrum``.  Every module that uses one of these names imports it from
 here, not through another module.
 """
 
@@ -211,6 +212,24 @@ def _unpaired(values, labels, gap_tol: float, k: int, n: int) -> DegeneracyError
         f"eigenvalues {', '.join(f'{i} and {j}' for i, j in tied)} lie {closest!r} apart (gap_tol={gap_tol})",
         pairs=tied,
     )
+
+
+def _check_enclosure(values, radii, labels, unresolved: tuple[tuple[str, str], ...]) -> None:
+    """Raise unless every radius is finite and ``unresolved``, the label pairs whose intervals meet, is empty.
+
+    Each interval is ``values[k] ± radii[k]``; a message names the intervals it is about.
+    """
+    interval = {lab: f"{lab} = {val!r} ± {rad!r}" for lab, val, rad in zip(labels, values, radii)}
+    overflowing = [interval[lab] for lab, rad in zip(labels, radii) if not math.isfinite(rad)]
+    if overflowing:
+        raise NonFiniteError(f"residual bound overflows: {', '.join(overflowing)}")
+    if unresolved:
+        named = [interval[lab] for lab in labels if any(lab in pair for pair in unresolved)]
+        raise DegeneracyError(
+            f"analytic spectrum not certified: the residual intervals of "
+            f"{', '.join(f'{i} and {j}' for i, j in unresolved)} overlap ({', '.join(named)})",
+            pairs=unresolved,
+        )
 
 
 def overlap_bound(eps_hat: float) -> float:

@@ -11,8 +11,11 @@ Hamiltonian, and the resulting forbidden-outcome map:
   v⊗w → e'1.
 
 This module alone knows how the two variants differ (states, spectrum,
-Hamiltonian stack, default couplings, constraint residual); other modules ask
-it instead of branching on the variant.  Importing it loads no numpy: the
+Hamiltonian entries, default couplings, constraint residual); other modules
+ask it instead of branching on the variant.  The variant's rule for the
+Hamiltonian's entries (d dropped for the exchange variant) is written once,
+in ``_entries``: both the numpy stack for ``eigh`` and the plain-Python
+certified spectrum read it.  Importing this module loads no numpy: the
 functions that build arrays (the Hamiltonian stack, the numeric pairing, the
 Born matrix, the tally kernel) import it when they run.
 
@@ -26,8 +29,8 @@ noise_eps / 4.  The resulting :class:`TallyTable` holds the instance and
 the counts, nothing else: it reads the labels and the forbidden map off the
 instance to divide out each frequency, the forbidden-outcome rates and
 eps_hat, and the caller echoes the seed, noise and policy it passed.  The CLI
-renders tables.  Spectrum failures, the unpairable one included, are worded
-in :mod:`pbrlab.params`.
+renders tables.  Spectrum failures, the unpairable and the uncertified one
+included, are worded in :mod:`pbrlab.params`.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from .hamiltonian import (
     Spectrum,
     analytic_spectrum_soc,
     analytic_spectrum_xyz,
+    enclose,
     hamiltonian_entries,
     numeric_spectrum,
     pair_spectra,
@@ -106,6 +110,25 @@ def analytic_spectrum(variant: Variant, couplings: CouplingSet, gap_tol: float) 
     return analytic_spectrum_soc(couplings, gap_tol=gap_tol)
 
 
+def _entries(variant: Variant, a, b, c, d):
+    """:func:`hamiltonian_entries` of the variant: d dropped (exchange) or kept (spin-orbit)."""
+    return hamiltonian_entries(a, b, c, None if Variant(variant) is Variant.XYZ else d)
+
+
+def certified_spectrum(
+    variant: Variant, couplings: CouplingSet, gap_tol: float
+) -> tuple[Spectrum, tuple[float, ...], tuple[float, ...]]:
+    """The variant's analytic spectrum with its residual radii and eigenvector angle bounds.
+
+    :func:`pbrlab.hamiltonian.enclose` certifies the spectrum against the
+    variant's Hamiltonian at ``couplings``, a missing d taken as 0, in plain
+    Python floats.
+    """
+    spectrum = analytic_spectrum(variant, couplings, gap_tol)
+    rows = _entries(variant, couplings.a, couplings.b, couplings.c, couplings.d_or_zero)
+    return (spectrum, *enclose(rows, spectrum))
+
+
 def hamiltonian_stack(variant: Variant, couplings: Sequence[CouplingSet]) -> np.ndarray:
     """The variant's Hamiltonians at ``couplings``, an (n, 4, 4) stack for :func:`numeric_spectrum`.
 
@@ -115,8 +138,7 @@ def hamiltonian_stack(variant: Variant, couplings: Sequence[CouplingSet]) -> np.
     import numpy as np
 
     a, b, c, d = np.array([(c.a, c.b, c.c, c.d_or_zero) for c in couplings], dtype=float).reshape(-1, 4).T
-    rows = hamiltonian_entries(a, b, c, None if Variant(variant) is Variant.XYZ else d)
-    return np.array(rows, dtype=complex).transpose(2, 0, 1)
+    return np.array(_entries(variant, a, b, c, d), dtype=complex).transpose(2, 0, 1)
 
 
 def numeric_pairing(

@@ -22,7 +22,9 @@ These checks are the only implementation of each invariant: the acceptance
 suite (``tests/test_acceptance.py``) calls them at larger sizes.  The spectrum
 and solver checks take ``n`` draws, and the orthogonality checks and the
 negative control an ``n``-point theta grid; the defaults are the sizes
-``verify-all`` reports.  The LP checks are exhaustive and take no size.
+``verify-all`` reports: a sample needs n >= 1 and a grid n >= 2, and a size
+out of range is the check's FAIL line.  The LP checks are exhaustive and
+take no size.
 """
 
 from __future__ import annotations
@@ -97,6 +99,9 @@ def _check(name: str) -> Callable[[Callable[..., tuple[bool, str]]], Callable[..
 
 
 def _theta_grid(n: int) -> list[float]:
+    """n evenly spaced thetas from 0.05 to pi/2 - 0.05; a grid has both ends, so n >= 2."""
+    if not (isinstance(n, int) and n >= 2):
+        raise ValidationError(f"a theta grid needs an integer n >= 2, got {n!r}")
     lo, hi = 0.05, math.pi / 2.0 - 0.05
     return [lo + (hi - lo) * k / (n - 1) for k in range(n)]
 
@@ -124,6 +129,7 @@ def _random_couplings(
     Spin-orbit rows draw d as a fourth coupling and skip |d| < 0.05.  Each
     coupling set comes with its analytic spectrum.
     """
+    protocol._check_count("n", n)
     soc = variant is Variant.SOC
     rows = _rows(seed, purpose, 4 if soc else 3)
     out = []
@@ -208,6 +214,7 @@ def check_soc_negative_control(n: int = 12) -> tuple[bool, str]:
 
 @_check("solver-agreement")
 def check_solver_agreement(seed: int, n: int = 60) -> tuple[bool, str]:
+    protocol._check_count("n", n)
     max_gap = 0.0
     done = 0
     for row in itertools.islice(_rows(seed, 30, 5), n):

@@ -117,6 +117,19 @@ MUTANTS = (
         "flip_end = least_word(noise_eps)", "flip_end = least_word(noise_eps / 2)",
         ("verify-all", "tests/test_protocol.py"),
     ),
+    # The residual enclosure behind `spectrum`.  Without its rounding allowance a
+    # radius is an estimate: the exact-rational oracle finds a residual above it.
+    Mutant(
+        "rounding allowance dropped from the residual radius", HAMILTONIAN,
+        "    return numerator / _norm(parts[0] + parts[1]) + 2.0 * _U * rounded",
+        "    return _norm(residual) / _norm(parts[0] + parts[1])",
+        ("tests/test_hamiltonian.py",),
+    ),
+    Mutant(
+        "residual Hx + Ex in place of Hx - Ex", HAMILTONIAN,
+        "row[3] * part[3], -energy * x", "row[3] * part[3], energy * x",
+        ("tests/test_hamiltonian.py", "tests/test_cli_golden.py"),
+    ),
     # Tier-1 owns this one: every stack the package builds is real symmetric by
     # construction, so only a caller's non-Hermitian input reaches the check.
     Mutant(

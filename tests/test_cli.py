@@ -46,18 +46,16 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv, tied",
         [
-            (["--a", "1", "--b", "1", "--c", "0"], "e1 and e2 lie 0.0 apart"),
+            (["--a", "1", "--b", "1", "--c", "0"], "e1 and e2 overlap (e1 = 0.0 ± "),
             (["--a", "0", "--b", "0", "--c", "0"],
-             "e1 and e2, e1 and e3, e1 and e4, e2 and e3, e2 and e4, e3 and e4 lie 0.0 apart"),
+             "e1 and e2, e1 and e3, e1 and e4, e2 and e3, e2 and e4, e3 and e4 overlap (e1 = 0.0 ± "),
         ],
         ids=["one-tie", "all-tied"],
     )
     def test_unpairable_spectrum_with_gap_check_off_is_three(self, capsys, argv, tied):
         code, out, err = run_cli(capsys, "spectrum", "--variant", "xyz", *argv, "--gap-tol", "0")
         assert code == 3
-        assert out == "" and err.startswith(
-            "error: eigh's eigenvectors do not pair one-to-one with the analytic ones; closest analytic eigenvalues "
-        )
+        assert out == "" and err.startswith("error: analytic spectrum not certified: the residual intervals of ")
         assert tied in err and "internal" not in err
 
     def test_missing_field_is_two(self, capsys):
@@ -291,6 +289,16 @@ class TestExitCodes:
 
 
 class TestImport:
+    @pytest.mark.parametrize(
+        "argv", [["run", "--variant", "xyz", "--theta", "1", "--runs", "100", "--seed", "1"], ["verify-all"]],
+        ids=["run", "verify-all"],
+    )
+    def test_missing_numpy_is_a_configuration_error(self, capsys, monkeypatch, argv):
+        monkeypatch.setitem(sys.modules, "numpy", None)  # "import numpy" now raises ModuleNotFoundError
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == "" and err == f"error: {argv[0]} needs numpy, which is not installed\n"
+
     def test_cli_import_leaves_out_the_thread_pool(self, package_env):
         code = "import sys, pbrlab.cli; print('concurrent.futures' in sys.modules)"
         proc = subprocess.run(
@@ -324,11 +332,14 @@ class TestImport:
             (["feasibility", "--variant", "soc", "--theta", "0.7", "--overlap", "b"], ("numpy",)),
             (["feasibility", "--variant", "soc", "--theta", "0.7853981634", "--overlap", "both"], ("numpy",)),
             (["feasibility", "--variant", "xyz", "--theta", "1", "--overlap", "a", "--exact"], ("numpy",)),
-            (["spectrum", "--variant", "xyz", "--a", "1", "--b", "2", "--c", "3"], ("pbrlab.verify",)),
+            (["spectrum", "--variant", "xyz", "--a", "1", "--b", "2", "--c", "3"], ("numpy", "pbrlab.verify")),
+            (["spectrum", "--variant", "soc", "--a", "1.2", "--b", "0.5", "--c", "-0.7", "--d", "0.9",
+              "--format", "json"], ("numpy", "pbrlab.verify")),
             (["run", "--variant", "xyz", "--theta", "1", "--runs", "100", "--seed", "1"], ("pbrlab.verify",)),
         ],
         ids=["import", "solve-closed-form", "solve-bisection", "bound", "states", "states-xyz",
-             "feasibility-a", "feasibility-b", "feasibility-both", "feasibility-exact", "spectrum", "run"],
+             "feasibility-a", "feasibility-b", "feasibility-both", "feasibility-exact", "spectrum", "spectrum-soc",
+             "run"],
     )
     def test_subcommand_loads_only_what_it_runs(self, package_env, argv, left_out):
         proc = subprocess.run(
@@ -403,7 +414,7 @@ class TestStatesAndSpectrum:
         code, out, _ = run_cli(capsys, "spectrum", "--variant", "xyz", "--a", "1", "--b", "2", "--c", "3")
         assert code == 0
         rows = list(csv.reader(io.StringIO(out)))
-        assert rows[0] == ["label", "analytic_E", "numeric_E", "abs_diff"]
+        assert rows[0] == ["label", "analytic_E", "radius", "angle_bound"]
         table = {r[0]: r for r in rows[1:]}
         assert float(table["e1"][1]) == 2.0
         assert float(table["e4"][1]) == -6.0
@@ -417,6 +428,15 @@ class TestStatesAndSpectrum:
         assert code == 0
         doc = json.loads(out)
         assert doc["alpha"] == pytest.approx(math.pi / 4, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "argv", [["--variant", "xyz", "--a", "1", "--b", "2", "--c", "3"],
+                 ["--variant", "soc", "--a", "1", "--b", "0.5", "--c", "-1", "--d", "1"]]
+    )
+    def test_spectrum_json_matches_its_schema(self, capsys, argv):
+        code, out, _ = run_cli(capsys, "spectrum", *argv, "--format", "json")
+        assert code == 0
+        validate(json.loads(out), "spectrum.schema.json")
 
 
 class TestRun:

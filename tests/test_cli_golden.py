@@ -3,19 +3,26 @@
 Each case runs ``pbrlab.cli.main`` in process and compares its standard
 output with ``tests/golden/<name>.out``; one case per subcommand also runs as
 ``python -m pbrlab.cli`` in a fresh child, where only the modules its handler
-imports are loaded.  A refactor that claims the same behaviour must
+imports are loaded, and the cases that need no numpy run once more under
+every other CPython 3.10-3.13 on the ``PATH``.  A refactor that claims the same behaviour must
 reproduce them exactly; re-record a file only for a change that means to
 alter that output.
 """
 
 import csv
+import io
+import itertools
 import json
+import os
+import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
+import pbrlab
 from pbrlab.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -87,6 +94,56 @@ def test_run_json_does_not_depend_on_the_blas_kernel(coretype, package_env):
     assert proc.stdout == (GOLDEN / "run_json.out").read_bytes()
 
 
+#: The golden cases whose subcommands never import numpy, so any CPython 3.10-3.13 runs them.
+NUMPY_FREE = sorted(name for name in CASES if CASES[name][0] in ("states", "spectrum", "solve", "feasibility", "bound"))
+
+#: Run in another interpreter's child: each case's exit code and stdout through cli.main, as JSON.
+RUN_CASES = (
+    "import contextlib, io, json, sys\n"
+    "from pbrlab.cli import main\n"
+    "results = {}\n"
+    "for name, argv in json.loads(sys.argv[1]).items():\n"
+    "    out = io.StringIO()\n"
+    "    with contextlib.redirect_stdout(out):\n"
+    "        code = main(argv)\n"
+    "    results[name] = [code, out.getvalue()]\n"
+    "print(json.dumps(results))\n"
+)
+
+
+def test_numpy_free_goldens_on_every_other_interpreter():
+    """The numpy-free goldens hold byte for byte under each other CPython 3.10-3.13 on the PATH.
+
+    One child per interpreter, with only this checkout's ``src`` on its path,
+    runs every case.  An interpreter that is absent, or does not start as the
+    version it is named for, is reported by name and not run.
+    """
+    env = {**os.environ, "PYTHONPATH": str(Path(pbrlab.__file__).resolve().parents[1])}
+    cases = json.dumps({name: CASES[name] for name in NUMPY_FREE})
+    ran, not_run = [], []
+    for minor in (10, 11, 12, 13):
+        name = f"python3.{minor}"
+        if minor == sys.version_info.minor:
+            continue
+        path = shutil.which(name)
+        probe = path and subprocess.run(
+            [path, "-c", "import sys; print(sys.version_info[:2])"], capture_output=True, text=True, timeout=60
+        )
+        if not probe or probe.stdout != f"(3, {minor})\n":
+            not_run.append(f"{name} ({'absent' if path is None else 'does not start'})")
+            continue
+        proc = subprocess.run([path, "-c", RUN_CASES, cases], capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, f"{name}: {proc.stderr}"
+        for case, (code, out) in json.loads(proc.stdout).items():
+            assert code == 0, f"{name}: {case} exited {code}"
+            assert out.encode("utf-8") == (GOLDEN / f"{case}.out").read_bytes(), f"{name}: {case}"
+        ran.append(name)
+    if not_run:
+        warnings.warn(f"numpy-free goldens not run under: {', '.join(not_run)}", stacklevel=1)
+    if not ran:
+        pytest.skip(f"no other CPython 3.10-3.13 starts here: {', '.join(not_run)}")
+
+
 def _config_text(options: list[str]) -> str:
     """The config file standing for ``--key value`` pairs and bare ``--flag`` words."""
     lines = []
@@ -107,13 +164,22 @@ def test_config_file_matches_golden(name, tmp_path, capsys):
     assert out.encode("utf-8") == (GOLDEN / f"{name}.out").read_bytes()
 
 
+def _recorded_spectrum(name: str) -> list[dict]:
+    text = (GOLDEN / f"{name}.out").read_text()
+    if name.endswith("json"):
+        return json.loads(text)["rows"]
+    return [{k: v if k == "label" else float(v) for k, v in r.items()} for r in csv.DictReader(io.StringIO(text))]
+
+
 def test_recorded_spectra_agree():
-    """A re-recorded spectrum golden must still show agreeing spectra, not just stable bytes."""
-    rows = json.loads((GOLDEN / "spectrum_soc_json.out").read_text())["rows"]
-    for row in rows:
-        assert abs(row["fidelity"] - 1.0) <= 1e-12
-    with open(GOLDEN / "spectrum_xyz_csv.out", newline="") as f:
-        rows += [{k: float(v) for k, v in r.items() if k != "label"} for r in csv.DictReader(f)]
-    assert len(rows) == 8
-    for row in rows:
-        assert row["abs_diff"] == abs(row["analytic_E"] - row["numeric_E"]) <= 1e-12
+    """A re-recorded spectrum golden must still hold a certificate, not just stable bytes:
+    tight radii, pairwise disjoint intervals and small eigenvector angles."""
+    for name in ("spectrum_soc_json", "spectrum_xyz_csv"):
+        rows = _recorded_spectrum(name)
+        assert len(rows) == 4
+        scale = max(abs(row["analytic_E"]) for row in rows)
+        for row in rows:
+            assert 0.0 < row["radius"] <= 1e-12 * scale
+            assert 0.0 <= row["angle_bound"] <= 1e-10
+        for one, other in itertools.combinations(rows, 2):
+            assert abs(one["analytic_E"] - other["analytic_E"]) > one["radius"] + other["radius"]

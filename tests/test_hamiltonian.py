@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -471,6 +472,52 @@ class TestPairSpectra:
         bells = np.array([v.vector for v in bell_states()])
         with pytest.raises(LogicError, match=r"^fidelity pairing is not a bijection: \[0, 0, 2, 3\]$"):
             pair_spectra(bells[[0, 0, 2, 3]][np.newaxis], bells.T[np.newaxis])
+
+
+def exact_residual_squares(variant, c, energy, vector):
+    """(||H x - E x||^2, ||x||^2) in exact rationals, H the variant's Hamiltonian at the exact couplings."""
+    a, b, cc = Fraction(c.a), Fraction(c.b), Fraction(c.c)
+    d = Fraction(c.d_or_zero) if variant is Variant.SOC else Fraction(0)
+    rows = ((cc, -d, d, a - b), (-d, -cc, a + b, -d), (d, a + b, -cc, d), (a - b, -d, d, cc))
+    residual = norm = Fraction(0)
+    for part in ([Fraction(z.real) for z in vector.vector], [Fraction(z.imag) for z in vector.vector]):
+        for row, x in zip(rows, part):
+            entry = row[0] * part[0] + row[1] * part[1] + row[2] * part[2] + row[3] * part[3] - Fraction(energy) * x
+            residual += entry * entry
+            norm += x * x
+    return residual, norm
+
+
+class TestEnclosure:
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    @pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e-8, 1.0, 1e8, 1e150, 1e300])
+    def test_radius_bounds_the_exact_residual(self, variant, scale):
+        # The exact-rational oracle: the float eigenpair's residual under the
+        # couplings' exact Hamiltonian, over the exact ||x||, is within the radius.
+        rng = np.random.default_rng(2024)
+        for _ in range(4):
+            c = CouplingSet(*(scale * rng.uniform(-3, 3, size=4 if variant is Variant.SOC else 3)))
+            spectrum, radii, _ = protocol.certified_spectrum(variant, c, 0.0)
+            top = max(abs(e) for e in spectrum.eigenvalues)
+            for energy, vector, radius in zip(spectrum.eigenvalues, spectrum.eigenvectors, radii):
+                residual, norm = exact_residual_squares(variant, c, energy, vector)
+                assert residual <= Fraction(radius) ** 2 * norm
+                assert radius <= 1e-12 * top
+
+    def test_tied_eigenvalues_are_not_certified(self):
+        with pytest.raises(DegeneracyError, match=r"residual intervals of e1 and e2 overlap") as caught:
+            protocol.certified_spectrum(Variant.XYZ, CouplingSet(1, 1, 0), 0.0)
+        assert caught.value.pairs == (("e1", "e2"),)
+
+    def test_overflowing_residual_is_non_finite(self):
+        with pytest.raises(NonFiniteError, match=r"^residual bound overflows: e3 = .* ± inf, e4 = "):
+            protocol.certified_spectrum(Variant.XYZ, CouplingSet(6e307, 5e307, 4e307), GAP_TOL)
+
+    def test_angle_bound_follows_the_gap(self):
+        # Davis-Kahan: the closer the nearest other eigenvalue, the looser the eigenvector.
+        _, _, wide = protocol.certified_spectrum(Variant.XYZ, CouplingSet(1, 2, 3), GAP_TOL)
+        _, _, narrow = protocol.certified_spectrum(Variant.XYZ, CouplingSet(1, 2, 2 + 1e-6), GAP_TOL)
+        assert max(wide) <= 1e-13 and 1e-11 <= max(narrow) <= 1e-7
 
 
 class TestEvolve:

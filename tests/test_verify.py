@@ -245,6 +245,31 @@ def test_a_package_error_in_a_check_is_its_fail_line(monkeypatch, check, name, h
     assert check(*args).line() == f"FAIL {name}: {error.__name__}: {message}"
 
 
+@pytest.mark.parametrize(
+    "check, args, name, message",
+    [
+        (verify.check_xyz_spectrum, (42, 0), "xyz-spectrum-agreement", "n must be >= 1, got 0"),
+        (verify.check_soc_spectrum, (42, -3), "soc-spectrum-agreement", "n must be >= 1, got -3"),
+        (verify.check_solver_agreement, (42, 0), "solver-agreement", "n must be >= 1, got 0"),
+        (verify.check_xyz_orthogonality, (1,), "xyz-orthogonality", "a theta grid needs an integer n >= 2, got 1"),
+        (verify.check_soc_orthogonality, (0,), "soc-orthogonality", "a theta grid needs an integer n >= 2, got 0"),
+        (verify.check_soc_negative_control, (1,), "soc-negative-control",
+         "a theta grid needs an integer n >= 2, got 1"),
+        (verify.check_xyz_orthogonality, (2.5,), "xyz-orthogonality", "a theta grid needs an integer n >= 2, got 2.5"),
+    ],
+    ids=["xyz-spectrum-0", "soc-spectrum-negative", "solver-0", "xyz-grid-1", "soc-grid-0", "control-grid-1",
+         "grid-float"],
+)
+def test_a_size_out_of_range_is_its_fail_line(check, args, name, message):
+    # No evidence is no PASS, and a grid of one point divides by zero: both are the check's FAIL line.
+    assert check(*args).line() == f"FAIL {name}: ValidationError: {message}"
+
+
+def test_the_smallest_sizes_report():
+    assert verify.check_xyz_spectrum(42, 1).ok and verify.check_solver_agreement(42, 1).ok
+    assert verify.check_xyz_orthogonality(2).ok and verify.check_soc_negative_control(2).ok
+
+
 def test_a_code_error_is_not_a_fail_line(monkeypatch):
     # Only package errors are a check's verdict; anything else still reaches the caller.
     monkeypatch.setattr(verify, "deduce", _raising(ZeroDivisionError, "division by zero"))
