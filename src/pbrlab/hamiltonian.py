@@ -12,11 +12,13 @@ as ``tests/test_symbolic.py`` proves from their Pauli sums:
 
 Analytic spectra keep the protocol's outcome labels (e1..e4, e'1..e'4); the
 independent numeric route is LAPACK ``eigh`` (``zheevd``), which shares no
-code with the analytic formulas and orders eigenvalues ascending, so spectra
-from the two routes are matched by eigenvector fidelity, never by index.
-Both :func:`numeric_spectrum` and the matching, :func:`pair_spectra`, take
-(n, 4, 4) stacks, one ``eigh`` call per stack; a lone matrix is a stack of one.
-Only the functions that take stacks import numpy, when they run.
+code with the analytic formulas and orders eigenvalues ascending, so
+:func:`pbrlab.protocol.numeric_pairing` matches the two routes by eigenvalue
+rank, never by label index.  :func:`numeric_spectrum` takes an (n, 4, 4)
+stack, one ``eigh`` call per stack; a lone matrix is a stack of one.
+:func:`pair_spectra` matches stacks by eigenvector fidelity instead; no
+module of the package calls it.  Only the functions that take stacks import
+numpy, when they run.
 
 :func:`enclose` certifies the analytic eigenpairs without a second solver:
 in plain Python floats, with a stated rounding allowance, it bounds each

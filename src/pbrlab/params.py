@@ -5,10 +5,10 @@ and mixing angle, the one tolerance rule (finite and >= 0, checked wherever a
 tolerance is used), the one gap rule, the spin-orbit constraint and its level,
 the variant and preparation-policy choices, the noise-robust overlap bound
 and the verify-all defaults.  This module writes the ``matrix k of n:``
-prefix of a stack, the overflow messages, and the three degeneracy messages
-(a gap below ``gap_tol``, eigenvectors ``eigh`` cannot pair, residual
-intervals that overlap); ``hamiltonian`` words its own Hermiticity, ``eigh``
-and fidelity-pairing failures behind that prefix.
+prefix of a stack, the overflow messages, and the two degeneracy messages
+(a gap below ``gap_tol``, residual intervals that overlap); ``hamiltonian``
+words its own Hermiticity, ``eigh`` and fidelity-pairing failures behind
+that prefix.
 Everything here is plain Python, so the coupling solver and the CLI's option
 table never import numpy, nor do ``solve``, ``bound``, ``states``,
 ``feasibility`` and ``spectrum``.  Every module that uses one of these names imports it from
@@ -163,11 +163,6 @@ def _which(k: int, n: int) -> str:
     return f"matrix {k} of {n}: " if n > 1 else ""
 
 
-def _gaps(values, labels) -> dict[tuple[str, str], float]:
-    """|values[i] - values[j]| by label pair, for i < j in index order."""
-    return {(labels[i], labels[j]): abs(values[i] - values[j]) for i in range(4) for j in range(i + 1, 4)}
-
-
 def _check_tolerance(name: str, value: float) -> None:
     if not 0.0 <= value < math.inf:
         raise ValidationError(f"{name} must be finite and >= 0, got {value!r}")
@@ -187,31 +182,13 @@ def _check_gaps(values, labels, gap_tol: float, k: int = 0, n: int = 1) -> None:
     overflowing = [f"{lab} = {val!r}" for lab, val in zip(labels, values) if not math.isfinite(val)]
     if overflowing:
         raise NonFiniteError(f"{_which(k, n)}spectrum overflows: {', '.join(overflowing)}")
-    colliding = tuple(pair for pair, gap in _gaps(values, labels).items() if gap < gap_tol)
+    colliding = [(i, j) for i in range(4) for j in range(i + 1, 4) if abs(values[i] - values[j]) < gap_tol]
     if colliding:
-        detail = ", ".join(
-            f"{li} = {values[labels.index(li)]!r} vs {lj} = {values[labels.index(lj)]!r}"
-            for li, lj in colliding
-        )
+        detail = ", ".join(f"{labels[i]} = {values[i]!r} vs {labels[j]} = {values[j]!r}" for i, j in colliding)
         raise DegeneracyError(
-            f"{_which(k, n)}degenerate spectrum (gap_tol={gap_tol}): {detail}", pairs=colliding
+            f"{_which(k, n)}degenerate spectrum (gap_tol={gap_tol}): {detail}",
+            pairs=tuple((labels[i], labels[j]) for i, j in colliding),
         )
-
-
-def _unpaired(values, labels, gap_tol: float, k: int, n: int) -> DegeneracyError:
-    """The error for matrix k of n whose eigenvectors ``eigh`` cannot pair: the closest label pairs.
-
-    The analytic gaps passed ``gap_tol``, so the message states the closest
-    gap and blames no degeneracy: a wide gap points at the numeric matrix.
-    """
-    gaps = _gaps(values, labels)
-    closest = min(gaps.values())
-    tied = tuple(pair for pair, gap in gaps.items() if gap == closest)
-    return DegeneracyError(
-        f"{_which(k, n)}eigh's eigenvectors do not pair one-to-one with the analytic ones; closest analytic "
-        f"eigenvalues {', '.join(f'{i} and {j}' for i, j in tied)} lie {closest!r} apart (gap_tol={gap_tol})",
-        pairs=tied,
-    )
 
 
 def _check_enclosure(values, radii, labels, unresolved: tuple[tuple[str, str], ...]) -> None:

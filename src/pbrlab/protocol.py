@@ -14,10 +14,11 @@ This module alone knows how the two variants differ (states, spectrum,
 Hamiltonian entries, default couplings, constraint residual); other modules
 ask it instead of branching on the variant.  The variant's rule for the
 Hamiltonian's entries (d dropped for the exchange variant) is written once,
-in ``_entries``: both the numpy stack for ``eigh`` and the plain-Python
-certified spectrum read it.  Importing this module loads no numpy: the
-functions that build arrays (the Hamiltonian stack, the numeric pairing, the
-Born matrix, the tally kernel) import it when they run.
+in ``_entries``: the numpy stack for ``eigh``, the plain-Python certified
+spectrum and ``verify``'s Sylvester reference for exp(-iHt) read it.
+Importing this module loads no numpy: the functions that build arrays (the
+Hamiltonian stack, the numeric pairing, the Born matrix, the tally kernel)
+import it when they run.
 
 Simulation draws each run's preparation and outcome from counter-based
 streams (see :mod:`pbrlab.rng`), so a tally table is a pure function of
@@ -29,8 +30,9 @@ noise_eps / 4.  The resulting :class:`TallyTable` holds the instance and
 the counts, nothing else: it reads the labels and the forbidden map off the
 instance to divide out each frequency, the forbidden-outcome rates and
 eps_hat, and the caller echoes the seed, noise and policy it passed.  The CLI
-renders tables.  Spectrum failures, the unpairable and the uncertified one
-included, are worded in :mod:`pbrlab.params`.
+renders tables.  Spectrum failures, the uncertified one included, are
+worded in :mod:`pbrlab.params`; the numeric pairing pairs by eigenvalue rank
+and raises none of its own.
 """
 
 from __future__ import annotations
@@ -51,11 +53,10 @@ from .hamiltonian import (
     enclose,
     hamiltonian_entries,
     numeric_spectrum,
-    pair_spectra,
 )
 from .params import (
     CONSTRAINT_ATOL, GAP_TOL, ORTHO_ATOL, CouplingSet, OverlapParams, PrepPolicy, Variant, _check_tolerance,
-    _unpaired, constraint,
+    constraint,
 )
 from .qstate import (
     JointState,
@@ -147,28 +148,22 @@ def numeric_pairing(
     """Each analytic eigenvalue's numeric partner and the pair's fidelity, both (n, 4).
 
     ``sampled`` pairs coupling sets with their analytic spectra; column i of
-    both results belongs to analytic label i.  One stacked
-    :func:`numeric_spectrum` and one :func:`pair_spectra` do the work.
-    Eigenvalues that ``gap_tol`` lets through but ``eigh`` cannot resolve
-    leave eigenvectors unpaired: the first such matrix raises
-    :class:`DegeneracyError` (see :func:`pbrlab.params._unpaired`).
+    both results belongs to analytic label i.  Label i pairs with the
+    eigenpair of the same eigenvalue rank in one stacked
+    :func:`numeric_spectrum` (a stable sort of the analytic eigenvalues;
+    ``eigh``'s ascend), at fidelity |⟨a_i|n_j⟩|², as :func:`pair_spectra`
+    computes it.  A label that carries another eigenvalue's eigenvector reads
+    a small |dE| and a fidelity near 0: a number, not an error.
     """
     import numpy as np
 
     values, vectors = numeric_spectrum(hamiltonian_stack(variant, [c for c, _ in sampled]), gap_tol)
-    analytic_vectors = np.array(
-        [[v.vector for v in spec.eigenvectors] for _, spec in sampled], dtype=complex
-    ).reshape(-1, 4, 4)
-    try:
-        assignment, fidelity = pair_spectra(analytic_vectors, vectors)
-    except LogicError:
-        for k, (_, spectrum) in enumerate(sampled):
-            try:
-                pair_spectra(analytic_vectors[k : k + 1], vectors[k : k + 1])
-            except LogicError:
-                raise _unpaired(spectrum.eigenvalues, spectrum.labels, gap_tol, k, len(sampled)) from None
-        raise  # no matrix fails alone: not a degeneracy
-    return np.take_along_axis(values, assignment, axis=1), fidelity
+    spectra = [spec for _, spec in sampled]
+    analytic = np.array([[v.vector for v in s.eigenvectors] for s in spectra], dtype=complex).reshape(-1, 4, 4)
+    order = np.argsort(np.reshape([s.eigenvalues for s in spectra], (-1, 4)), axis=1, kind="stable")
+    rank = np.argsort(order, axis=1)  # rank[k, i]: where analytic eigenvalue i of matrix k sorts
+    fidelity = np.abs(analytic.conj() @ vectors) ** 2
+    return np.take_along_axis(values, rank, axis=1), np.take_along_axis(fidelity, rank[..., np.newaxis], axis=2)[..., 0]
 
 
 def default_couplings(variant: Variant, theta: float) -> CouplingSet:

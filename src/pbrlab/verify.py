@@ -13,10 +13,11 @@ Each sampled check and each simulation reads its own counter stream of
 :mod:`pbrlab.rng`, seeded ``splitmix64(seed, purpose)`` and read from counter
 0, so no two of them share a word; a check reads only the draws it uses,
 through the scalar ``rng.uniform``.  For a fixed (seed, n_runs) the report is
-byte-identical across repeats, CPU counts and worker counts.  The lines that
-rest on LAPACK ``eigh`` and the matrix product in ``check_evolution_invariance``
-(the one check that imports numpy) can differ in their last digits from one
-BLAS kernel to another; everything else is fixed-order IEEE or exact arithmetic.
+byte-identical across repeats, CPU counts and worker counts.  The two
+spectrum lines rest on LAPACK ``eigh`` and can differ in their last digits
+from one BLAS kernel to another; everything else, the evolution check's
+reference included, is fixed-order IEEE or exact arithmetic, and this module
+imports no numpy.
 
 These checks are the only implementation of each invariant: the acceptance
 suite (``tests/test_acceptance.py``) calls them at larger sizes.  The spectrum
@@ -29,6 +30,7 @@ take no size.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import itertools
 import math
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 from . import protocol, rng
 from .coupling_solver import solve_by_root_finding, solve_closed_form
 from .errors import DegeneracyError, PbrlabError, ValidationError
-from .hamiltonian import Spectrum, bell_states, evolve, numeric_spectrum
+from .hamiltonian import Spectrum, bell_states, evolve
 from .ontology import (
     Relation,
     SupportProfile,
@@ -56,7 +58,6 @@ from .protocol import (
     analytic_spectrum,
     born_probabilities,
     default_couplings,
-    hamiltonian_stack,
     numeric_pairing,
     orthogonality_residuals,
     simulate,
@@ -351,32 +352,49 @@ def check_phi_independence() -> tuple[bool, str]:
     return worst <= 1e-12, f"max Born deviation across phi grid {worst:.3e}"
 
 
+def _sylvester_terms(rows, energies, vector) -> list[list[complex]]:
+    """P_k x = prod over j != k of (H - E_j) x / (E_k - E_j), H the real matrix with ``rows``; sums run from the left.
+
+    At H's four distinct eigenvalues, sum_k f(E_k) P_k x is f(H) x (Sylvester's formula; Higham,
+    *Functions of Matrices*, SIAM 2008, §1.2); at any other four values it is not.  The quotients
+    lose digits as two eigenvalues close in: on the evolution check's instances the smallest gap
+    is 0.37 and the largest |E| 20.5.
+    """
+    terms = []
+    for k, ek in enumerate(energies):
+        x = list(vector)
+        for j, ej in enumerate(energies):
+            if j != k:
+                x = [(h0 * x[0] + h1 * x[1] + h2 * x[2] + h3 * x[3] - ej * xi) / (ek - ej)
+                     for (h0, h1, h2, h3), xi in zip(rows, x)]
+        terms.append(x)
+    return terms
+
+
 @_check("evolution-invariance")
 def check_evolution_invariance() -> tuple[bool, str]:
-    # Born weights in H's own eigenbasis stay put under any map diagonal in it,
-    # so only the evolved states, held against exp(-iHt) from eigh, show a wrong t.
-    import numpy as np
-
+    # Born weights in H's own eigenbasis stay put under any map diagonal in it, so only the
+    # evolved states, held against exp(-iHt) by Sylvester's formula from H's entries, show a wrong t.
     instances = [_instance(v, theta) for theta in _theta_grid(12) for v in Variant]
     times = (0.0, 0.37, 2.5, -4.0)
-    stack = np.concatenate([hamiltonian_stack(inst.variant, [inst.couplings]) for inst in instances])
-    values, vectors = numeric_spectrum(stack, GAP_TOL)
-    differences = []
-    worst_born = 0.0
-    for inst, energies, basis in zip(instances, values, vectors):
-        unitaries = [(basis * np.exp(-1j * energies * t)) @ basis.conj().T for t in times]
+    worst_state = worst_born = 0.0
+    for inst in instances:
+        c, energies = inst.couplings, inst.spectrum.eigenvalues
+        rows = protocol._entries(inst.variant, c.a, c.b, c.c, c.d_or_zero)
+        phases = [[cmath.exp(-1j * e * t) for e in energies] for t in times]
         for _, prep in inst.preparations:
             before = born_probabilities(prep, inst.spectrum)
-            for t, unitary in zip(times, unitaries):
+            terms = _sylvester_terms(rows, energies, prep.vector)
+            for t, (p0, p1, p2, p3) in zip(times, phases):
                 evolved = evolve(prep, inst.spectrum, t)
-                differences.append(np.subtract(evolved.vector, unitary @ prep.vector))
+                reference = [p0 * w + p1 * x + p2 * y + p3 * z for w, x, y, z in zip(*terms)]
+                worst_state = max(worst_state, *(abs(e - r) for e, r in zip(evolved.vector, reference)))
                 after = born_probabilities(evolved, inst.spectrum)
-                worst_born = max(worst_born, max(abs(x - y) for x, y in zip(before, after)))
-    worst_state = float(np.max(np.abs(differences)))
+                worst_born = max(worst_born, *(abs(x - y) for x, y in zip(before, after)))
     ok = worst_state <= 1e-12 and worst_born <= 1e-12
     return ok, (
         f"{len(instances)} instances x {len(times)} times, "
-        f"max |evolve - exp(-iHt) from eigh| {worst_state:.3e}, max Born shift {worst_born:.3e}"
+        f"max |evolve - exp(-iHt) by Sylvester's formula| {worst_state:.3e}, max Born shift {worst_born:.3e}"
     )
 
 

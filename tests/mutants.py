@@ -112,6 +112,18 @@ MUTANTS = (
         "e3 = JointState((_RT2 * ca, _RT2 * sa, _RT2 * sa, _RT2 * ca))",
         ("verify-all",),
     ),
+    # Born weights cannot see a wrong t; only the states, against Sylvester's exp(-iHt), can.
+    Mutant(
+        "evolve run backwards", HAMILTONIAN,
+        "cmath.exp(-1j * energy * t)", "cmath.exp(1j * energy * t)",
+        ("verify-all", "tests/test_verify.py"),
+    ),
+    # The eigenvalue set is unchanged, so only rank pairing and evolve see the swap.
+    Mutant(
+        "e1 and e2 formulas swapped in params.xyz_eigenvalues", "src/pbrlab/params.py",
+        "        c.a - c.b + c.c,\n        -c.a + c.b + c.c,\n", "        -c.a + c.b + c.c,\n        c.a - c.b + c.c,\n",
+        ("verify-all", "tests/test_hamiltonian.py"),
+    ),
     Mutant(
         "noise threshold halved in the tally kernel", PROTOCOL,
         "flip_end = least_word(noise_eps)", "flip_end = least_word(noise_eps / 2)",

@@ -52,7 +52,7 @@ class TestExitCodes:
         ],
         ids=["one-tie", "all-tied"],
     )
-    def test_unpairable_spectrum_with_gap_check_off_is_three(self, capsys, argv, tied):
+    def test_uncertified_spectrum_with_gap_check_off_is_three(self, capsys, argv, tied):
         code, out, err = run_cli(capsys, "spectrum", "--variant", "xyz", *argv, "--gap-tol", "0")
         assert code == 3
         assert out == "" and err.startswith("error: analytic spectrum not certified: the residual intervals of ")

@@ -131,7 +131,6 @@ NUMPY_IMPORTS = [
     "rng.mix_tail",
     "rng.run_uniforms",
     "rng.state_steps",
-    "verify.check_evolution_invariance",
 ]
 
 

@@ -29,7 +29,7 @@ from pbrlab import (
     tensor,
 )
 from pbrlab import params, protocol
-from pbrlab.hamiltonian import hamiltonian_entries
+from pbrlab.hamiltonian import Spectrum, hamiltonian_entries
 from pbrlab.params import _check_gaps
 from pbrlab.protocol import Variant, analytic_spectrum, hamiltonian_stack, numeric_pairing
 
@@ -435,31 +435,16 @@ class TestPairSpectra:
         assert numeric.shape == fidelity.shape == (1, 4)
         assert numeric[0].tolist() == pytest.approx([2.0, 4.0, 0.0, -6.0], abs=1e-12)
 
-    @pytest.mark.parametrize("stack, where", [(1, ""), (2, "matrix 1 of 2: ")])
-    def test_unpairable_spectrum_with_gap_check_off_is_a_degeneracy(self, stack, where):
-        sampled = [(c, analytic_spectrum_xyz(c, gap_tol=0.0)) for c in [CouplingSet(1, 2, 3), CouplingSet(1, 1, 0)]]
-        message = (
-            rf"^{where}eigh's eigenvectors do not pair one-to-one with the analytic ones; "
-            r"closest analytic eigenvalues e1 and e2 lie 0\.0 apart \(gap_tol=0\.0\)$"
-        )
-        with pytest.raises(DegeneracyError, match=message) as caught:
-            numeric_pairing(Variant.XYZ, sampled[-stack:], 0.0)
-        assert caught.value.pairs == (("e1", "e2"),)
-
-    def test_stack_failure_that_no_lone_matrix_shows_is_reraised(self, monkeypatch):
-        # A stacked pairing that fails while every one-matrix slice pairs is not
-        # a degeneracy: the stack's own LogicError must reach the caller.
-        pair_one = protocol.pair_spectra
-
-        def fails_on_stacks(analytic, numeric):
-            if len(analytic) > 1:
-                raise LogicError("stacked pairing failed")
-            return pair_one(analytic, numeric)
-
-        monkeypatch.setattr(protocol, "pair_spectra", fails_on_stacks)
-        sampled = [(c, analytic_spectrum_xyz(c)) for c in (CouplingSet(1, 2, 3), CouplingSet(0.5, 2, -1))]
-        with pytest.raises(LogicError, match="^stacked pairing failed$"):
-            numeric_pairing(Variant.XYZ, sampled, GAP_TOL)
+    def test_labels_pair_by_eigenvalue_rank(self):
+        # e1 and e2 carry each other's eigenvectors: rank pairing keeps |dE| at 0 and
+        # reads the swap as an infidelity of 1, where a fidelity search would move |dE|.
+        c = CouplingSet(1, 2, 3)
+        right = analytic_spectrum_xyz(c)
+        v = right.eigenvectors
+        swapped = Spectrum(right.eigenvalues, (v[1], v[0], v[2], v[3]), right.labels)
+        numeric, fidelity = numeric_pairing(Variant.XYZ, [(c, right), (c, swapped)], GAP_TOL)
+        assert np.abs(numeric - right.eigenvalues).max() <= 1e-12
+        assert np.abs(fidelity - [[1.0, 1.0, 1.0, 1.0], [0.0, 0.0, 1.0, 1.0]]).max() <= 1e-12
 
     def test_non_bijective_match_is_named(self):
         bells = np.array([v.vector for v in bell_states()])

@@ -1,8 +1,9 @@
 """The checks of ``verify-all``: what they draw, and what they can catch.
 
-The stacked spectrum checks are held against a per-matrix reference, the
-route they took one matrix at a time: build the matrix, LAPACK ``eigh``,
-gauge, pair by fidelity.  They must report the same text, digit for digit.
+The stacked spectrum checks are held against a per-matrix reference: build
+the matrix, LAPACK ``eigh``, gauge, pair by fidelity.  The checks pair by
+eigenvalue rank, so reporting the same text, digit for digit, also shows
+that the two pairings agree on every sampled matrix.
 """
 
 import dataclasses
@@ -183,18 +184,22 @@ def test_solver_samples_pair_either_split_sign_with_either_b(monkeypatch, seed):
     assert set(drawn) == set(itertools.product((True, False), repeat=2))
 
 
-def test_evolution_check_fails_for_an_evolve_that_ignores_t(monkeypatch):
+@pytest.mark.parametrize("wrong_t", [lambda t: 0.0, lambda t: -t], ids=["t-ignored", "run-backwards"])
+def test_evolution_check_fails_for_an_evolve_that_ignores_t(monkeypatch, wrong_t):
+    # Born weights cannot see either: only the states, against Sylvester's reference, do.
     assert verify.check_evolution_invariance().ok
     evolve = verify.evolve
-    monkeypatch.setattr(verify, "evolve", lambda state, spectrum, t: evolve(state, spectrum, 0.0))
-    assert not verify.check_evolution_invariance().ok
+    monkeypatch.setattr(verify, "evolve", lambda state, spectrum, t: evolve(state, spectrum, wrong_t(t)))
+    detail = verify.check_evolution_invariance().detail
+    state, born = map(float, re.fullmatch(r".*formula\| (\S+), max Born shift (\S+)", detail).groups())
+    assert state > 0.1 and born <= 1e-12, detail
 
 
 #: (check, its name, the module and callee made to raise, the error class, its message): each
 #: check once, each package error class at least once.
 RAISING = [
     (verify.check_xyz_spectrum, "xyz-spectrum-agreement", verify, "numeric_pairing", errors.DegeneracyError,
-     "matrix 3 of 7: no pairing"),
+     "matrix 3 of 7: degenerate spectrum (gap_tol=1e-09): n1 = 1.0 vs n2 = 1.0"),
     (verify.check_soc_spectrum, "soc-spectrum-agreement", verify, "numeric_pairing", errors.NonFiniteError,
      "spectrum overflows: e'1 = inf"),
     (verify.check_xyz_orthogonality, "xyz-orthogonality", verify, "orthogonality_residuals",
